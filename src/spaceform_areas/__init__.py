@@ -20,6 +20,7 @@ from .hyperbolic_kernels import (
     QuadratureControl,
     QuadratureFailureError,
     WindowExhaustedError,
+    ch1_area_cf,
     ch1_joint_density,
     ch1_loop_area_density,
     ch1_loop_slice,

@@ -30,7 +30,9 @@ from .densities import (
     spherical_density,
 )
 from .hyperbolic_kernels import (
+    JointDensityValue,
     QuadratureControl,
+    ch1_area_cf,
     ch1_joint_density,
     ch1_loop_slice,
 )
@@ -222,15 +224,10 @@ def _eigen_residual(m: int, p: JacobiParams, x: float) -> float:
     return abs(g - target) / scale
 
 
-def _quad_cf_ch1(lam: float, t: float) -> float:
-    """CF of the area via 2D quadrature of the n=1 hyperbolic kernel."""
-    def inner(r: float) -> float:
-        f = lambda th: ch1_joint_density(t, r, th).value * math.cos(lam * th)
-        v, _ = quad(f, 0.0, 12.0, limit=200)  # integrand even in theta
-        return 2.0 * v * math.pi * math.sinh(2.0 * r)
-
-    v, _ = quad(inner, 0.0, 8.0, limit=100)
-    return v
+def _quad_cf_ch1(lam: float, t: float) -> JointDensityValue:
+    """CF of the area by quadrature of the n=1 hyperbolic kernel, with its
+    error estimate (the call site that perfbench's tracer wraps)."""
+    return ch1_area_cf(lam, t)
 
 
 def _quad_cf_planar(lam: float, t: float, nodes: int = 64) -> float:
@@ -374,8 +371,11 @@ def _exp_ch_area_cf(params, seed, threads):
                        threads=threads)
     s = SampleSet(area.theta_end)
     rows, checks = [], []
+    worst_err = 0.0
     for k, lam in enumerate(lambdas):
-        quad_cf = _quad_cf_ch1(lam, t)
+        q = _quad_cf_ch1(lam, t)
+        quad_cf = q.value
+        worst_err = max(worst_err, q.est_error)
         gir = girsanov_cf_estimator(
             Geometry.ch(n), lam,
             SimConfig(t, params["dt"], paths, _sub_seed(seed, k)),
@@ -385,18 +385,20 @@ def _exp_ch_area_cf(params, seed, threads):
         z_dq = (emp.value.real - quad_cf) / emp.std_error
         z_gd = (gir.value.real - emp.value.real) / math.hypot(
             gir.std_error, emp.std_error)
-        rows.append([lam, quad_cf, gir.value.real, gir.std_error,
-                     emp.value.real, emp.std_error, z_gq, z_dq, z_gd])
+        rows.append([lam, quad_cf, q.est_error, gir.value.real,
+                     gir.std_error, emp.value.real, emp.std_error, z_gq, z_dq,
+                     z_gd])
         checks.append(_check_abs(f"z_girsanov_vs_quadrature_lam{lam}", z_gq,
                                  sigma))
         checks.append(_check_abs(f"z_direct_vs_quadrature_lam{lam}", z_dq,
                                  sigma))
         checks.append(_check_abs(f"z_girsanov_vs_direct_lam{lam}", z_gd,
                                  sigma))
+    checks.append(_check_le("quadrature_est_error", worst_err, 1e-8))
     table = Table("ch_area_cf",
-                  ["lambda", "quadrature", "girsanov", "girsanov_se",
-                   "direct", "direct_se", "z_gir_quad", "z_dir_quad",
-                   "z_gir_dir"], rows)
+                  ["lambda", "quadrature", "quadrature_err", "girsanov",
+                   "girsanov_se", "direct", "direct_se", "z_gir_quad",
+                   "z_dir_quad", "z_gir_dir"], rows)
     return [table], checks
 
 

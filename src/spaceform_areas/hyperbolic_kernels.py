@@ -1,8 +1,9 @@
 """Quadrature evaluators for the joint radial/area densities on the hyperbolic side.
 
 Evaluates the n=1 and n>=2 oscillatory-integral formulas for the joint density
-p_t(r, theta) of the radial coordinate and stochastic area, and the closed-form
-loop-area density at r=0 for n=1.
+p_t(r, theta) of the radial coordinate and stochastic area, the n=1 area
+characteristic function integrated from it, and the closed-form loop-area
+density at r=0 for n=1.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class JointDensityValue:
 _ACOSH_EPS = 1e-12
 
 
-def _ch1_amplitude(r: float, y) -> np.ndarray:
+def _ch1_amplitude(r, y) -> np.ndarray:
     """arcosh(cosh r cosh y) / sqrt(cosh^2 r cosh^2 y - 1), limit 1 at the origin."""
     c = np.cosh(r) * np.cosh(y)
     c2m1 = c * c - 1.0
@@ -63,14 +64,20 @@ def _ch1_amplitude(r: float, y) -> np.ndarray:
     return out
 
 
+def _ch1_magnitude(y, t: float, r, theta: float):
+    """Modulus e^{-(a^2 - y^2 + theta^2)/2t} amp(r, y) of the n=1 y-integrand,
+    with a = arcosh(cosh r cosh y); r and y broadcast."""
+    a = np.arccosh(np.maximum(np.cosh(r) * np.cosh(y), 1.0))
+    return np.exp(-(a * a - y * y + theta * theta) / (2.0 * t)) * _ch1_amplitude(r, y)
+
+
 def _ch1_integrand(y, t: float, r: float, theta: float):
     """Real and imaginary parts of the n=1 y-integrand.
 
     The complex factor e^{(y - i theta)^2 / 2t} splits into
     e^{(y^2 - theta^2)/2t} (cos(y theta / t) - i sin(y theta / t)).
     """
-    a = np.arccosh(np.maximum(np.cosh(r) * np.cosh(y), 1.0))
-    mag = np.exp(-(a * a - y * y + theta * theta) / (2.0 * t)) * _ch1_amplitude(r, y)
+    mag = _ch1_magnitude(y, t, r, theta)
     phase = y * theta / t
     return mag * np.cos(phase), -mag * np.sin(phase)
 
@@ -86,6 +93,22 @@ def _ch1_tail_bound(W: float, t: float, r: float, theta: float) -> float:
     gauss = math.exp(-(a * a - W * W + theta * theta) / (2.0 * t))
     c = abs(math.log(math.cosh(r))) + 1.0
     return 2.0 * gauss * 2.2 * (W + c + 1.0) * math.exp(-W) / math.cosh(r)
+
+
+def _ch1_window(t: float, r: float, theta: float, target: float,
+                ctl: QuadratureControl) -> float:
+    """y-window W of the n=1 integrand: doubled from max(4, 4 sqrt t) until
+    the tail bound beyond it is below target, capped at ctl.max_window."""
+    W = max(4.0, 4.0 * math.sqrt(t))
+    while _ch1_tail_bound(W, t, r, theta) > target:
+        W *= 2.0
+        if W > ctl.max_window:
+            if _ch1_tail_bound(ctl.max_window, t, r, theta) > ctl.abs_tol / 10.0:
+                raise WindowExhaustedError(
+                    f"tail bound above {ctl.abs_tol} at window cap {ctl.max_window}"
+                )
+            return ctl.max_window
+    return W
 
 
 def ch1_joint_density(t: float, r: float, theta: float,
@@ -104,17 +127,7 @@ def ch1_joint_density(t: float, r: float, theta: float,
     # e^{-2 pi |theta| / t} times the central integrand scale, so the tail is
     # truncated relative to that scale rather than in absolute terms.
     scale = math.exp(-theta * theta / (2.0 * t))
-    target = max(ctl.abs_tol / 10.0, 1e-17 * scale)
-    W = max(4.0, 4.0 * math.sqrt(t))
-    while _ch1_tail_bound(W, t, r, theta) > target:
-        W *= 2.0
-        if W > ctl.max_window:
-            if _ch1_tail_bound(ctl.max_window, t, r, theta) > ctl.abs_tol / 10.0:
-                raise WindowExhaustedError(
-                    f"tail bound above {ctl.abs_tol} at window cap {ctl.max_window}"
-                )
-            W = ctl.max_window
-            break
+    W = _ch1_window(t, r, theta, max(ctl.abs_tol / 10.0, 1e-17 * scale), ctl)
     epsabs = max(1e-300, 1e-14 * scale)
     with warnings.catch_warnings():
         # roundoff warnings are expected near machine precision; the final
@@ -246,6 +259,96 @@ def chn_joint_density(n: int, t: float, r: float, theta: float,
     if abs(pref * im) > max(ctl.abs_tol, 10.0 * ctl.rel_tol * abs(pref * re)):
         raise QuadratureFailureError(f"imaginary residue {pref * im} above tolerance")
     return JointDensityValue(pref * re, err)
+
+
+# Temporaries of the tensor-product rule in ch1_area_cf are built in chunks
+# of about this many elements, so its memory does not grow with node counts.
+_CHUNK = 1 << 13
+
+
+def _ch1_cf_rule(lam: float, t: float, R: float, big_theta: float, W: float,
+                 density: float) -> np.ndarray:
+    """Tensor-product Gauss rule for ch1_area_cf on r <= R, |theta| <= big_theta,
+    |y| <= W, with `density` panels per unit length scale.
+
+    Returns [cf, mass, y_tail]: the box integral of the (r, theta) density
+    times cos(lam theta), the same with lam = 0, and a bound on the part of
+    either that the y-tails beyond W carry.
+    """
+    s = min(1.0, math.sqrt(t))  # length scale of the integrand in r and y
+    r, wr = _gauss_panels(0.0, R, math.ceil(R * density / s))
+    y, wy = _gauss_panels(0.0, W, math.ceil(W * density / s))
+    # theta-panels also follow the frequency y/t + lam of the theta-integrand
+    th, wth = _gauss_panels(0.0, big_theta, math.ceil(
+        big_theta * density * (1.0 / s + (W / t + abs(lam)) / (4.0 * math.pi))))
+    # K[:, j] = int e^{-theta^2/2t} cos(y_j theta / t) (cos(lam theta), 1) dtheta
+    # over |theta| <= big_theta: the theta-rule folded into one y-vector.
+    g = 2.0 * wth * np.exp(-th * th / (2.0 * t))
+    v = np.stack([g * np.cos(lam * th), g])
+    K = np.empty((2, y.size))
+    step = max(1, _CHUNK // th.size)
+    for i in range(0, y.size, step):
+        K[:, i:i + step] = v @ np.cos(np.outer(th, y[i:i + step] / t))
+    K *= 2.0 * wy  # the y-integrand is even
+    wsr = wr * np.sinh(2.0 * r)
+    out = np.zeros(2)
+    step = max(1, _CHUNK // y.size)
+    for i in range(0, r.size, step):
+        mag = _ch1_magnitude(y[None, :], t, r[i:i + step, None], 0.0)
+        out += K @ (wsr[i:i + step] @ mag)
+    # |K| <= sqrt(2 pi t), so the y-tails add at most this to either value
+    y_tail = math.sqrt(2.0 * math.pi * t) * sum(
+        w * _ch1_tail_bound(W, t, float(ri), 0.0) for ri, w in zip(r, wsr))
+    pref = math.pi * math.exp(-t / 2.0) / (2.0 * math.pi * t) ** 2
+    return pref * np.array([out[0], out[1], y_tail])
+
+
+def ch1_area_cf(lam: float, t: float,
+                ctl: QuadratureControl = QuadratureControl()) -> JointDensityValue:
+    """Characteristic function E[cos(lam theta_t)] of the area on CH^1.
+
+    Integrates pi sinh(2r) p_t(r, theta) cos(lam theta) over r >= 0 and all
+    theta, with p_t the oscillatory y-integral of ch1_joint_density, by one
+    tensor-product Gauss rule over (r, theta, y).  The theta-rule folds into
+    a y-vector, so each chunk of r-nodes costs two matrix-vector products.
+
+    est_error adds the change under node doubling, the y-tail bound beyond
+    the window W of ch1_joint_density, and the probability mass outside the
+    (r, theta) box, which the same rule gives at lam = 0: the density is
+    positive and |cos| <= 1, so that mass bounds the truncation error.  The
+    box starts at r <= t + 6 sqrt t, |theta| <= 6 sqrt t and grows by sqrt t
+    in each until the missing mass is below target.
+    """
+    if not (t > 0):
+        raise ValueError("t must be positive")
+    if not math.isfinite(lam):
+        raise ValueError("lam must be finite")
+    W = _ch1_window(t, 0.0, 0.0, ctl.abs_tol / 10.0, ctl)
+    k, density = 6.0, 0.5
+    while True:
+        R = min(t + k * math.sqrt(t), ctl.max_window)
+        big_theta = min(k * math.sqrt(t), ctl.max_window)
+        coarse = _ch1_cf_rule(lam, t, R, big_theta, W, density)
+        for _ in range(4):
+            fine = _ch1_cf_rule(lam, t, R, big_theta, W, 2.0 * density)
+            d_cf, d_mass = abs(fine[:2] - coarse[:2])
+            cf, mass, y_tail = fine
+            target = max(ctl.abs_tol, ctl.rel_tol * abs(cf))
+            if d_cf + d_mass <= 0.5 * target:
+                break
+            coarse, density = fine, 2.0 * density
+        else:
+            raise QuadratureFailureError(
+                f"node-doubling error {d_cf + d_mass} above target {target}")
+        # mass outside the box: 1 minus a lower bound on the box's mass
+        outside = max(0.0, 1.0 - mass + d_mass + y_tail)
+        err = d_cf + y_tail + outside
+        if err <= target:
+            return JointDensityValue(float(cf), float(err))
+        if R == ctl.max_window and big_theta == ctl.max_window:
+            raise WindowExhaustedError(
+                f"mass {outside} outside the box at window cap {ctl.max_window}")
+        k += 1.0
 
 
 _loop_norm_cache: dict[float, float] = {}

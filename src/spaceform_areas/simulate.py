@@ -668,7 +668,9 @@ def girsanov_cf_estimator(geometry: Geometry, lam: float, cfg: SimConfig,
     else:
         res = sample_radial_hyperbolic(n, lam, 0.0, cfg, threads=threads)
         w = np.cosh(res.r_end) ** (-lam)
-        assert float(w.max(initial=0.0)) <= 1.0 + 1e-12
+        if not float(w.max(initial=0.0)) <= 1.0 + 1e-12:  # also catches NaN
+            raise RuntimeError(
+                f"Girsanov weight above 1 or NaN: max {w.max(initial=0.0)}")
         pref = math.exp(n * lam * t)
     value = pref * float(w.mean())
     se = pref * float(w.std(ddof=1)) / math.sqrt(len(w))

@@ -181,7 +181,7 @@ def test_criterion_06_ch1_cf_triangle():
     worst = 0.0
     lines = []
     for k, lam in enumerate((0.5, 1.0)):
-        qv = _quad_cf_ch1(lam, t)
+        qv = _quad_cf_ch1(lam, t).value
         d = empirical_cf(theta, lam)
         g = girsanov_cf_estimator(
             Geometry.ch(1), lam,

@@ -122,6 +122,21 @@ class TestRunExperiment:
         assert "error" in man
         assert man["passed"] is False
 
+    def test_ch_area_cf_reports_quadrature_error(self, tmp_path):
+        spec = ExperimentSpec(
+            name="ch-area-cf",
+            params={"lambdas": [0.5], "paths": 2000, "dt": 1e-2},
+            output_dir=tmp_path, master_seed=5)
+        bundle = run_experiment(spec, threads=1)
+        check = next(c for c in bundle.manifest["checks"]
+                     if c["name"] == "quadrature_est_error")
+        assert check["threshold"] == 1e-8
+        assert check["verdict"] == "pass"
+        header, row = (tmp_path / "ch_area_cf.csv").read_text().splitlines()
+        err = float(dict(zip(header.split(","), row.split(",")))[
+            "quadrature_err"])
+        assert 0.0 < err == check["value"]
+
     def test_rerun_byte_identical_across_threads(self, tmp_path):
         base = {"paths": 8192, "dt": 5e-3}
         outs = []

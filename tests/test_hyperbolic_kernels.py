@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from spaceform_areas import (
     QuadratureControl,
     WindowExhaustedError,
+    ch1_area_cf,
     ch1_joint_density,
     ch1_loop_area_density,
     ch1_loop_slice,
@@ -57,6 +58,62 @@ class TestCh1JointDensity:
                                   max_window=1.0, max_subdivisions=200)
         with pytest.raises(WindowExhaustedError):
             ch1_joint_density(1.0, 0.5, 0.3, tight)
+
+
+class TestCh1AreaCf:
+    @pytest.mark.parametrize("t", [1.0, 4.0, 6.0])
+    def test_unit_mass(self, t):
+        # a fixed r <= 8, |theta| <= 12 box holds only 0.962 of the mass at
+        # t = 4 and 0.719 at t = 6; the windows must grow with t
+        v = ch1_area_cf(0.0, t, CTL)
+        assert v.value == pytest.approx(1.0, abs=1e-9)
+        assert v.est_error <= 1e-9
+
+    def test_y_window_cap_raises(self):
+        with pytest.raises(WindowExhaustedError):
+            ch1_area_cf(0.5, 1.0, QuadratureControl(max_window=2.0))
+
+    def test_box_cap_raises(self):
+        # the y-window fits under the cap, but r(25) ~ 25 + N(0, 25) does not
+        with pytest.raises(WindowExhaustedError):
+            ch1_area_cf(0.5, 25.0, QuadratureControl(max_window=40.0))
+
+    def test_invalid_args(self):
+        with pytest.raises(ValueError):
+            ch1_area_cf(0.5, 0.0, CTL)
+        with pytest.raises(ValueError):
+            ch1_area_cf(math.nan, 1.0, CTL)
+
+
+def _ch1_area_cf_oracle(lam, t):
+    """ch1_area_cf with the theta-integral in closed form,
+    int e^{i lam theta} e^{-(theta + i y)^2 / 2t} dtheta
+    = sqrt(2 pi t) e^{-lam^2 t / 2} e^{lam y}, leaving a non-oscillatory
+    integral over (r, y) for nested adaptive quadrature on a finite box."""
+    def inner(r):
+        def f(y):
+            c = math.cosh(r) * math.cosh(y)
+            a = math.acosh(c)
+            amp = a / math.sqrt(c * c - 1.0) if c * c - 1.0 > 1e-12 else 1.0
+            return math.exp(-a * a / (2.0 * t)) * amp * math.cosh(lam * y)
+
+        v, _ = quad(f, 0.0, 60.0, epsabs=0.0, epsrel=1e-13, limit=200)
+        return 2.0 * math.pi * math.sinh(2.0 * r) * v  # y-integrand is even
+
+    r_max = t + 14.0 * math.sqrt(t) + 10.0
+    v, _ = quad(inner, 0.0, r_max, epsabs=0.0, epsrel=1e-13, limit=200)
+    return (math.exp(-t / 2.0) / (2.0 * math.pi * t) ** 2
+            * math.sqrt(2.0 * math.pi * t) * math.exp(-lam * lam * t / 2.0) * v)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestCh1AreaCfOracle:
+    @pytest.mark.parametrize("lam,t", [(0.5, 1.0), (1.0, 1.0), (0.5, 4.0),
+                                       (0.5, 6.0), (2.0, 0.5)])
+    def test_matches_closed_form_theta_integral(self, lam, t):
+        v = ch1_area_cf(lam, t, CTL)
+        assert v.value == pytest.approx(_ch1_area_cf_oracle(lam, t), abs=1e-9)
+        assert v.est_error <= 1e-9
 
 
 class TestChnJointDensity:

@@ -231,6 +231,16 @@ class TestGirsanov:
             girsanov_cf_estimator(Geometry.cp(1), -1.0,
                                   SimConfig(1.0, 1e-2, 8, 1))
 
+    def test_ch_nan_weight_raises(self, monkeypatch):
+        # a raised error, not an assert, so that python -O keeps the check
+        monkeypatch.setattr(
+            simulate, "sample_radial_hyperbolic",
+            lambda *args, **kwargs: simulate.RadialSamples(
+                np.array([0.5, math.nan]), np.zeros(2)))
+        with pytest.raises(RuntimeError):
+            girsanov_cf_estimator(Geometry.ch(1), 1.0,
+                                  SimConfig(0.5, 1e-2, 2, 3))
+
 
 class TestWinding:
     def test_clock_positive_no_caps(self):
