@@ -55,7 +55,6 @@ from .specfun import (
     jacobi_poly,
     jacobi_poly_at_one,
     log_gamma_ratio,
-    reference_cf,
 )
 from .stats import (
     CfEstimate,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .specfun import JacobiParams, Regime, jacobi_poly_at_one
+from .specfun import JacobiParams, Regime, _jacobi_table, jacobi_endpoint_bound
 
 
 class SeriesNotConvergedError(RuntimeError):
@@ -63,85 +63,53 @@ def _log_coeff(m: int, a: float, b: float) -> float:
     )
 
 
-class _JacobiRecurrence:
-    """Incremental three-term recurrence producing P_0(x), P_1(x), ... in order."""
+def _jacobi_series(a: float, b: float, log_w, xs: tuple[float, ...],
+                   ctl: SeriesControl) -> tuple[float, float, float]:
+    """Certified sum over m of w_m prod_i P_m^{a,b}(x_i), w_m = exp(log_w(m)).
 
-    def __init__(self, a: float, b: float, x: float):
-        self.a, self.b, self.x = a, b, x
-        self.m = -1
-        self._pm1 = 0.0
-        self._pm = 0.0
-
-    def next(self) -> float:
-        a, b, x = self.a, self.b, self.x
-        self.m += 1
-        m = self.m
-        if m == 0:
-            val = 1.0
-        elif m == 1:
-            val = 0.5 * (a - b + (a + b + 2.0) * x)
-        else:
-            c1 = 2.0 * m * (m + a + b) * (2.0 * m + a + b - 2.0)
-            c2 = (2.0 * m + a + b - 1.0) * (a * a - b * b)
-            c3 = (2.0 * m + a + b - 2.0) * (2.0 * m + a + b - 1.0) * (2.0 * m + a + b)
-            val = ((c2 + c3 * x) * self._pm - 2.0 * (m + a - 1.0) * (m + b - 1.0)
-                   * (2.0 * m + a + b) * self._pm1) / c1
-        self._pm1, self._pm = self._pm, val
-        return val
-
-
-def _endpoint_bound(m: int, a: float, b: float) -> float:
-    """Bound on |P_m^{a,b}| over [-1,1]: the larger endpoint value.
-
-    Valid for a, b >= -1/2 (the polynomial attains its sup at an endpoint
-    in that range).
+    For a, b >= -1/2 the endpoint value e_m bounds |P_m| on [-1, 1], so
+    b_m = w_m e_m^len(xs) bounds the m-th term.  The sum stops at the first
+    m whose geometric tail b_{m+1} / (1 - b_{m+2}/b_{m+1}) is at most
+    ctl.tail_tol.  Returns (sum, tail, abs_bound), where abs_bound =
+    b_0 + ... + b_m + tail bounds the series of absolute values.
     """
-    return max(jacobi_poly_at_one(m, a), jacobi_poly_at_one(m, b))
+    w: list[float] = []
+    bnd: list[float] = []
 
+    def extend() -> None:
+        m = len(w)
+        w.append(math.exp(log_w(m)))
+        e = jacobi_endpoint_bound(m, a, b)
+        bm = w[m]
+        for _ in xs:
+            bm = bm * e
+        bnd.append(bm)
 
-def _sum_series(a: float, b: float, t: float, x0: float, x: float,
-                ctl: SeriesControl) -> tuple[float, float]:
-    """Sum_m c_m e^{-2m(m+a+b+1)t} P_m(x0) P_m(x) with a rigorous tail bound.
-
-    Returns (sum, tail_bound).  For a, b >= -1/2 the tail is bounded through
-    endpoint dominance of the Jacobi polynomials plus a geometric-ratio
-    argument; otherwise an empirical three-small-terms rule is used.
-    """
-    rec0 = _JacobiRecurrence(a, b, x0)
-    rec1 = _JacobiRecurrence(a, b, x)
-    rigorous = a >= -0.5 and b >= -0.5
-
-    def bound(m: int) -> float:
-        lg = _log_coeff(m, a, b) - 2.0 * m * (m + a + b + 1.0) * t
-        if rigorous:
-            e = _endpoint_bound(m, a, b)
-            return math.exp(lg) * e * e
-        return math.exp(lg)
-
-    total = 0.0
-    small_streak = 0
+    extend()
+    extend()
     for m in range(ctl.max_terms + 1):
-        term = math.exp(_log_coeff(m, a, b) - 2.0 * m * (m + a + b + 1.0) * t) \
-            * rec0.next() * rec1.next()
+        extend()
+        b1, b2 = bnd[m + 1], bnd[m + 2]
+        if b1 <= 0.0:
+            tail = 0.0
+            break
+        ratio = b2 / b1
+        if ratio < 1.0:
+            tail = b1 / (1.0 - ratio)
+            if tail <= ctl.tail_tol:
+                break
+    else:
+        raise SeriesNotConvergedError(
+            f"tail bound not below {ctl.tail_tol} within {ctl.max_terms} "
+            f"terms (a={a}, b={b}, x={xs})")
+    tables = [_jacobi_table(m, a, b, x) for x in xs]
+    total = 0.0
+    for j in range(m + 1):
+        term = w[j]
+        for table in tables:
+            term = term * table[j]
         total += term
-        if rigorous:
-            b1 = bound(m + 1)
-            b2 = bound(m + 2)
-            if b1 <= 0.0:
-                return total, 0.0
-            ratio = b2 / b1
-            if ratio < 1.0:
-                tail = b1 / (1.0 - ratio)
-                if tail <= ctl.tail_tol:
-                    return total, tail
-        else:
-            small_streak = small_streak + 1 if abs(term) < ctl.tail_tol / 10 else 0
-            if small_streak >= 3:
-                return total, ctl.tail_tol
-    raise SeriesNotConvergedError(
-        f"tail bound not below {ctl.tail_tol} within {ctl.max_terms} terms "
-        f"(a={a}, b={b}, t={t})"
-    )
+    return total, tail, sum(bnd[:m + 1]) + tail
 
 
 def _clip(raw: float, tail: float) -> DensityValue:
@@ -167,7 +135,9 @@ def spherical_density(p: JacobiParams, t: float, r0: float, r: float,
         raise ValueError("r0 and r must lie in [0, pi/2]")
     a, b = p.alpha, p.beta
     front = 2.0 * math.cos(r) ** (2 * b + 1) * math.sin(r) ** (2 * a + 1)
-    s, tail = _sum_series(a, b, t, math.cos(2 * r0), math.cos(2 * r), ctl)
+    s, tail, _ = _jacobi_series(
+        a, b, lambda m: _log_coeff(m, a, b) - 2.0 * m * (m + a + b + 1.0) * t,
+        (math.cos(2 * r0), math.cos(2 * r)), ctl)
     return _clip(front * s, front * tail)
 
 
@@ -188,61 +158,20 @@ def stationary_spherical_density(p: JacobiParams, r) -> np.ndarray:
     return out if out.ndim else float(out)
 
 
-def _fiber_m_sum(n: int, k: int, t: float, x: float,
-                 ctl: SeriesControl) -> tuple[float, float]:
+def _fiber_series(n: int, k: int, t: float, x: float,
+                  ctl: SeriesControl) -> tuple[float, float, float]:
     """Inner m-series of the rescaled-sphere kernel at fiber frequency k >= 0.
 
     Sum_m (2m+k+n) binom(m+k+n-1, n-1) e^{-lam_{m,k} t / 2} P_m^{n-1,k}(x),
-    with lam_{m,k} = 4m(m+k+n) + 2kn.  Returns (sum, tail bound) where the
-    bound uses |P_m^{n-1,k}| <= max endpoint value.
+    with lam_{m,k} = 4m(m+k+n) + 2kn; returns what `_jacobi_series` does.
     """
-    a, b = float(n - 1), float(k)
-    rec = _JacobiRecurrence(a, b, x)
-
     # binom(m+k+n-1, n-1) = Gamma(m+k+n)/(Gamma(m+k+1) Gamma(n))
-    def log_coeff(m: int) -> float:
+    def log_w(m: int) -> float:
         return (math.log(2 * m + k + n)
                 + gammaln(m + k + n) - gammaln(m + k + 1.0) - gammaln(float(n))
                 - 0.5 * (4.0 * m * (m + k + n) + 2.0 * k * n) * t)
 
-    def bound(m: int) -> float:
-        return math.exp(log_coeff(m)) * _endpoint_bound(m, a, b)
-
-    total = 0.0
-    for m in range(ctl.max_terms + 1):
-        total += math.exp(log_coeff(m)) * rec.next()
-        b1 = bound(m + 1)
-        b2 = bound(m + 2)
-        if b1 <= 0.0:
-            return total, 0.0
-        ratio = b2 / b1
-        if ratio < 1.0:
-            tail = b1 / (1.0 - ratio)
-            if tail <= ctl.tail_tol:
-                return total, tail
-    raise SeriesNotConvergedError(
-        f"fiber m-series not converged (n={n}, k={k}, t={t})"
-    )
-
-
-def _fiber_m_bound(n: int, k: int, t: float, ctl: SeriesControl) -> float:
-    """Upper bound on the absolute inner m-series at fiber frequency k."""
-    a, b = float(n - 1), float(k)
-    total = 0.0
-    for m in range(ctl.max_terms + 1):
-        lg = (math.log(2 * m + k + n)
-              + gammaln(m + k + n) - gammaln(m + k + 1.0) - gammaln(float(n))
-              - 0.5 * (4.0 * m * (m + k + n) + 2.0 * k * n) * t)
-        b_m = math.exp(lg) * _endpoint_bound(m, a, b)
-        total += b_m
-        nxt = math.exp(
-            math.log(2 * (m + 1) + k + n)
-            + gammaln(m + 1 + k + n) - gammaln(m + 1 + k + 1.0) - gammaln(float(n))
-            - 0.5 * (4.0 * (m + 1) * (m + 1 + k + n) + 2.0 * k * n) * t
-        ) * _endpoint_bound(m + 1, a, b)
-        if b_m > 0 and nxt / b_m < 0.5:
-            return total + 2.0 * nxt
-    return total
+    return _jacobi_series(float(n - 1), float(k), log_w, (x,), ctl)
 
 
 def berger_kernel(n: int, lam: float, t: float, r: float, theta: float,
@@ -263,17 +192,16 @@ def berger_kernel(n: int, lam: float, t: float, r: float, theta: float,
     pref = math.gamma(n) / (2.0 * math.pi ** (n + 1))
     cosr = math.cos(r)
 
-    total, tail = _fiber_m_sum(n, 0, t, x, ctl)
+    total, tail, _ = _fiber_series(n, 0, t, x, ctl)
     for k in range(1, ctl.max_terms + 1):
         damp = math.exp(-0.5 * k * k * lam * lam * t)
-        mbound = _fiber_m_bound(n, k, t, ctl)
+        msum, mtail, mbound = _fiber_series(n, k, t, x, ctl)
         kbound = 2.0 * damp * abs(cosr) ** k * mbound
         if kbound <= ctl.tail_tol:
             # remaining k decay at least geometrically through the k^2 factor
             q = math.exp(-0.5 * (2 * k + 1) * lam * lam * t)
             tail += kbound + kbound * q / max(1.0 - q, 0.5)
             break
-        msum, mtail = _fiber_m_sum(n, k, t, x, ctl)
         total += 2.0 * damp * math.cos(k * theta) * cosr ** k * msum
         tail += 2.0 * damp * mtail
     else:
@@ -293,5 +221,5 @@ def berger_limit_kernel(n: int, t: float, r: float,
     if t < ctl.min_time:
         raise TimeTooSmallError(f"t={t} below minimum time {ctl.min_time}")
     pref = math.gamma(n) / (2.0 * math.pi ** (n + 1))
-    s, tail = _fiber_m_sum(n, 0, t, math.cos(2 * r), ctl)
+    s, tail, _ = _fiber_series(n, 0, t, math.cos(2 * r), ctl)
     return _clip(pref * s, pref * tail)

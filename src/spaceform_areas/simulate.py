@@ -98,7 +98,6 @@ class AreaSamples:
 class WindingSamples:
     phi_end: np.ndarray
     clock: np.ndarray
-    cap_count: int = 0
 
 
 def _block_rng(master_seed: int, block_index: int) -> np.random.Generator:
@@ -711,7 +710,7 @@ def sample_winding(geometry: Geometry, r0: float, cfg: SimConfig,
         phi[pos:pos + m] = rng.standard_normal(m)
         pos += m
     phi *= np.sqrt(clock)
-    return WindingSamples(phi_end=phi, clock=clock, cap_count=0)
+    return WindingSamples(phi_end=phi, clock=clock)
 
 
 def sample_planar_area(t: float, cfg: SimConfig, threads: int = 1):

@@ -84,6 +84,24 @@ class NormalLaw:
         return ndtr((np.asarray(x, dtype=float) - self.mean) / math.sqrt(self.variance))
 
 
+def _jacobi_table(m_max: int, a: float, b: float, x) -> list:
+    """[P_0^{a,b}(x), ..., P_{m_max}^{a,b}(x)] by the three-term recurrence.
+
+    `x` is a float or a float ndarray, and every entry has its type and
+    shape; plain floats keep the per-term cost low for the spectral series.
+    """
+    table = [1.0 + 0.0 * x]
+    if m_max >= 1:
+        table.append(0.5 * (a - b + (a + b + 2.0) * x))
+    for k in range(2, m_max + 1):
+        c1 = 2.0 * k * (k + a + b) * (2.0 * k + a + b - 2.0)
+        c2 = (2.0 * k + a + b - 1.0) * (a * a - b * b)
+        c3 = (2.0 * k + a + b - 2.0) * (2.0 * k + a + b - 1.0) * (2.0 * k + a + b)
+        c4 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * (2.0 * k + a + b)
+        table.append(((c2 + c3 * x) * table[k - 1] - c4 * table[k - 2]) / c1)
+    return table
+
+
 def jacobi_poly(m: int, p: JacobiParams, x):
     """Jacobi polynomial P_m^{alpha,beta}(x) in the standard normalization.
 
@@ -96,21 +114,7 @@ def jacobi_poly(m: int, p: JacobiParams, x):
     x = np.asarray(x, dtype=float)
     if np.any(np.abs(x) > 1.0 + 1e-14):
         raise ValueError("argument outside [-1, 1]")
-    a, b = p.alpha, p.beta
-
-    p0 = np.ones_like(x)
-    if m == 0:
-        return p0 if p0.ndim else float(p0)
-    p1 = 0.5 * (a - b + (a + b + 2.0) * x)
-    if m == 1:
-        return p1 if p1.ndim else float(p1)
-    for k in range(2, m + 1):
-        c1 = 2.0 * k * (k + a + b) * (2.0 * k + a + b - 2.0)
-        c2 = (2.0 * k + a + b - 1.0) * (a * a - b * b)
-        c3 = (2.0 * k + a + b - 2.0) * (2.0 * k + a + b - 1.0) * (2.0 * k + a + b)
-        c4 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * (2.0 * k + a + b)
-        p0, p1 = p1, ((c2 + c3 * x) * p1 - c4 * p0) / c1
-    return p1 if p1.ndim else float(p1)
+    return _jacobi_table(m, p.alpha, p.beta, x if x.ndim else float(x))[m]
 
 
 def jacobi_poly_at_one(m: int, alpha: float) -> float:
@@ -120,9 +124,9 @@ def jacobi_poly_at_one(m: int, alpha: float) -> float:
     return math.exp(log_gamma_ratio(m + alpha + 1.0, alpha + 1.0) - gammaln(m + 1.0))
 
 
-def jacobi_endpoint_bound(m: int, p: JacobiParams) -> float:
+def jacobi_endpoint_bound(m: int, alpha: float, beta: float) -> float:
     """max(|P_m(1)|, |P_m(-1)|); bounds |P_m| on [-1,1] for alpha,beta >= -1/2."""
-    return max(jacobi_poly_at_one(m, p.alpha), jacobi_poly_at_one(m, p.beta))
+    return max(jacobi_poly_at_one(m, alpha), jacobi_poly_at_one(m, beta))
 
 
 def log_gamma_ratio(a: float, b: float) -> float:
@@ -131,7 +135,3 @@ def log_gamma_ratio(a: float, b: float) -> float:
         raise ValueError(f"arguments must be positive, got ({a}, {b})")
     return float(gammaln(a) - gammaln(b))
 
-
-def reference_cf(law, lam: float) -> complex:
-    """Characteristic function of a reference law (CauchyLaw or NormalLaw)."""
-    return law.cf(lam)

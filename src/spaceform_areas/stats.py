@@ -29,10 +29,9 @@ class CfEstimate:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """A bag of real-valued samples plus a tag recording where they came from."""
+    """A bag of real-valued samples."""
 
     values: np.ndarray
-    seed_provenance: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))

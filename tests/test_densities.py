@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -8,6 +9,7 @@ from spaceform_areas import (
     JacobiParams,
     Regime,
     SeriesControl,
+    SeriesNotConvergedError,
     TimeTooSmallError,
     berger_kernel,
     berger_limit_kernel,
@@ -125,3 +127,88 @@ class TestBergerKernel:
             berger_kernel(0, 1.0, 0.5, 0.3, 0.0, CTL)
         with pytest.raises(ValueError):
             berger_kernel(1, -1.0, 0.5, 0.3, 0.0, CTL)
+
+
+def _mp_series(coeff, a, b, t_rate, xs):
+    """sum_m coeff(m) e^{-t_rate(m)} prod P_m^{a,b}(x) at 40 digits, summed
+    until the terms are below 1e-35 (full convergence at these t)."""
+    with mp.workdps(40):
+        total, m = mp.mpf(0), 0
+        while True:
+            term = coeff(m) * mp.exp(-t_rate(m))
+            for x in xs:
+                term *= mp.jacobi(m, a, b, x)
+            total += term
+            if m > 5 and abs(term) < mp.mpf(10) ** -35:
+                return total
+            m += 1
+
+
+def _mp_spherical(a, b, t, r0, r):
+    a, b, t, r0, r = (mp.mpf(v) for v in (a, b, t, r0, r))
+    s = _mp_series(
+        lambda m: (2 * m + a + b + 1) * mp.gamma(m + a + b + 1)
+        * mp.factorial(m) / (mp.gamma(m + a + 1) * mp.gamma(m + b + 1)),
+        a, b, lambda m: 2 * m * (m + a + b + 1) * t,
+        (mp.cos(2 * r0), mp.cos(2 * r)))
+    return 2 * mp.cos(r) ** (2 * b + 1) * mp.sin(r) ** (2 * a + 1) * s
+
+
+def _mp_berger_limit(n, t, r):
+    t, r = mp.mpf(t), mp.mpf(r)
+    s = _mp_series(lambda m: (2 * m + n) * mp.binomial(m + n - 1, n - 1),
+                   n - 1, 0, lambda m: 2 * m * (m + n) * t, (mp.cos(2 * r),))
+    return mp.gamma(n) / (2 * mp.pi ** (n + 1)) * s
+
+
+class TestCertifiedTail:
+    """|value - ref| <= truncation_bound + 1e-15 |ref| against a fully
+    converged 40-digit sum of the same series."""
+
+    @pytest.mark.parametrize("a,b,t,r0,r", [
+        (0.0, 0.0, 0.01, 0.0, 0.2),
+        (1.0, 0.5, 0.05, 0.4, 1.0),
+        (2.0, 1.3, 0.2, 0.7, 0.75),
+        (0.5, 3.0, 1.0, 0.1, 1.4),
+        (1.0, 0.0, 1e-3, 0.3, 0.31),
+        (3.0, 2.0, 5.0, 1.0, 0.2),
+    ])
+    def test_spherical_density(self, a, b, t, r0, r):
+        v = spherical_density(JacobiParams(a, b), t, r0, r, CTL)
+        ref = float(_mp_spherical(a, b, t, r0, r))
+        assert ref > 0.0
+        assert abs(v.value - ref) <= v.truncation_bound + 1e-15 * abs(ref)
+
+    @pytest.mark.parametrize("n,t,r", [
+        (1, 0.01, 0.3),
+        (1, 0.5, 1.2),
+        (2, 0.05, 0.7),
+        (3, 0.2, 1.0),
+        (1, 3.0, 0.1),
+    ])
+    def test_berger_limit_kernel(self, n, t, r):
+        v = berger_limit_kernel(n, t, r, CTL)
+        ref = float(_mp_berger_limit(n, t, r))
+        assert ref > 0.0
+        assert abs(v.value - ref) <= v.truncation_bound + 1e-15 * abs(ref)
+
+
+class TestSeriesNotConverged:
+    """Two terms cannot reach tail_tol at t = min_time: every series raises
+    instead of returning a partial sum."""
+
+    SMALL = SeriesControl(max_terms=2)
+    T = SMALL.min_time
+
+    def test_spherical_density(self):
+        with pytest.raises(SeriesNotConvergedError):
+            spherical_density(JacobiParams(1.0, 0.5), self.T, 0.2, 0.9,
+                              self.SMALL)
+
+    def test_berger_limit_kernel(self):
+        with pytest.raises(SeriesNotConvergedError):
+            berger_limit_kernel(2, self.T, 0.5, self.SMALL)
+
+    def test_berger_kernel(self):
+        with pytest.raises(SeriesNotConvergedError):
+            berger_kernel(1, 2.0, self.T, 0.5, 0.3, self.SMALL)

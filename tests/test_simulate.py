@@ -248,7 +248,6 @@ class TestWinding:
         for geom, r0 in ((Geometry.cp(1), 0.7), (Geometry.ch(1), 0.9)):
             w = sample_winding(geom, r0, cfg)
             assert np.all(w.clock > 0)
-            assert w.cap_count == 0
             se = w.phi_end.std(ddof=1) / math.sqrt(len(w.phi_end))
             assert abs(w.phi_end.mean()) < 4 * se
 
