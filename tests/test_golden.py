@@ -1,9 +1,11 @@
-"""Golden outputs of the spectral routes, pinned bit for bit.
+"""Golden outputs of the spectral routes and the path samplers, pinned
+bit for bit.
 
 The SHA-256 digests cover every CSV of the two deterministic spectral
-experiments at default parameters; the hex floats pin the marginal CP
-area CF that feeds the `analytic` columns of cp-area-cf and
-cp-cauchy-limit.  A refactor of the Jacobi series must leave all of them
+experiments at default parameters, and of the seven sampler experiments
+at small sizes and one seed; the hex floats pin the marginal CP area CF
+that feeds the `analytic` columns of cp-area-cf and cp-cauchy-limit.  A
+refactor of the Jacobi series or of the samplers must leave all of them
 unchanged; an intended output change must update them and say why.
 """
 
@@ -38,6 +40,55 @@ GOLDEN_CF_MARGINAL_CP = [
 ]
 
 
+# Small sizes so that all seven run in a few seconds.  cp-area-cf,
+# ch-area-cf, winding-cp1, winding-ch1 and levy-baseline use more paths
+# than simulate.BLOCK_SIZE, so that several blocks run on the thread pool.
+SAMPLER_PARAMS = {
+    "cp-area-cf": {"t": 0.25, "lambdas": [1.0], "paths": 5000,
+                   "dt_direct": 1e-2, "dt_girsanov": 1e-2},
+    "cp-cauchy-limit": {"t": 5.0, "ns": [1, 2], "lambdas": [1.0],
+                        "paths": 512, "dt": 0.05},
+    "ch-area-cf": {"t": 0.5, "lambdas": [0.5], "paths": 4500, "dt": 1e-2},
+    "ch-gaussian-limit": {"t": 5.0, "ns": [1, 2], "paths": 256,
+                          "dt": 0.05},
+    "winding-cp1": {"t": 2.0, "paths": 4500, "dt": 0.05},
+    "winding-ch1": {"t": 2.0, "r0s": [0.5], "lambdas": [1.0],
+                    "paths": 4500, "dt": 0.05},
+    "levy-baseline": {"paths": 5000, "dt": 2e-2},
+}
+
+GOLDEN_SAMPLER_CSV = {
+    "cp-area-cf": {
+        "cp_area_cf.csv":
+            "7f44069abccb85a3c3dc77a8045de78500ffd76a2c1471a7d71a87a0cd68e06a",
+    },
+    "cp-cauchy-limit": {
+        "cp_cauchy_limit.csv":
+            "a199aabab38049c289130c517dc22e9c705296d540ec9a2efa85f01cd3a6493c",
+    },
+    "ch-area-cf": {
+        "ch_area_cf.csv":
+            "6cf4a69ec81cffd2beb7286f4fa2cbac3bf78ab94a72c57a31f95a8dbc3dbebb",
+    },
+    "ch-gaussian-limit": {
+        "ch_gaussian_limit.csv":
+            "904d36a639d5044527029f3f6c9ff98feb12c24b783e14bb904e8fe0579f0fe1",
+    },
+    "winding-cp1": {
+        "winding_cp1.csv":
+            "29280aa3ca243b6cb5119612da857b23f4c3289083c8ea33806639f40fe4c411",
+    },
+    "winding-ch1": {
+        "winding_ch1.csv":
+            "3502452c4f6fdbd5a4c39ecd64cb4120b7e2c7bf0ee0ea6f8ec2278d286643ec",
+    },
+    "levy-baseline": {
+        "levy_baseline.csv":
+            "e021b70a93c8d15a4bcce9f767840215958df4bee53bd2b968762938f44f181f",
+    },
+}
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_CSV))
 def test_spectral_csv_digests(name, tmp_path):
     bundle = run_experiment(ExperimentSpec(name=name, output_dir=tmp_path,
@@ -52,3 +103,15 @@ def test_spectral_csv_digests(name, tmp_path):
 def test_cf_marginal_cp_bits(n, lam, t, golden):
     v = cf_marginal_cp(n, lam, t, SeriesControl(), QuadratureControl())
     assert v.hex() == golden
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLER_PARAMS))
+def test_sampler_csv_digests(name, tmp_path):
+    bundle = run_experiment(
+        ExperimentSpec(name=name, params=SAMPLER_PARAMS[name],
+                       output_dir=tmp_path, master_seed=20240601),
+        threads=2)
+    assert "error" not in bundle.manifest
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(tmp_path.glob("*.csv"))}
+    assert digests == GOLDEN_SAMPLER_CSV[name]
