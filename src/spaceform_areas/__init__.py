@@ -37,7 +37,6 @@ from .simulate import (
     AreaSamples,
     Geometry,
     RadialSamples,
-    Scheme,
     SimConfig,
     WindingSamples,
     girsanov_cf_estimator,

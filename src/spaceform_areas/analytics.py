@@ -63,8 +63,7 @@ def cf_marginal_ch(n: int, lam: float, t: float, cfg: SimConfig,
     estimate through the drift-tilted radial diffusion (no spectral series
     is available in this regime)."""
     if cfg.horizon != t:
-        cfg = SimConfig(t, min(cfg.dt, t), cfg.paths, cfg.master_seed,
-                        cfg.scheme)
+        cfg = SimConfig(t, min(cfg.dt, t), cfg.paths, cfg.master_seed)
     return girsanov_cf_estimator(Geometry.ch(n), abs(lam), cfg, threads=threads)
 
 

@@ -8,7 +8,6 @@ across workers.
 
 from __future__ import annotations
 
-import enum
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -25,11 +24,6 @@ CLOCK_CAP = 1e12
 _NEWTON_ITERS = 6
 
 
-class Scheme(enum.Enum):
-    EULER_RHO = "euler_rho"
-    SEMI_IMPLICIT_R = "semi_implicit_r"
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Common configuration for all path samplers."""
@@ -38,7 +32,6 @@ class SimConfig:
     dt: float
     paths: int
     master_seed: int
-    scheme: Scheme = Scheme.EULER_RHO
 
     def __post_init__(self):
         if not (self.horizon > 0):
@@ -49,8 +42,6 @@ class SimConfig:
             raise ValueError("paths must be >= 1")
         if not (0 <= self.master_seed < 2 ** 64):
             raise ValueError("master_seed must fit in 64 bits")
-        if not isinstance(self.scheme, Scheme):
-            raise ValueError(f"scheme must be a Scheme, got {self.scheme!r}")
 
 
 @dataclass(frozen=True)
@@ -77,11 +68,11 @@ class Geometry:
 
 @dataclass
 class RadialSamples:
-    """Terminal radial values and accumulated clock, with scheme diagnostics."""
+    """Terminal radial values and accumulated clock (zeros when no clock is
+    recorded), with scheme diagnostics."""
 
     r_end: np.ndarray
     clock: np.ndarray
-    clamp_count: int = 0
     cap_count: int = 0
     # min over all paths/steps of r - ((n - 1/2) t + gamma); hyperbolic only
     min_bound_slack: float = math.inf
@@ -127,81 +118,50 @@ def _time_grid(cfg: SimConfig, refine_start: bool) -> np.ndarray:
     return np.asarray(steps)
 
 
-def _blocks(paths: int):
-    start = 0
-    idx = 0
-    while start < paths:
-        yield idx, min(BLOCK_SIZE, paths - start)
-        start += BLOCK_SIZE
-        idx += 1
+def _run_blocks(cfg: SimConfig, block_fn, threads: int = 1) -> tuple:
+    """Run block_fn(block_index, block_size, rng) on every block of
+    cfg.paths, rng being the block's Philox stream, and concatenate each
+    value it returns across the blocks, in block order."""
+    jobs = [(i, min(BLOCK_SIZE, cfg.paths - start))
+            for i, start in enumerate(range(0, cfg.paths, BLOCK_SIZE))]
 
+    def run(job):
+        i, m = job
+        return block_fn(i, m, _block_rng(cfg.master_seed, i))
 
-def _run_blocks(cfg: SimConfig, block_fn, threads: int = 1):
-    """Run block_fn(block_index, block_size) over all blocks, in block order."""
-    jobs = list(_blocks(cfg.paths))
     if threads <= 1 or len(jobs) == 1:
-        return [block_fn(i, m) for i, m in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        futs = [ex.submit(block_fn, i, m) for i, m in jobs]
-        return [f.result() for f in futs]
+        parts = [run(job) for job in jobs]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            parts = list(ex.map(run, jobs))
+    return tuple(np.concatenate(values) for values in zip(*parts))
 
 
 # ---------------------------------------------------------------------------
-# clock integrands
+# clock integrands, accumulated by the trapezoid rule and capped per step
 
-def _clock_fn_rho(name: str):
-    """Clock integrand as a function of rho = cos 2r (spherical regime)."""
-    if name == "none":
-        return None
-    if name == "tan2":
-        return lambda rho: (1.0 - rho) / np.maximum(1.0 + rho, 1e-300)
-    if name == "inv_sin2_2r":
-        return lambda rho: 4.0 / np.maximum(1.0 - rho * rho, 1e-300)
-    raise ValueError(f"unknown spherical clock {name!r}")
+def _tan2(r: np.ndarray) -> np.ndarray:
+    rho = np.cos(2.0 * r)
+    return (1.0 - rho) / np.maximum(1.0 + rho, 1e-300)
 
 
-def _clock_fn_r_hyp(name: str):
-    if name == "none":
-        return None
-    if name == "tanh2":
-        return lambda r: np.tanh(r) ** 2
-    if name == "inv_sinh2_2r":
-        return lambda r: 4.0 / np.maximum(np.sinh(2.0 * r) ** 2, 1e-300)
-    if name == "log_cosh":
-        return lambda r: np.log(np.cosh(r))
-    raise ValueError(f"unknown hyperbolic clock {name!r}")
+def _tanh2(r: np.ndarray) -> np.ndarray:
+    return np.tanh(r) ** 2
+
+
+def _clock_step(clock_fn, r: np.ndarray, f_old: np.ndarray,
+                clock: np.ndarray, caps: np.ndarray, dt: float) -> np.ndarray:
+    """Add one trapezoid step of clock_fn along r to clock, counting in caps
+    the lanes where it exceeded CLOCK_CAP; returns the capped clock_fn(r)."""
+    f_new = clock_fn(r)
+    caps += f_new > CLOCK_CAP
+    f_new = np.minimum(f_new, CLOCK_CAP)
+    clock += 0.5 * (f_old + f_new) * dt
+    return f_new
 
 
 # ---------------------------------------------------------------------------
 # spherical radial sampler
-
-def _spherical_block_rho(p: JacobiParams, r0: float, dts: np.ndarray,
-                         rng: np.random.Generator, m: int, clock_fn):
-    """Euler scheme in rho = cos 2r coordinates for one block of m paths."""
-    a, b = p.alpha, p.beta
-    rho = np.full(m, math.cos(2.0 * r0))
-    clock = np.zeros(m)
-    clamps = 0
-    caps = 0
-    f_old = None
-    if clock_fn is not None:
-        f_old = np.minimum(clock_fn(rho), CLOCK_CAP)
-    for dt in dts:
-        dw = rng.standard_normal(m) * math.sqrt(dt)
-        rho = rho + (-2.0 * ((a + b + 2.0) * rho + a - b)) * dt \
-            + 2.0 * np.sqrt(np.maximum(1.0 - rho * rho, 0.0)) * dw
-        out = (rho > 1.0) | (rho < -1.0)
-        clamps += int(out.sum())
-        np.clip(rho, -1.0, 1.0, out=rho)
-        if clock_fn is not None:
-            f_new = clock_fn(rho)
-            caps += int((f_new > CLOCK_CAP).sum())
-            f_new = np.minimum(f_new, CLOCK_CAP)
-            clock += 0.5 * (f_old + f_new) * dt
-            f_old = f_new
-    r_end = 0.5 * np.arccos(rho)
-    return r_end, clock, clamps, caps
-
 
 _MAX_SOLVER_ITERS = 60
 _SOLVER_TOL = 1e-12
@@ -251,31 +211,22 @@ def _implicit_cot_tan_solve(arg: np.ndarray, b1: float, b2: float) -> np.ndarray
         f"steps: largest residual {np.abs(h).max():.3g}")
 
 
-def _spherical_block_r(p: JacobiParams, r0: float, dts: np.ndarray,
-                       rng: np.random.Generator, m: int, clock_fn):
-    """Implicit scheme directly in r; both singular drift terms are treated
-    implicitly, which keeps every path strictly inside (0, pi/2)."""
-    a, b = p.alpha, p.beta
+def _spherical_block(p: JacobiParams, r0: float, dts: np.ndarray,
+                     rng: np.random.Generator, m: int, clock_fn):
+    """Semi-implicit scheme in r for one block of m paths; both singular
+    drift terms are solved implicitly, which keeps every path strictly
+    inside (0, pi/2) with no clamping."""
+    b1, b2 = p.alpha + 0.5, p.beta + 0.5
     r = np.full(m, r0)
     clock = np.zeros(m)
-    clamps = 0
-    caps = 0
-
-    def f_of_r(rr):
-        rho = np.cos(2.0 * rr)
-        return clock_fn(rho)
-
-    f_old = np.minimum(f_of_r(r), CLOCK_CAP) if clock_fn is not None else None
+    caps = np.zeros(m, dtype=np.int64)
+    f = None if clock_fn is None else np.minimum(clock_fn(r), CLOCK_CAP)
     for dt in dts:
         dw = rng.standard_normal(m) * math.sqrt(dt)
-        r = _implicit_cot_tan_solve(r + dw, (a + 0.5) * dt, (b + 0.5) * dt)
+        r = _implicit_cot_tan_solve(r + dw, b1 * dt, b2 * dt)
         if clock_fn is not None:
-            f_new = f_of_r(r)
-            caps += int((f_new > CLOCK_CAP).sum())
-            f_new = np.minimum(f_new, CLOCK_CAP)
-            clock += 0.5 * (f_old + f_new) * dt
-            f_old = f_new
-    return r, clock, clamps, caps
+            f = _clock_step(clock_fn, r, f, clock, caps, dt)
+    return r, clock, caps
 
 
 def sample_radial_spherical(p: JacobiParams, r0: float, cfg: SimConfig,
@@ -285,8 +236,8 @@ def sample_radial_spherical(p: JacobiParams, r0: float, cfg: SimConfig,
     (1/2)(d^2/dr^2 + ((2 alpha + 1) cot r - (2 beta + 1) tan r) d/dr).
 
     Requires alpha, beta >= 0 (r=0 and r=pi/2 are then entrance boundaries).
-    `record_clock` is one of 'none', 'tan2', 'inv_sin2_2r'; the integrand is
-    accumulated by the trapezoid rule and capped per step.
+    `record_clock` is 'none' or 'tan2'; the integrand is accumulated by the
+    trapezoid rule and capped per step.
     """
     if p.regime is not Regime.TRIGONOMETRIC:
         raise ValueError("requires trigonometric JacobiParams")
@@ -294,24 +245,18 @@ def sample_radial_spherical(p: JacobiParams, r0: float, cfg: SimConfig,
         raise ValueError("requires alpha, beta >= 0 (entrance boundaries)")
     if not (0.0 <= r0 < math.pi / 2):
         raise ValueError("r0 must lie in [0, pi/2)")
-    clock_fn = _clock_fn_rho(record_clock)
+    if record_clock not in ("none", "tan2"):
+        raise ValueError(f"unknown spherical clock {record_clock!r}")
+    clock_fn = _tan2 if record_clock == "tan2" else None
     eps_started = r0 == 0.0
     r0_eff = EPS_START if eps_started else r0
     dts = _time_grid(cfg, refine_start=eps_started)
 
-    def block(i, m):
-        rng = _block_rng(cfg.master_seed, i)
-        if cfg.scheme is Scheme.EULER_RHO:
-            return _spherical_block_rho(p, r0_eff, dts, rng, m, clock_fn)
-        return _spherical_block_r(p, r0_eff, dts, rng, m, clock_fn)
+    def block(i, m, rng):
+        return _spherical_block(p, r0_eff, dts, rng, m, clock_fn)
 
-    parts = _run_blocks(cfg, block, threads)
-    return RadialSamples(
-        r_end=np.concatenate([q[0] for q in parts]),
-        clock=np.concatenate([q[1] for q in parts]),
-        clamp_count=sum(q[2] for q in parts),
-        cap_count=sum(q[3] for q in parts),
-    )
+    r_end, clock, caps = _run_blocks(cfg, block, threads)
+    return RadialSamples(r_end, clock, cap_count=int(caps.sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -342,12 +287,13 @@ def _hyperbolic_block(n: int, lam: float, r0: float, dts: np.ndarray,
                       track_bound: bool):
     r = np.full(m, r0)
     clock = np.zeros(m)
-    caps = 0
-    gamma = np.zeros(m) if track_bound else None
+    caps = np.zeros(m, dtype=np.int64)
+    # per lane, the min over steps of r - ((n - 1/2) t + gamma)
+    slack = np.full(m, math.inf)
+    gamma = np.zeros(m)
     t_acc = 0.0
-    min_slack = math.inf
     b_coth = 0.5 * (2.0 * n - 1.0)
-    f_old = np.minimum(clock_fn(r), CLOCK_CAP) if clock_fn is not None else None
+    f = None if clock_fn is None else np.minimum(clock_fn(r), CLOCK_CAP)
     for dt in dts:
         dw = rng.standard_normal(m) * math.sqrt(dt)
         arg = r + 0.5 * (2.0 * lam + 1.0) * np.tanh(r) * dt + dw
@@ -355,28 +301,21 @@ def _hyperbolic_block(n: int, lam: float, r0: float, dts: np.ndarray,
         if track_bound:
             gamma += dw
             t_acc += dt
-            slack = float(np.min(r - ((n - 0.5) * t_acc + gamma)))
-            min_slack = min(min_slack, slack)
+            np.minimum(slack, r - ((n - 0.5) * t_acc + gamma), out=slack)
         if clock_fn is not None:
-            f_new = clock_fn(r)
-            caps += int((f_new > CLOCK_CAP).sum())
-            f_new = np.minimum(f_new, CLOCK_CAP)
-            clock += 0.5 * (f_old + f_new) * dt
-            f_old = f_new
-    return r, clock, caps, min_slack
+            f = _clock_step(clock_fn, r, f, clock, caps, dt)
+    return r, clock, caps, slack
 
 
 def sample_radial_hyperbolic(n: int, girsanov_lambda: float, r0: float,
-                             cfg: SimConfig, record_clock: str = "none",
-                             track_bound: bool = False,
+                             cfg: SimConfig, track_bound: bool = False,
                              threads: int = 1) -> RadialSamples:
     """Paths of the radial diffusion on [0, inf) with drift
     (1/2)((2n - 1) coth r + (2 lambda + 1) tanh r).
 
     Semi-implicit scheme: the coth term is solved implicitly, which keeps
     paths strictly positive and preserves the per-step lower bound
-    r_{k+1} >= r_k + (n - 1/2) dt + dW_k.  `record_clock` is one of 'none',
-    'tanh2', 'inv_sinh2_2r', 'log_cosh'.
+    r_{k+1} >= r_k + (n - 1/2) dt + dW_k.  No clock is recorded.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -384,23 +323,17 @@ def sample_radial_hyperbolic(n: int, girsanov_lambda: float, r0: float,
         raise ValueError("girsanov_lambda must be nonnegative")
     if r0 < 0:
         raise ValueError("r0 must be nonnegative")
-    clock_fn = _clock_fn_r_hyp(record_clock)
     eps_started = r0 == 0.0
     r0_eff = EPS_START if eps_started else r0
     dts = _time_grid(cfg, refine_start=eps_started)
 
-    def block(i, m):
-        rng = _block_rng(cfg.master_seed, i)
+    def block(i, m, rng):
         return _hyperbolic_block(n, girsanov_lambda, r0_eff, dts, rng, m,
-                                 clock_fn, track_bound)
+                                 None, track_bound)
 
-    parts = _run_blocks(cfg, block, threads)
-    return RadialSamples(
-        r_end=np.concatenate([q[0] for q in parts]),
-        clock=np.concatenate([q[1] for q in parts]),
-        cap_count=sum(q[2] for q in parts),
-        min_bound_slack=min(q[3] for q in parts),
-    )
+    r_end, clock, caps, slack = _run_blocks(cfg, block, threads)
+    return RadialSamples(r_end, clock, cap_count=int(caps.sum()),
+                         min_bound_slack=float(slack.min()))
 
 
 # ---------------------------------------------------------------------------
@@ -439,11 +372,11 @@ _MAX_CLOCK_ITERS = 5_000_000
 
 def _winding_phi_block(kind: str, r0: float, horizon: float, dt: float,
                        rng: np.random.Generator, lanes: int):
-    """One block of winding radial paths in clock-time coordinates.
+    """One block of winding radial paths in clock-time coordinates, with m
+    = log tan r (cp, on R) or log tanh r (ch, on (-inf, 0)).
 
-    Returns (m_end, clock) where clock = int 4 ds / sin^2 2r (cp) or
-    int 4 ds / sinh^2 2r (ch) up to the horizon, and m is log tan r
-    (cp, on R) or log tanh r (ch, on (-inf, 0)).
+    Returns the clock int 4 ds / sin^2 2r (cp) or int 4 ds / sinh^2 2r (ch)
+    up to the horizon.
     """
     if kind == "cp":
         mm = np.full(lanes, math.log(math.tan(r0)))
@@ -495,7 +428,7 @@ def _winding_phi_block(kind: str, r0: float, horizon: float, dt: float,
             mm = np.where(active, m_new, mm)
             tau = tau + np.where(active, dtau, 0.0)
             clock = clock + np.where(active, h * frac, 0.0)
-    return mm, clock
+    return clock
 
 
 def _cp_area_phi_block(n: int, lam: float, horizon: float, dt: float,
@@ -598,31 +531,24 @@ def sample_area(geometry: Geometry, cfg: SimConfig, threads: int = 1,
     """
     if theta_coupling not in ("conditional", "euler"):
         raise ValueError("theta_coupling must be 'conditional' or 'euler'")
+    euler = theta_coupling == "euler"
     dts = _time_grid(cfg, refine_start=True)
 
-    def block(i, m):
-        rng = _block_rng(cfg.master_seed, i)
+    def block(i, m, rng):
         if geometry.kind == "cp":
             r_end, clock, theta, _ = _cp_area_phi_block(
                 geometry.n, 0.0, cfg.horizon, cfg.dt, rng, m,
-                euler_theta=(theta_coupling == "euler"))
-            if theta_coupling == "euler":
-                return r_end, theta, clock
+                euler_theta=euler)
+        elif euler:
+            return _ch_area_euler_block(geometry.n, dts, rng, m)
         else:
-            if theta_coupling == "euler":
-                return _ch_area_euler_block(geometry.n, dts, rng, m)
             r_end, clock, _, _ = _hyperbolic_block(
-                geometry.n, 0.0, EPS_START, dts, rng, m,
-                _clock_fn_r_hyp("tanh2"), False)
-        z = rng.standard_normal(m)
-        return r_end, np.sqrt(clock) * z, clock
+                geometry.n, 0.0, EPS_START, dts, rng, m, _tanh2, False)
+        if euler:
+            return r_end, theta, clock
+        return r_end, np.sqrt(clock) * rng.standard_normal(m), clock
 
-    parts = _run_blocks(cfg, block, threads)
-    return AreaSamples(
-        r_end=np.concatenate([q[0] for q in parts]),
-        theta_end=np.concatenate([q[1] for q in parts]),
-        time_change=np.concatenate([q[2] for q in parts]),
-    )
+    return AreaSamples(*_run_blocks(cfg, block, threads))
 
 
 def _ch_area_euler_block(n: int, dts, rng, m):
@@ -655,13 +581,10 @@ def girsanov_cf_estimator(geometry: Geometry, lam: float, cfg: SimConfig,
     if lam == 0.0:
         return CfEstimate(complex(1.0), 0.0, cfg.paths)
     if geometry.kind == "cp":
-        def block(i, m):
-            rng = _block_rng(cfg.master_seed, i)
-            _, _, _, cos_r = _cp_area_phi_block(n, lam, t, cfg.dt, rng, m)
-            return (cos_r,)
+        def block(i, m, rng):
+            return _cp_area_phi_block(n, lam, t, cfg.dt, rng, m)[3:]
 
-        parts = _run_blocks(cfg, block, threads)
-        cos_r = np.concatenate([q[0] for q in parts])
+        cos_r, = _run_blocks(cfg, block, threads)
         w = cos_r ** (-lam)
         pref = math.exp(-n * lam * t)
     else:
@@ -693,24 +616,15 @@ def sample_winding(geometry: Geometry, r0: float, cfg: SimConfig,
         if not (r0 > 0):
             raise ValueError("r0 must be positive for ch1")
 
-    def block(i, m):
-        rng = _block_rng(cfg.master_seed, i)
-        _, clock = _winding_phi_block(geometry.kind, r0, cfg.horizon,
-                                      cfg.dt, rng, m)
-        return (clock,)
+    def block(i, m, rng):
+        clock = _winding_phi_block(geometry.kind, r0, cfg.horizon, cfg.dt,
+                                   rng, m)
+        # the winding draw must not depend on how the radial sampler
+        # consumed randomness, so it uses a dedicated offset substream
+        z = _block_rng(cfg.master_seed, (1 << 62) + i).standard_normal(m)
+        return z * np.sqrt(clock), clock
 
-    parts = _run_blocks(cfg, block, threads)
-    clock = np.concatenate([q[0] for q in parts])
-    # the winding draw must not depend on how the radial sampler consumed
-    # randomness, so use a dedicated offset substream per block
-    phi = np.empty(cfg.paths)
-    pos = 0
-    for i, m in _blocks(cfg.paths):
-        rng = _block_rng(cfg.master_seed, (1 << 62) + i)
-        phi[pos:pos + m] = rng.standard_normal(m)
-        pos += m
-    phi *= np.sqrt(clock)
-    return WindingSamples(phi_end=phi, clock=clock)
+    return WindingSamples(*_run_blocks(cfg, block, threads))
 
 
 def sample_planar_area(t: float, cfg: SimConfig, threads: int = 1):
@@ -720,11 +634,10 @@ def sample_planar_area(t: float, cfg: SimConfig, threads: int = 1):
     """
     if not (t > 0):
         raise ValueError("t must be positive")
-    cfg_t = SimConfig(t, min(cfg.dt, t), cfg.paths, cfg.master_seed, cfg.scheme)
+    cfg_t = SimConfig(t, min(cfg.dt, t), cfg.paths, cfg.master_seed)
     dts = _time_grid(cfg_t, refine_start=False)
 
-    def block(i, m):
-        rng = _block_rng(cfg.master_seed, i)
+    def block(i, m, rng):
         x = np.zeros(m)
         y = np.zeros(m)
         s = np.zeros(m)
@@ -737,7 +650,4 @@ def sample_planar_area(t: float, cfg: SimConfig, threads: int = 1):
             y += dy
         return x + 1j * y, s
 
-    parts = _run_blocks(cfg_t, block, threads)
-    z = np.concatenate([q[0] for q in parts])
-    s = np.concatenate([q[1] for q in parts])
-    return z, s
+    return _run_blocks(cfg_t, block, threads)

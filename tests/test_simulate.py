@@ -10,7 +10,6 @@ from scipy.stats import ks_2samp, kstest
 from spaceform_areas import (
     Geometry,
     JacobiParams,
-    Scheme,
     SeriesControl,
     SimConfig,
     empirical_cf,
@@ -36,8 +35,6 @@ class TestConfigValidation:
             SimConfig(1.0, 1e-3, 0, 1)
         with pytest.raises(ValueError):
             SimConfig(1.0, 1e-3, 10, -1)
-        with pytest.raises(ValueError):
-            SimConfig(1.0, 1e-3, 10, 1, scheme="euler_rho")
 
     def test_geometry(self):
         with pytest.raises(ValueError):
@@ -82,11 +79,9 @@ class TestDeterminism:
 
 
 class TestRadialSpherical:
-    @pytest.mark.parametrize("scheme", [Scheme.EULER_RHO,
-                                        Scheme.SEMI_IMPLICIT_R])
-    def test_long_time_stationary_law(self, scheme):
+    def test_long_time_stationary_law(self):
         p = JacobiParams(1.0, 0.5)
-        cfg = SimConfig(6.0, 2e-3, 4000, 99, scheme=scheme)
+        cfg = SimConfig(6.0, 2e-3, 4000, 99)
         res = sample_radial_spherical(p, 0.0, cfg)
         grid = np.linspace(1e-6, math.pi / 2 - 1e-6, 400)
         pdf = np.array([stationary_spherical_density(p, r) for r in grid])
