@@ -97,17 +97,16 @@ def _ch1_tail_bound(W: float, t: float, r: float, theta: float) -> float:
 
 def _ch1_window(t: float, r: float, theta: float, target: float,
                 ctl: QuadratureControl) -> float:
-    """y-window W of the n=1 integrand: doubled from max(4, 4 sqrt t) until
-    the tail bound beyond it is below target, capped at ctl.max_window."""
-    W = max(4.0, 4.0 * math.sqrt(t))
+    """y-window W of the n=1 integrand: grown by 1 from max(4, 4 sqrt t)
+    until the tail bound beyond it is below target, capped at
+    ctl.max_window.  The bound falls at least like e^{-W}, so W stops
+    within 1 of the smallest window that meets the target."""
+    W = min(max(4.0, 4.0 * math.sqrt(t)), ctl.max_window)
     while _ch1_tail_bound(W, t, r, theta) > target:
-        W *= 2.0
-        if W > ctl.max_window:
-            if _ch1_tail_bound(ctl.max_window, t, r, theta) > ctl.abs_tol / 10.0:
-                raise WindowExhaustedError(
-                    f"tail bound above {ctl.abs_tol} at window cap {ctl.max_window}"
-                )
-            return ctl.max_window
+        if W == ctl.max_window:
+            raise WindowExhaustedError(
+                f"tail bound above {target} at window cap {ctl.max_window}")
+        W = min(W + 1.0, ctl.max_window)
     return W
 
 

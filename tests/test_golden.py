@@ -68,7 +68,7 @@ GOLDEN_SAMPLER_CSV = {
     },
     "ch-area-cf": {
         "ch_area_cf.csv":
-            "6cf4a69ec81cffd2beb7286f4fa2cbac3bf78ab94a72c57a31f95a8dbc3dbebb",
+            "7340abb2e299c4f4218ffbfb12615637978504b260c455e55d6a791b627a47ac",
     },
     "ch-gaussian-limit": {
         "ch_gaussian_limit.csv":

@@ -13,6 +13,7 @@ from spaceform_areas import (
     ch1_loop_slice,
     chn_joint_density,
 )
+from spaceform_areas import hyperbolic_kernels
 
 CTL = QuadratureControl()
 
@@ -58,6 +59,17 @@ class TestCh1JointDensity:
                                   max_window=1.0, max_subdivisions=200)
         with pytest.raises(WindowExhaustedError):
             ch1_joint_density(1.0, 0.5, 0.3, tight)
+
+    @pytest.mark.parametrize("t", [0.1, 1.0, 4.0])
+    def test_window_stops_near_first_sufficient(self, t):
+        # at r = 0, theta = 0 the smallest window with tail bound below
+        # 1e-12 is about 32.75 for every t; doubling from 4 sqrt t jumped
+        # past it to the cap of 60
+        target = CTL.abs_tol / 10.0
+        W = hyperbolic_kernels._ch1_window(t, 0.0, 0.0, target, CTL)
+        assert W <= 40.0
+        assert hyperbolic_kernels._ch1_tail_bound(W, t, 0.0, 0.0) <= target
+        assert hyperbolic_kernels._ch1_tail_bound(W - 1.0, t, 0.0, 0.0) > target
 
 
 class TestCh1AreaCf:
