@@ -44,7 +44,7 @@ from .simulate import (
     sample_planar_area,
     sample_winding,
 )
-from .specfun import JacobiParams, jacobi_poly
+from .specfun import JacobiParams, NormalLaw, jacobi_poly
 from .stats import SampleSet, empirical_cf, ks_statistic
 
 
@@ -182,10 +182,6 @@ def _check_ge(name: str, value: float, threshold: float) -> Check:
 def _sub_seed(master_seed: int, k: int) -> int:
     # distinct 64-bit seeds per sub-run, stable across platforms
     return (master_seed + 0x9E3779B97F4A7C15 * (k + 1)) % (2 ** 64)
-
-
-def _normal_cdf(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + np.vectorize(math.erf)(np.asarray(x) / math.sqrt(2.0)))
 
 
 def _rodrigues_jacobi(m: int, alpha: float, beta: float, x: float) -> float:
@@ -411,7 +407,7 @@ def _exp_ch_gaussian_limit(params, seed, threads):
             SimConfig(t, params["dt"], int(params["paths"]),
                       _sub_seed(seed, j)), threads=threads)
         s = SampleSet(area.theta_end / math.sqrt(t))
-        d, p = ks_statistic(s, _normal_cdf)
+        d, p = ks_statistic(s, NormalLaw().cdf)
         rows.append([n, d, p, float(s.values.mean()), float(s.values.var())])
         checks.append(_check_ge(f"ks_pvalue_n{n}", p, params["p_min"]))
     table = Table("ch_gaussian_limit",
