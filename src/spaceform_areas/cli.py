@@ -150,7 +150,13 @@ def parse_config(text: str) -> ExperimentSpec:
     if "output_dir" in doc:
         kwargs["output_dir"] = Path(doc["output_dir"])
     if "master_seed" in doc:
-        kwargs["master_seed"] = int(doc["master_seed"])
+        seed = doc["master_seed"]
+        if isinstance(seed, bool) or not (
+                isinstance(seed, int)
+                or isinstance(seed, float) and seed.is_integer()):
+            raise ConfigParseError(
+                f"'master_seed' must be an integer, got {seed!r}")
+        kwargs["master_seed"] = int(seed)
     return ExperimentSpec(**kwargs)
 
 

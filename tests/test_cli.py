@@ -65,6 +65,21 @@ class TestParseConfig:
         with pytest.raises(ConfigParseError):
             parse_config('{"master_seed": 4}')
 
+    @pytest.mark.parametrize("seed", ["1.7", "true", '"12"', "null"])
+    def test_bad_master_seed_named(self, seed, tmp_path):
+        # int() would truncate 1.7 and accept true as 1
+        text = '{"experiment": "levy-baseline", "master_seed": %s}' % seed
+        with pytest.raises(ConfigParseError, match="master_seed"):
+            parse_config(text)
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(text)
+        assert main(["--config", str(cfgp)]) == 2
+
+    def test_integral_float_master_seed(self):
+        spec = parse_config(
+            '{"experiment": "levy-baseline", "master_seed": 7.0}')
+        assert spec.master_seed == 7 and isinstance(spec.master_seed, int)
+
 
 class TestOverrides:
     def test_coercion(self):
