@@ -21,7 +21,6 @@ BLOCK_SIZE = 4096
 EPS_START = 1e-6
 FINE_DT = 1e-4
 CLOCK_CAP = 1e12
-_NEWTON_ITERS = 6
 
 
 @dataclass(frozen=True)
