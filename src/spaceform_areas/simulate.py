@@ -581,7 +581,8 @@ def girsanov_cf_estimator(geometry: Geometry, lam: float, cfg: SimConfig,
         return CfEstimate(complex(1.0), 0.0, cfg.paths)
     if geometry.kind == "cp":
         def block(i, m, rng):
-            return _cp_area_phi_block(n, lam, t, cfg.dt, rng, m)[3:]
+            cos_r = _cp_area_phi_block(n, lam, t, cfg.dt, rng, m)[3]
+            return (cos_r,)
 
         cos_r, = _run_blocks(cfg, block, threads)
         w = cos_r ** (-lam)
