@@ -76,6 +76,11 @@ class ExperimentSpec:
             raise UnknownKeyError(
                 f"unknown parameter key(s) {bad} for experiment "
                 f"{self.name!r}; known: {sorted(defaults)}")
+        if self.name == "ch-area-cf" and self.resolved_params()["n"] != 1:
+            # its quadrature column is the CH^1 area CF
+            raise ValueError(
+                f"ch-area-cf supports n = 1 only, got n = "
+                f"{self.params['n']!r}")
 
     def resolved_params(self) -> dict:
         out = dict(EXPERIMENT_DEFAULTS[self.name])

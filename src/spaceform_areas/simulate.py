@@ -97,7 +97,9 @@ def _block_rng(master_seed: int, block_index: int) -> np.random.Generator:
 
 
 def _time_grid(cfg: SimConfig, refine_start: bool) -> np.ndarray:
-    """Step sizes covering [0, horizon], optionally refined over the first 1%."""
+    """Step sizes covering [0, horizon]; with refine_start, the first
+    min(1% of the horizon, 0.05) is stepped at FINE_DT or finer, the fine
+    stretch of _cp_area_phi_block."""
     if not refine_start or cfg.dt <= FINE_DT:
         n_full = int(cfg.horizon / cfg.dt)
         rem = cfg.horizon - n_full * cfg.dt
@@ -105,7 +107,7 @@ def _time_grid(cfg: SimConfig, refine_start: bool) -> np.ndarray:
         if rem > 1e-12 * cfg.horizon:
             steps.append(rem)
         return np.asarray(steps)
-    t_fine = 0.01 * cfg.horizon
+    t_fine = min(0.01 * cfg.horizon, 0.05)
     n_fine = int(math.ceil(t_fine / FINE_DT))
     fine = t_fine / n_fine
     rest = cfg.horizon - t_fine
@@ -137,7 +139,8 @@ def _run_blocks(cfg: SimConfig, block_fn, threads: int = 1) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# clock integrands, accumulated by the trapezoid rule and capped per step
+# clock integrands, accumulated by the trapezoid rule (tan^2 r capped per
+# step; tanh^2 r <= 1 needs no cap)
 
 def _tan2(r: np.ndarray) -> np.ndarray:
     rho = np.cos(2.0 * r)
@@ -266,34 +269,65 @@ def _implicit_coth_solve(arg: np.ndarray, b: float) -> np.ndarray:
 
     The map x - b coth(x) is strictly increasing from -inf, so the positive
     root is unique; since coth >= 1 the solution satisfies x >= arg + b.
+    Every lane takes a Newton step until all residuals are below
+    _SOLVER_TOL.  Raises RuntimeError if some lane is still unconverged
+    after _MAX_SOLVER_ITERS steps.
     """
     x = 0.5 * (arg + np.sqrt(arg * arg + 4.0 * b))
     np.clip(x, 1e-12, None, out=x)
-    for _ in range(60):
+    for _ in range(_MAX_SOLVER_ITERS + 1):
         th = np.tanh(x)
         g = x - b / th - arg
-        if np.all(np.abs(g) < 1e-12):
-            break
+        if np.all(np.abs(g) < _SOLVER_TOL):
+            return x
         sh2 = np.sinh(np.minimum(x, 350.0)) ** 2
         gp = 1.0 + b / np.maximum(sh2, 1e-300)
         x = x - g / gp
         np.clip(x, 1e-12, None, out=x)
-    return x
+    raise RuntimeError(
+        f"implicit coth solve not converged after {_MAX_SOLVER_ITERS} "
+        f"steps: largest residual {np.abs(g).max():.3g}")
+
+
+# Past this radius np.tanh(r) == 1.0 in double precision (1 - tanh r is
+# about 2 exp(-2r), below half an ulp of 1 from r = 19.06 on), so the
+# implicit CH step is exactly r + (n + lam) dt + dW and tanh^2 r is 1.
+_R_FAR = 19.1
 
 
 def _hyperbolic_block(n: int, lam: float, r0: float, dts: np.ndarray,
-                      rng: np.random.Generator, m: int, clock_fn,
+                      rng: np.random.Generator, m: int, record_clock: bool,
                       track_bound: bool):
+    """One block of m CH radial paths by the semi-implicit scheme.
+
+    Returns (r_end, clock, slack): the tanh^2 r clock by the trapezoid rule
+    (None unless record_clock) and, per lane, the min over steps of
+    r - ((n - 1/2) t + gamma) (inf unless track_bound).
+
+    Once every lane is past _R_FAR the rest of the path is drawn at once:
+    r_T = r + (n + lam)(T - tau) + sqrt(T - tau) Z, and the clock grows by
+    T - tau.  The slack only grows from there, by (lam + 1/2) per unit
+    time, so its minimum is final.  Below _R_FAR the drift and the clock
+    rate differ from n + lam and 1 by 2|n - lam - 1| exp(-2r) and
+    4 exp(-2r) to leading order; since n + lam >= 1, E[exp(-2 r_s)] stays
+    at most exp(-2 _R_FAR) after the finish, so the expected clock it
+    misses is below 1.1e-16 (T - tau).
+    """
     r = np.full(m, r0)
-    clock = np.zeros(m)
-    caps = np.zeros(m, dtype=np.int64)
-    # per lane, the min over steps of r - ((n - 1/2) t + gamma)
+    clock = np.zeros(m) if record_clock else None
+    f = _tanh2(r) if record_clock else None
     slack = np.full(m, math.inf)
     gamma = np.zeros(m)
     t_acc = 0.0
     b_coth = 0.5 * (2.0 * n - 1.0)
-    f = None if clock_fn is None else np.minimum(clock_fn(r), CLOCK_CAP)
-    for dt in dts:
+    for k, dt in enumerate(dts):
+        if r.min() > _R_FAR:
+            t_left = float(dts[k:].sum())
+            r = r + ((n + lam) * t_left
+                     + math.sqrt(t_left) * rng.standard_normal(m))
+            if record_clock:
+                clock += t_left
+            break
         dw = rng.standard_normal(m) * math.sqrt(dt)
         arg = r + 0.5 * (2.0 * lam + 1.0) * np.tanh(r) * dt + dw
         r = _implicit_coth_solve(arg, b_coth * dt)
@@ -301,9 +335,11 @@ def _hyperbolic_block(n: int, lam: float, r0: float, dts: np.ndarray,
             gamma += dw
             t_acc += dt
             np.minimum(slack, r - ((n - 0.5) * t_acc + gamma), out=slack)
-        if clock_fn is not None:
-            f = _clock_step(clock_fn, r, f, clock, caps, dt)
-    return r, clock, caps, slack
+        if record_clock:
+            f_new = _tanh2(r)
+            clock += 0.5 * (f + f_new) * dt
+            f = f_new
+    return r, clock, slack
 
 
 def sample_radial_hyperbolic(n: int, girsanov_lambda: float, r0: float,
@@ -314,7 +350,9 @@ def sample_radial_hyperbolic(n: int, girsanov_lambda: float, r0: float,
 
     Semi-implicit scheme: the coth term is solved implicitly, which keeps
     paths strictly positive and preserves the per-step lower bound
-    r_{k+1} >= r_k + (n - 1/2) dt + dW_k.  No clock is recorded.
+    r_{k+1} >= r_k + (n - 1/2) dt + dW_k.  A block whose lanes are all past
+    _R_FAR finishes in one closed-form draw (see _hyperbolic_block).  No
+    clock is recorded: `clock` is all zeros.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -327,11 +365,12 @@ def sample_radial_hyperbolic(n: int, girsanov_lambda: float, r0: float,
     dts = _time_grid(cfg, refine_start=eps_started)
 
     def block(i, m, rng):
-        return _hyperbolic_block(n, girsanov_lambda, r0_eff, dts, rng, m,
-                                 None, track_bound)
+        r, _, slack = _hyperbolic_block(n, girsanov_lambda, r0_eff, dts, rng,
+                                        m, False, track_bound)
+        return r, slack
 
-    r_end, clock, caps, slack = _run_blocks(cfg, block, threads)
-    return RadialSamples(r_end, clock, cap_count=int(caps.sum()),
+    r_end, slack = _run_blocks(cfg, block, threads)
+    return RadialSamples(r_end, np.zeros_like(r_end),
                          min_bound_slack=float(slack.min()))
 
 
@@ -541,8 +580,8 @@ def sample_area(geometry: Geometry, cfg: SimConfig, threads: int = 1,
         elif euler:
             return _ch_area_euler_block(geometry.n, dts, rng, m)
         else:
-            r_end, clock, _, _ = _hyperbolic_block(
-                geometry.n, 0.0, EPS_START, dts, rng, m, _tanh2, False)
+            r_end, clock, _ = _hyperbolic_block(
+                geometry.n, 0.0, EPS_START, dts, rng, m, True, False)
         if euler:
             return r_end, theta, clock
         return r_end, np.sqrt(clock) * rng.standard_normal(m), clock

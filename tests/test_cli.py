@@ -75,6 +75,22 @@ class TestParseConfig:
         cfgp.write_text(text)
         assert main(["--config", str(cfgp)]) == 2
 
+    @pytest.mark.parametrize("n", [2, 3, 1.5])
+    def test_ch_area_cf_rejects_n_other_than_one(self, n, tmp_path):
+        # its quadrature column is the CH^1 CF, so at n = 2 the verdict
+        # would fail for the wrong reason
+        text = json.dumps({"experiment": "ch-area-cf", "params": {"n": n}})
+        with pytest.raises(ValueError, match=r"ch-area-cf .* n = "):
+            parse_config(text)
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(text)
+        assert main(["--config", str(cfgp)]) == 2
+
+    def test_ch_area_cf_accepts_n_one(self):
+        spec = parse_config(
+            '{"experiment": "ch-area-cf", "params": {"n": 1}}')
+        assert spec.resolved_params()["n"] == 1
+
     def test_integral_float_master_seed(self):
         spec = parse_config(
             '{"experiment": "levy-baseline", "master_seed": 7.0}')
@@ -191,6 +207,12 @@ class TestMain:
 
     def test_exit_two_on_unknown_experiment(self, capsys):
         assert main(["--experiment", "nope"]) == 2
+
+    def test_exit_two_on_ch_area_cf_n_override(self, tmp_path, capsys):
+        assert main(["--experiment", "ch-area-cf", "--out", str(tmp_path),
+                     "--override", "n=2"]) == 2
+        assert "n = 2" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
 
     def test_config_plus_flag_overrides(self, tmp_path, capsys):
         cfgp = tmp_path / "c.json"

@@ -78,6 +78,40 @@ class TestDeterminism:
         assert not np.array_equal(a.r_end, b.r_end)
 
 
+def _uncapped_time_grid(horizon, dt):
+    """The refined grid with its fine stretch at 1% of the horizon, for
+    any horizon; _time_grid caps that stretch at 0.05."""
+    t_fine = 0.01 * horizon
+    n_fine = int(math.ceil(t_fine / simulate.FINE_DT))
+    rest = horizon - t_fine
+    n_full = int(rest / dt)
+    rem = rest - n_full * dt
+    steps = [t_fine / n_fine] * n_fine + [dt] * n_full
+    if rem > 1e-12 * horizon:
+        steps.append(rem)
+    return np.asarray(steps)
+
+
+class TestTimeGrid:
+    @pytest.mark.parametrize("horizon", [0.5, 2.0, 5.0, 6.0, 50.0, 100.0])
+    @pytest.mark.parametrize("dt", [1e-3, 0.01, 0.05])
+    def test_fine_stretch_capped(self, horizon, dt):
+        dts = simulate._time_grid(SimConfig(horizon, dt, 1, 1), True)
+        n_fine = int(np.argmax(dts > simulate.FINE_DT))
+        assert n_fine >= 1
+        assert dts[:n_fine].max() <= simulate.FINE_DT
+        assert dts[:n_fine].sum() == pytest.approx(
+            min(0.01 * horizon, 0.05), rel=1e-12)
+        assert dts.sum() == pytest.approx(horizon, rel=1e-12)
+
+    @pytest.mark.parametrize("horizon", [0.25, 0.5, 1.0, 2.0, 3.7, 5.0])
+    @pytest.mark.parametrize("dt", [1e-3, 2e-3, 0.01, 0.05])
+    def test_grid_unchanged_up_to_t5(self, horizon, dt):
+        # 0.01 t <= 0.05 there, so the cap leaves every step's bits alone
+        dts = simulate._time_grid(SimConfig(horizon, dt, 1, 1), True)
+        np.testing.assert_array_equal(dts, _uncapped_time_grid(horizon, dt))
+
+
 class TestRadialSpherical:
     def test_long_time_stationary_law(self):
         p = JacobiParams(1.0, 0.5)
@@ -161,6 +195,48 @@ class TestImplicitCotTanSolve:
         np.testing.assert_array_equal(x, alone)
 
 
+def _coth_residual(x, arg, b):
+    return x - b / np.tanh(x) - arg
+
+
+class TestImplicitCothSolve:
+    """x = arg + b coth x, the implicit r-step of the CH samplers."""
+
+    def test_exhausted_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_MAX_SOLVER_ITERS", 1)
+        with pytest.raises(RuntimeError, match="largest residual"):
+            simulate._implicit_coth_solve(np.array([0.3, -3.0]), 0.5)
+
+    @given(x_star=st.lists(st.floats(1e-3, 60.0), min_size=1, max_size=32),
+           z=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=32),
+           dt=st.floats(1e-5, 0.05),
+           n=st.integers(1, 3),
+           lam=st.floats(0.0, 2.0))
+    @settings(max_examples=80, deadline=None)
+    def test_root_residual_and_bound(self, x_star, z, dt, n, lam):
+        # b = (n - 1/2) dt as in the CH samplers; the first lanes are given
+        # an arg whose root is exactly x_star, the rest a sampler step
+        b = (n - 0.5) * dt
+        x_star = np.asarray(x_star)
+        at_root = x_star - b / np.tanh(x_star)
+        stepped = (x_star[0] + (lam + 0.5) * math.tanh(x_star[0]) * dt
+                   + math.sqrt(dt) * np.asarray(z))
+        arg = np.concatenate([at_root, stepped])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "_MAX_SOLVER_ITERS", 8)
+            x = simulate._implicit_coth_solve(arg, b)
+            alone = [simulate._implicit_coth_solve(arg[i:i + 1], b)[0]
+                     for i in range(arg.size)]
+        assert np.abs(_coth_residual(x, arg, b)).max() <= 1e-12
+        # coth >= 1, and the residual bounds the root's error since the
+        # map x - b coth x has slope >= 1
+        assert np.all(x >= arg + b - 1e-12)
+        assert np.abs(x[:x_star.size] - x_star).max() <= 1e-12
+        # lanes are not frozen once converged, so a lane may take one more
+        # Newton step than it needs alone; its root agrees to tolerance
+        assert np.abs(x - alone).max() <= 2e-12
+
+
 class TestRadialHyperbolic:
     def test_transience_lower_bound(self):
         # the semi-implicit step preserves r_{k+1} >= r_k + (n-1/2) dt + dW
@@ -175,6 +251,49 @@ class TestRadialHyperbolic:
         r_plain = sample_radial_hyperbolic(1, 0.0, 0.0, cfg).r_end
         r_tilt = sample_radial_hyperbolic(1, 2.0, 0.0, cfg).r_end
         assert r_tilt.mean() > r_plain.mean()
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_far_start_is_drifted_gaussian(self, n, lam):
+        # past _R_FAR the drift is n + lam to double precision, so a block
+        # started at r0 = 25 is finished in one closed-form draw
+        t = 2.0
+        res = sample_radial_hyperbolic(n, lam, 25.0,
+                                       SimConfig(t, 0.05, 3000, 57 + n))
+        stat = kstest(res.r_end, "norm",
+                      args=(25.0 + (n + lam) * t, math.sqrt(t)))
+        assert stat.pvalue > 0.01
+
+    def test_far_start_clock_is_horizon(self):
+        # tanh^2 r == 1 past _R_FAR, so the whole horizon is on the clock
+        t = 3.0
+        dts = simulate._time_grid(SimConfig(t, 0.05, 64, 1), False)
+        r, clock, _ = simulate._hyperbolic_block(
+            2, 0.0, 25.0, dts, np.random.default_rng(3), 64, True, False)
+        assert np.abs(clock - t).max() <= 1e-12
+        assert np.all(r > simulate._R_FAR)
+
+    def test_near_block_draws_one_normal_per_step(self):
+        # no lane reaches _R_FAR by t = 1, so the block draws exactly what
+        # it did before the closed-form finish existed
+        m = 16
+        dts = simulate._time_grid(SimConfig(1.0, 0.01, m, 1), True)
+        rng = np.random.default_rng(9)
+        r, _, _ = simulate._hyperbolic_block(
+            2, 0.0, simulate.EPS_START, dts, rng, m, True, False)
+        assert r.max() < simulate._R_FAR
+        ref = np.random.default_rng(9)
+        for _ in dts:
+            ref.standard_normal(m)
+        assert ref.standard_normal() == rng.standard_normal()
+
+    def test_long_horizon_lower_bound(self):
+        # the slack only grows once the block finishes in closed form, so
+        # its minimum over the stepped part is the pathwise minimum
+        cfg = SimConfig(50.0, 0.05, 512, 271)
+        res = sample_radial_hyperbolic(2, 0.0, 0.0, cfg, track_bound=True)
+        assert res.min_bound_slack >= -16.0 * np.finfo(float).eps / cfg.dt
+        assert res.r_end.min() > simulate._R_FAR
 
 
 class TestAreaSamplers:
