@@ -76,6 +76,7 @@ class ExperimentSpec:
             raise UnknownKeyError(
                 f"unknown parameter key(s) {bad} for experiment "
                 f"{self.name!r}; known: {sorted(defaults)}")
+        _check_sampler_params(self.resolved_params())
         if self.name == "ch-area-cf" and self.resolved_params()["n"] != 1:
             # its quadrature column is the CH^1 area CF
             raise ValueError(
@@ -86,6 +87,36 @@ class ExperimentSpec:
         out = dict(EXPERIMENT_DEFAULTS[self.name])
         out.update(self.params)
         return out
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _check_sampler_params(params: dict) -> None:
+    """Raise ValueError naming the first sampler parameter a run cannot
+    use: `paths` must be a positive integer, each time step 0 < dt <= t,
+    and each list parameter a non-empty list of finite numbers."""
+    if "paths" in params:
+        v = params["paths"]
+        if not (_is_number(v) and v >= 1 and float(v).is_integer()):
+            raise ValueError(f"'paths' must be a positive integer, got {v!r}")
+    for key in ("dt", "dt_direct", "dt_girsanov"):
+        if key in params:
+            dt, t = params[key], params["t"]
+            if not (_is_number(dt) and _is_number(t)
+                    and 0 < dt <= t < math.inf):
+                raise ValueError(
+                    f"'{key}' must satisfy 0 < {key} <= t, got {key} = "
+                    f"{dt!r} with t = {t!r}")
+    for key in ("lambdas", "ns", "r0s"):
+        if key in params:
+            v = params[key]
+            if not (isinstance(v, (list, tuple)) and v and all(
+                    _is_number(x) and math.isfinite(x) for x in v)):
+                raise ValueError(
+                    f"'{key}' must be a non-empty list of finite numbers, "
+                    f"got {v!r}")
 
 
 @dataclass
@@ -682,8 +713,10 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, help="master seed override")
     ap.add_argument("--out", help="output directory override")
     ap.add_argument("--threads", type=int, default=1,
-                    help="Monte Carlo worker threads (results are "
-                         "schedule-independent)")
+                    help="worker threads for the blocks of the CH^n and "
+                         "planar samplers; the clock-time CP area, Girsanov "
+                         "and winding samplers step all blocks in one loop "
+                         "(results do not depend on it)")
     ap.add_argument("--override", action="append", default=[],
                     metavar="KEY=VALUE",
                     help="parameter override (repeatable)")

@@ -2,8 +2,11 @@
 
 All samplers draw from counter-based (Philox) substreams keyed by
 (master_seed, block index), with paths partitioned into fixed-size blocks.
-Results are therefore bit-identical regardless of how blocks are scheduled
-across workers.
+The fixed-grid samplers run their blocks through _run_blocks, serially or
+on a thread pool; the clock-time samplers step all blocks of a call in one
+sweep loop (_clock_sweeps).  Either way each path depends only on its
+block's stream, so results are bit-identical regardless of the thread
+count.
 """
 
 from __future__ import annotations
@@ -405,39 +408,88 @@ _PSI_SWITCH = 0.30       # psi-mode -> r-mode handoff level (below -log cos
 #                          of _R_UP, giving hysteresis so lanes near the
 #                          boundary do not flip modes every sweep)
 _T2_SWITCH = math.expm1(2.0 * _PSI_SWITCH)  # tan^2 r at the down-handoff
-_MAX_CLOCK_ITERS = 5_000_000
+# A clock-time call raises once its sweeps exceed _SWEEP_HEADROOM times a
+# base count: (fine stretch)/(fine step) + horizon/min(dt, _BULK_DT).  A
+# bulk step covers at most about _BULK_DT of real time whatever dt is,
+# since the clock rate is at least 4 there (4 cosh^2 m for the CP^1
+# winding) and a step at most _H_FLOOR of clock.  Over the golden sizes,
+# the acceptance runs and the benchmark workloads the most sweeps a call
+# took was 5.14 times its base (winding-cp1 at t = 2, dt = 0.05), so a
+# stuck sampler fails after about 12 times the sweeps a call can need.
+_BULK_DT = _H_FLOOR / 4.0
+_SWEEP_HEADROOM = 64.0
 
 
-def _winding_phi_block(kind: str, r0: float, horizon: float, dt: float,
-                       rng: np.random.Generator, lanes: int):
-    """One block of winding radial paths in clock-time coordinates, with m
-    = log tan r (cp, on R) or log tanh r (ch, on (-inf, 0)).
+def _block_rngs(cfg: SimConfig, offset: int = 0) -> list:
+    """The Philox stream of every block of cfg.paths, keyed by offset plus
+    the block index."""
+    return [_block_rng(cfg.master_seed, offset + i)
+            for i in range(-(-cfg.paths // BLOCK_SIZE))]
+
+
+def _fill_normals(rngs: list, blocks, out: np.ndarray) -> None:
+    """Fill each listed block's slice of out from that block's stream."""
+    for i in blocks:
+        rngs[i].standard_normal(out=out[i * BLOCK_SIZE:(i + 1) * BLOCK_SIZE])
+
+
+def _clock_sweeps(cfg: SimConfig, rngs: list, tau: np.ndarray, normals,
+                  fine_sweeps: float = 0.0):
+    """Yield the live mask tau < cfg.horizon of each sweep over every path
+    of a clock-time call, until no lane is live.
+
+    Before each yield, the slices of the blocks that still have a live lane
+    are filled, in each array of normals in turn, from the block's own
+    stream.  A finished block draws nothing more, so its stream ends where
+    its own sweeps leave it, however long other blocks run; and since the
+    implicit cot/tan solve freezes converged lanes, no lane's path depends
+    on the other lanes of the call.  The output is therefore the same as
+    stepping each block alone.  The caller advances tau in place.  Raises
+    RuntimeError after _SWEEP_HEADROOM times the base count of sweeps,
+    fine_sweeps + horizon/min(dt, _BULK_DT).
+    """
+    starts = np.arange(0, cfg.paths, BLOCK_SIZE)
+    min_sweeps = fine_sweeps + cfg.horizon / min(cfg.dt, _BULK_DT)
+    max_sweeps = math.ceil(_SWEEP_HEADROOM * min_sweeps)
+    for _ in range(max_sweeps):
+        active = tau < cfg.horizon
+        live = np.flatnonzero(np.logical_or.reduceat(active, starts))
+        if not live.size:
+            return
+        for z in normals:
+            _fill_normals(rngs, live, z)
+        yield active
+    raise RuntimeError(
+        f"clock-time sampler failed to reach horizon {cfg.horizon} in "
+        f"{max_sweeps} sweeps")
+
+
+def _winding_phi(kind: str, r0: float, cfg: SimConfig, rngs: list):
+    """Winding radial paths in clock-time coordinates, every block of cfg
+    in one sweep loop, with m = log tan r (cp, on R) or log tanh r (ch, on
+    (-inf, 0)).
 
     Returns the clock int 4 ds / sin^2 2r (cp) or int 4 ds / sinh^2 2r (ch)
     up to the horizon.
     """
+    horizon, dt, lanes = cfg.horizon, cfg.dt, cfg.paths
     if kind == "cp":
         mm = np.full(lanes, math.log(math.tan(r0)))
     else:
         mm = np.full(lanes, math.log(math.tanh(r0)))
     tau = np.zeros(lanes)
     clock = np.zeros(lanes)
-    iters = 0
+    z = np.zeros(lanes)
+
+    def retire_far():
+        # ch transient endgame: for m this close to 0 the remaining clock is
+        # below 4 m^2 (horizon - tau), which is negligible
+        if kind == "ch":
+            tau[(tau < horizon) & (mm > -_M_FLOOR_CH)] = horizon
+
+    retire_far()
     with np.errstate(over="ignore"):
-        while True:
-            active = tau < horizon
-            if kind == "ch" and active.any():
-                # transient endgame: for m this close to 0 the remaining clock
-                # is below 4 m^2 (horizon - tau), which is negligible
-                done_far = active & (mm > -_M_FLOOR_CH)
-                if done_far.any():
-                    tau[done_far] = horizon
-                    active = tau < horizon
-            if not active.any():
-                break
-            iters += 1
-            if iters > _MAX_CLOCK_ITERS:
-                raise RuntimeError("clock-time sampler failed to reach horizon")
+        for active in _clock_sweeps(cfg, rngs, tau, (z,)):
             if kind == "cp":
                 q = 4.0 * np.cosh(mm) ** 2
             else:
@@ -446,7 +498,6 @@ def _winding_phi_block(kind: str, r0: float, horizon: float, dt: float,
             dtau_t = np.minimum(t_rem, dt)
             cap = np.maximum(_H_FLOOR, mm * mm / _DIVE_STEPS)
             h = np.minimum(dtau_t * q, cap)
-            z = rng.standard_normal(lanes)
             m_new = mm + np.sqrt(h) * z
             if kind == "ch":
                 m_new = np.where(m_new >= 0.0, 0.5 * mm, m_new)
@@ -463,23 +514,26 @@ def _winding_phi_block(kind: str, r0: float, horizon: float, dt: float,
             dtau = 0.5 * h * (1.0 / q + 1.0 / np.maximum(q_new, 1e-300))
             # final step: credit clock only for the fraction inside the horizon
             frac = np.where(dtau > t_rem, t_rem / np.maximum(dtau, 1e-300), 1.0)
-            mm = np.where(active, m_new, mm)
-            tau = tau + np.where(active, dtau, 0.0)
-            clock = clock + np.where(active, h * frac, 0.0)
+            np.copyto(mm, m_new, where=active)
+            tau += np.where(active, dtau, 0.0)
+            clock += np.where(active, h * frac, 0.0)
+            retire_far()
     return clock
 
 
-def _cp_area_phi_block(n: int, lam: float, horizon: float, dt: float,
-                       rng: np.random.Generator, lanes: int,
-                       euler_theta: bool = False):
-    """One block of projective radial/area paths, hybrid r- and psi-mode.
+def _cp_area_phi(n: int, lam: float, cfg: SimConfig, rngs: list,
+                 euler_theta: bool = False):
+    """Projective radial/area paths, hybrid r- and psi-mode, every block of
+    cfg in one sweep loop.
 
     Near the pole the path is stepped implicitly in r; past r ~ pi/4 it
     switches to psi = -log cos r stepped in clock time, where the area
     clock is exact (clock increment = Phi-step) and boundary dives are
     Brownian.  lam > 0 adds the measure-change drift -(lam) tan^2 r dt.
-    Returns (r_end, clock, theta_or_None, cos_r_end).
+    With euler_theta each block draws its theta normals right after its
+    radial ones.  Returns (r_end, clock, theta_or_None, cos_r_end).
     """
+    horizon, dt, lanes = cfg.horizon, cfg.dt, cfg.paths
     b1 = n - 0.5
     t_fine = min(0.01 * horizon, 0.05)
     fine = min(dt, FINE_DT)
@@ -489,17 +543,11 @@ def _cp_area_phi_block(n: int, lam: float, horizon: float, dt: float,
     tau = np.zeros(lanes)
     clock = np.zeros(lanes)
     theta = np.zeros(lanes) if euler_theta else None
-    iters = 0
+    z = np.zeros(lanes)
+    z2 = np.zeros(lanes) if euler_theta else None
+    normals = (z, z2) if euler_theta else (z,)
     with np.errstate(over="ignore"):
-        while True:
-            active = tau < horizon
-            if not active.any():
-                break
-            iters += 1
-            if iters > _MAX_CLOCK_ITERS:
-                raise RuntimeError("clock-time sampler failed to reach horizon")
-            z = rng.standard_normal(lanes)
-            z2 = rng.standard_normal(lanes) if euler_theta else None
+        for active in _clock_sweeps(cfg, rngs, tau, normals, t_fine / fine):
             in_psi_now = in_psi.copy()
             idx = np.nonzero(active & ~in_psi_now)[0]
             if idx.size:
@@ -565,25 +613,28 @@ def sample_area(geometry: Geometry, cfg: SimConfig, threads: int = 1,
     A_t (integral of tan^2 r or tanh^2 r), so by default theta is drawn as
     sqrt(A_t) * Z.  theta_coupling='euler' instead couples d theta =
     tan r dB step by step along the same radial dynamics; kept for
-    consistency checks.
+    consistency checks.  `threads` schedules the blocks of CH^n only; on
+    CP^n all blocks are stepped in one sweep loop.
     """
     if theta_coupling not in ("conditional", "euler"):
         raise ValueError("theta_coupling must be 'conditional' or 'euler'")
     euler = theta_coupling == "euler"
+    if geometry.kind == "cp":
+        rngs = _block_rngs(cfg)
+        r_end, clock, theta, _ = _cp_area_phi(geometry.n, 0.0, cfg, rngs,
+                                              euler_theta=euler)
+        if not euler:
+            z = np.empty(cfg.paths)
+            _fill_normals(rngs, range(len(rngs)), z)
+            theta = np.sqrt(clock) * z
+        return AreaSamples(r_end, theta, clock)
     dts = _time_grid(cfg, refine_start=True)
 
     def block(i, m, rng):
-        if geometry.kind == "cp":
-            r_end, clock, theta, _ = _cp_area_phi_block(
-                geometry.n, 0.0, cfg.horizon, cfg.dt, rng, m,
-                euler_theta=euler)
-        elif euler:
-            return _ch_area_euler_block(geometry.n, dts, rng, m)
-        else:
-            r_end, clock, _ = _hyperbolic_block(
-                geometry.n, 0.0, EPS_START, dts, rng, m, True, False)
         if euler:
-            return r_end, theta, clock
+            return _ch_area_euler_block(geometry.n, dts, rng, m)
+        r_end, clock, _ = _hyperbolic_block(
+            geometry.n, 0.0, EPS_START, dts, rng, m, True, False)
         return r_end, np.sqrt(clock) * rng.standard_normal(m), clock
 
     return AreaSamples(*_run_blocks(cfg, block, threads))
@@ -611,6 +662,8 @@ def girsanov_cf_estimator(geometry: Geometry, lam: float, cfg: SimConfig,
     Simulates the drift-tilted radial diffusion and reweights:
     cp: e^{-n lam t} * mean[(cos r_t)^{-lam}];
     ch: e^{+n lam t} * mean[(cosh r_t)^{-lam}] (weights are <= 1 there).
+    `threads` schedules the blocks of CH^n only; on CP^n all blocks are
+    stepped in one sweep loop.
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
@@ -619,11 +672,7 @@ def girsanov_cf_estimator(geometry: Geometry, lam: float, cfg: SimConfig,
     if lam == 0.0:
         return CfEstimate(complex(1.0), 0.0, cfg.paths)
     if geometry.kind == "cp":
-        def block(i, m, rng):
-            cos_r = _cp_area_phi_block(n, lam, t, cfg.dt, rng, m)[3]
-            return (cos_r,)
-
-        cos_r, = _run_blocks(cfg, block, threads)
+        cos_r = _cp_area_phi(n, lam, cfg, _block_rngs(cfg))[3]
         w = cos_r ** (-lam)
         pref = math.exp(-n * lam * t)
     else:
@@ -645,6 +694,8 @@ def sample_winding(geometry: Geometry, r0: float, cfg: SimConfig,
     cp1: radial generator (1/2)(d^2 + 2 cot 2r d), clock integrand 4/sin^2 2r;
     ch1: radial generator (1/2)(d^2 + 2 coth 2r d), clock integrand 4/sinh^2 2r.
     The angle is drawn as sqrt(clock) * Z (exact given the radial path).
+    All blocks are stepped in one sweep loop, so `threads` is unused; it
+    is kept so that every sampler takes the same arguments.
     """
     if geometry.n != 1:
         raise ValueError("winding samplers are defined for n = 1 only")
@@ -655,15 +706,13 @@ def sample_winding(geometry: Geometry, r0: float, cfg: SimConfig,
         if not (r0 > 0):
             raise ValueError("r0 must be positive for ch1")
 
-    def block(i, m, rng):
-        clock = _winding_phi_block(geometry.kind, r0, cfg.horizon, cfg.dt,
-                                   rng, m)
-        # the winding draw must not depend on how the radial sampler
-        # consumed randomness, so it uses a dedicated offset substream
-        z = _block_rng(cfg.master_seed, (1 << 62) + i).standard_normal(m)
-        return z * np.sqrt(clock), clock
-
-    return WindingSamples(*_run_blocks(cfg, block, threads))
+    clock = _winding_phi(geometry.kind, r0, cfg, _block_rngs(cfg))
+    # the winding draw must not depend on how the radial sampler consumed
+    # randomness, so each block uses a dedicated offset substream
+    angle_rngs = _block_rngs(cfg, offset=1 << 62)
+    z = np.empty(cfg.paths)
+    _fill_normals(angle_rngs, range(len(angle_rngs)), z)
+    return WindingSamples(z * np.sqrt(clock), clock)
 
 
 def sample_planar_area(t: float, cfg: SimConfig, threads: int = 1):

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from spaceform_areas.cli import (
+    EXPERIMENT_DEFAULTS,
     ConfigParseError,
     ExperimentSpec,
     UnknownKeyError,
@@ -90,6 +91,47 @@ class TestParseConfig:
         spec = parse_config(
             '{"experiment": "ch-area-cf", "params": {"n": 1}}')
         assert spec.resolved_params()["n"] == 1
+
+    @pytest.mark.parametrize("name,key,value", [
+        ("levy-baseline", "paths", 0),
+        ("levy-baseline", "paths", -4096),
+        ("levy-baseline", "paths", 2.5),
+        ("levy-baseline", "paths", True),
+        ("levy-baseline", "paths", "4096"),
+        ("levy-baseline", "dt", 0.0),
+        ("levy-baseline", "dt", 2.0),
+        ("levy-baseline", "dt", "1e-3"),
+        ("cp-area-cf", "dt_direct", -1e-3),
+        ("cp-area-cf", "dt_girsanov", 1.5),
+        ("ch-area-cf", "dt", float("nan")),
+        ("cp-area-cf", "lambdas", []),
+        ("cp-area-cf", "lambdas", 0.5),
+        ("cp-cauchy-limit", "ns", []),
+        ("winding-ch1", "lambdas", ["1.0"]),
+        ("winding-ch1", "r0s", [0.5, float("inf")]),
+    ])
+    def test_bad_sampler_param_named(self, name, key, value, tmp_path):
+        # each used to reach the sampler: a failed `completed` check (exit
+        # 1) or, for an empty list, a run with no CF check at all (exit 0)
+        text = json.dumps({"experiment": name, "params": {key: value}})
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            parse_config(text)
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(text)
+        assert main(["--config", str(cfgp),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_dt_bound_uses_overridden_t(self):
+        with pytest.raises(ValueError, match="'dt'"):
+            ExperimentSpec("winding-cp1", {"t": 0.5, "dt": 0.6})
+        spec = ExperimentSpec("winding-cp1", {"t": 0.5, "dt": 0.5,
+                                              "paths": 4096.0})
+        assert spec.resolved_params()["dt"] == 0.5
+
+    def test_defaults_pass_sampler_checks(self):
+        for name in EXPERIMENT_DEFAULTS:
+            ExperimentSpec(name)
 
     def test_integral_float_master_seed(self):
         spec = parse_config(
@@ -212,6 +254,15 @@ class TestMain:
         assert main(["--experiment", "ch-area-cf", "--out", str(tmp_path),
                      "--override", "n=2"]) == 2
         assert "n = 2" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("override", ["paths=0", "lambdas=[]"])
+    def test_exit_two_on_bad_sampler_override(self, override, tmp_path,
+                                              capsys):
+        key = override.partition("=")[0]
+        assert main(["--experiment", "cp-area-cf", "--out", str(tmp_path),
+                     "--override", override]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
 
     def test_config_plus_flag_overrides(self, tmp_path, capsys):

@@ -42,7 +42,8 @@ GOLDEN_CF_MARGINAL_CP = [
 
 # Small sizes so that all seven run in a few seconds.  cp-area-cf,
 # ch-area-cf, winding-cp1, winding-ch1 and levy-baseline use more paths
-# than simulate.BLOCK_SIZE, so that several blocks run on the thread pool.
+# than simulate.BLOCK_SIZE, so that each runs several blocks: the CH and
+# planar ones on the thread pool, the clock-time ones in one sweep loop.
 SAMPLER_PARAMS = {
     "cp-area-cf": {"t": 0.25, "lambdas": [1.0], "paths": 5000,
                    "dt_direct": 1e-2, "dt_girsanov": 1e-2},

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -76,6 +77,82 @@ class TestDeterminism:
         a = sample_area(Geometry.cp(1), cfg1)
         b = sample_area(Geometry.cp(1), cfg2)
         assert not np.array_equal(a.r_end, b.r_end)
+
+
+def _cp_area(cfg):
+    a = sample_area(Geometry.cp(1), cfg)
+    return a.r_end, a.theta_end, a.time_change
+
+
+def _cp_area_euler(cfg):
+    a = sample_area(Geometry.cp(2), cfg, theta_coupling="euler")
+    return a.r_end, a.theta_end, a.time_change
+
+
+def _cp_girsanov_cos_r(cfg):
+    # the cos r_t whose (cos r_t)^{-lam} girsanov_cf_estimator averages
+    return (simulate._cp_area_phi(1, 2.0, cfg, simulate._block_rngs(cfg))[3],)
+
+
+def _winding(geom, r0):
+    def run(cfg):
+        w = sample_winding(geom, r0, cfg)
+        return w.phi_end, w.clock
+    return run
+
+
+class TestStreamDiscipline:
+    """The clock-time samplers step every block of a call in one sweep
+    loop; a block draws from its stream only while it has a live lane, so
+    each block's lanes are those of the block stepped alone."""
+
+    @pytest.mark.parametrize("run", [
+        _cp_area, _cp_area_euler, _cp_girsanov_cos_r,
+        _winding(Geometry.cp(1), 0.7), _winding(Geometry.ch(1), 0.9),
+    ], ids=["area", "area-euler", "girsanov-cos-r", "winding-cp1",
+            "winding-ch1"])
+    def test_blocks_match_blocks_run_alone(self, run):
+        m, extra, seed = simulate.BLOCK_SIZE, 300, 2718
+        fused = run(SimConfig(0.5, 5e-3, m + extra, seed))
+        head = run(SimConfig(0.5, 5e-3, m, seed))
+        # block 1 alone: a one-block call whose block index is shifted by
+        # one, so that it draws from block 1's streams
+        block_rng = simulate._block_rng
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "_block_rng",
+                       lambda s, i: block_rng(s, i + 1))
+            tail = run(SimConfig(0.5, 5e-3, extra, seed))
+        for f, h, t in zip(fused, head, tail):
+            np.testing.assert_array_equal(f[:m], h)
+            np.testing.assert_array_equal(f[m:], t)
+
+
+class TestSweepCap:
+    @pytest.mark.parametrize("run,fine_sweeps", [
+        (lambda cfg: sample_area(Geometry.cp(1), cfg),
+         0.005 / simulate.FINE_DT),
+        (lambda cfg: sample_winding(Geometry.cp(1), 0.7, cfg), 0.0),
+    ], ids=["area", "winding"])
+    def test_stuck_sampler_raises_quickly(self, run, fine_sweeps,
+                                          monkeypatch):
+        # with no step floor and no dive allowance every clock-time step is
+        # h = min(dtau * rate, 0) = 0, so a lane in clock-time mode never
+        # advances tau
+        monkeypatch.setattr(simulate, "_H_FLOOR", 0.0)
+        monkeypatch.setattr(simulate, "_DIVE_STEPS", math.inf)
+        sweeps = []
+        fill = simulate._fill_normals
+        monkeypatch.setattr(simulate, "_fill_normals",
+                            lambda *a: sweeps.append(1) or fill(*a))
+        cfg = SimConfig(0.5, 1e-2, 64, 5)
+        t0 = time.perf_counter()
+        with pytest.raises(RuntimeError, match="failed to reach horizon"):
+            run(cfg)
+        assert time.perf_counter() - t0 < 30.0
+        # one block, so one draw per sweep; the cap is the headroom times
+        # the fine stretch (0.005 at FINE_DT) plus horizon / dt
+        assert len(sweeps) == math.ceil(
+            simulate._SWEEP_HEADROOM * (fine_sweeps + cfg.horizon / cfg.dt))
 
 
 def _uncapped_time_grid(horizon, dt):
