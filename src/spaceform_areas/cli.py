@@ -76,12 +76,12 @@ class ExperimentSpec:
             raise UnknownKeyError(
                 f"unknown parameter key(s) {bad} for experiment "
                 f"{self.name!r}; known: {sorted(defaults)}")
-        _check_sampler_params(self.resolved_params())
         if self.name == "ch-area-cf" and self.resolved_params()["n"] != 1:
             # its quadrature column is the CH^1 area CF
             raise ValueError(
                 f"ch-area-cf supports n = 1 only, got n = "
                 f"{self.params['n']!r}")
+        _check_params(self.resolved_params())
 
     def resolved_params(self) -> dict:
         out = dict(EXPERIMENT_DEFAULTS[self.name])
@@ -93,14 +93,19 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _check_sampler_params(params: dict) -> None:
-    """Raise ValueError naming the first sampler parameter a run cannot
-    use: `paths` must be a positive integer, each time step 0 < dt <= t,
-    and each list parameter a non-empty list of finite numbers."""
-    if "paths" in params:
-        v = params["paths"]
-        if not (_is_number(v) and v >= 1 and float(v).is_integer()):
-            raise ValueError(f"'paths' must be a positive integer, got {v!r}")
+def _is_count(v) -> bool:
+    return _is_number(v) and v >= 1 and float(v).is_integer()
+
+
+def _check_params(params: dict) -> None:
+    """Raise ValueError naming the first parameter a run cannot use:
+    `paths`, `n` and each of `ns` must be positive integers, each time
+    step 0 < dt <= t, and each list parameter a non-empty list of finite
+    numbers."""
+    for key in ("paths", "n"):
+        if key in params and not _is_count(params[key]):
+            raise ValueError(
+                f"'{key}' must be a positive integer, got {params[key]!r}")
     for key in ("dt", "dt_direct", "dt_girsanov"):
         if key in params:
             dt, t = params[key], params["t"]
@@ -117,6 +122,9 @@ def _check_sampler_params(params: dict) -> None:
                 raise ValueError(
                     f"'{key}' must be a non-empty list of finite numbers, "
                     f"got {v!r}")
+    if "ns" in params and not all(map(_is_count, params["ns"])):
+        raise ValueError(
+            f"'ns' must hold positive integers, got {params['ns']!r}")
 
 
 @dataclass

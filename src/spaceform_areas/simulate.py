@@ -102,7 +102,7 @@ def _block_rng(master_seed: int, block_index: int) -> np.random.Generator:
 def _time_grid(cfg: SimConfig, refine_start: bool) -> np.ndarray:
     """Step sizes covering [0, horizon]; with refine_start, the first
     min(1% of the horizon, 0.05) is stepped at FINE_DT or finer, the fine
-    stretch of _cp_area_phi_block."""
+    stretch of _cp_area_phi."""
     if not refine_start or cfg.dt <= FINE_DT:
         n_full = int(cfg.horizon / cfg.dt)
         rem = cfg.horizon - n_full * cfg.dt

@@ -107,12 +107,17 @@ class TestParseConfig:
         ("cp-area-cf", "lambdas", []),
         ("cp-area-cf", "lambdas", 0.5),
         ("cp-cauchy-limit", "ns", []),
+        ("cp-cauchy-limit", "ns", [1, 2.5]),
+        ("cp-cauchy-limit", "ns", [0]),
+        ("cp-area-cf", "n", 0),
+        ("berger-homogenisation", "n", 1.5),
         ("winding-ch1", "lambdas", ["1.0"]),
         ("winding-ch1", "r0s", [0.5, float("inf")]),
     ])
     def test_bad_sampler_param_named(self, name, key, value, tmp_path):
-        # each used to reach the sampler: a failed `completed` check (exit
-        # 1) or, for an empty list, a run with no CF check at all (exit 0)
+        # each used to reach the run: a failed `completed` check (exit 1),
+        # a silently truncated n (int(2.5) == 2) or, for an empty list, a
+        # run with no CF check at all (exit 0)
         text = json.dumps({"experiment": name, "params": {key: value}})
         with pytest.raises(ValueError, match=f"'{key}'"):
             parse_config(text)
