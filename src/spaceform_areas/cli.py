@@ -94,7 +94,8 @@ def _is_number(v) -> bool:
 
 
 def _is_count(v) -> bool:
-    return _is_number(v) and v >= 1 and float(v).is_integer()
+    return _is_number(v) and v >= 1 and (isinstance(v, int)
+                                         or v.is_integer())
 
 
 def _check_params(params: dict) -> None:
@@ -118,7 +119,8 @@ def _check_params(params: dict) -> None:
         if key in params:
             v = params[key]
             if not (isinstance(v, (list, tuple)) and v and all(
-                    _is_number(x) and math.isfinite(x) for x in v)):
+                    _is_number(x) and -math.inf < x < math.inf
+                    for x in v)):
                 raise ValueError(
                     f"'{key}' must be a non-empty list of finite numbers, "
                     f"got {v!r}")

@@ -409,13 +409,14 @@ _PSI_SWITCH = 0.30       # psi-mode -> r-mode handoff level (below -log cos
 #                          boundary do not flip modes every sweep)
 _T2_SWITCH = math.expm1(2.0 * _PSI_SWITCH)  # tan^2 r at the down-handoff
 # A clock-time call raises once its sweeps exceed _SWEEP_HEADROOM times a
-# base count: (fine stretch)/(fine step) + horizon/min(dt, _BULK_DT).  A
-# bulk step covers at most about _BULK_DT of real time whatever dt is,
-# since the clock rate is at least 4 there (4 cosh^2 m for the CP^1
-# winding) and a step at most _H_FLOOR of clock.  Over the golden sizes,
-# the acceptance runs and the benchmark workloads the most sweeps a call
-# took was 5.14 times its base (winding-cp1 at t = 2, dt = 0.05), so a
-# stuck sampler fails after about 12 times the sweeps a call can need.
+# base count: (fine stretch)/(fine step) + horizon/min(dt, _BULK_DT).
+# Whatever dt is, a bulk step of the CP^1 winding covers at most about
+# _BULK_DT of real time: _H_FLOOR of clock at the least rate 4 cosh^2 0.
+# Kernels whose steps can be longer only get a looser cap.  Over the
+# golden sizes, the acceptance runs and the benchmark workloads the most
+# sweeps a call took was 5.14 times its base (winding-cp1 at t = 2,
+# dt = 0.05), so a stuck sampler fails after about 12 times the sweeps a
+# call can need.
 _BULK_DT = _H_FLOOR / 4.0
 _SWEEP_HEADROOM = 64.0
 
