@@ -3,7 +3,8 @@ bit for bit.
 
 The SHA-256 digests cover every CSV of the two deterministic spectral
 experiments at default parameters, and of the seven sampler experiments
-at small sizes and one seed; the hex floats pin the marginal CP area CF
+at small sizes and one seed, and of the four long-horizon sampler
+experiments at one seed; the hex floats pin the marginal CP area CF
 that feeds the `analytic` columns of cp-area-cf and cp-cauchy-limit.  A
 refactor of the Jacobi series or of the samplers must leave all of them
 unchanged; an intended output change must update them and say why.
@@ -89,6 +90,45 @@ GOLDEN_SAMPLER_CSV = {
     },
 }
 
+# The long-time regime, one block each: the CH samplers finish their far
+# lanes in closed form past _R_FAR, winding-ch1 retires its lanes at
+# _M_FLOOR_CH, and the CP samplers take thousands of psi-mode dives.
+LONG_SAMPLER_PARAMS = {
+    "cp-cauchy-limit": {"t": 50.0, "ns": [1, 2], "paths": 256, "dt": 0.02},
+    "ch-gaussian-limit": {"t": 50.0, "ns": [3], "paths": 256},
+    "winding-cp1": {"t": 30.0, "paths": 256},
+    "winding-ch1": {"t": 100.0, "r0s": [0.5], "paths": 256},
+}
+
+GOLDEN_LONG_SAMPLER_CSV = {
+    "cp-cauchy-limit": {
+        "cp_cauchy_limit.csv":
+            "feb337ae1913a6857923bb519fcd36fede398318e4042a90d8ca76033c1987c4",
+    },
+    "ch-gaussian-limit": {
+        "ch_gaussian_limit.csv":
+            "4e59ebf6c5df905cd3f64befff0b3f810e996884b219a74c6fecb56a41920c39",
+    },
+    "winding-cp1": {
+        "winding_cp1.csv":
+            "cc3f9e7d2ef224ce7e7601d3c19f9feba6b2c548f6068d23a911dcf507a86ff4",
+    },
+    "winding-ch1": {
+        "winding_ch1.csv":
+            "29c911e5519cea63c90689556d1243b37d80f4ad8dd275c3b97eff65aa84f74d",
+    },
+}
+
+
+def _sampler_digests(name, params, tmp_path):
+    bundle = run_experiment(
+        ExperimentSpec(name=name, params=params, output_dir=tmp_path,
+                       master_seed=20240601),
+        threads=2)
+    assert "error" not in bundle.manifest
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(tmp_path.glob("*.csv"))}
+
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CSV))
 def test_spectral_csv_digests(name, tmp_path):
@@ -108,11 +148,11 @@ def test_cf_marginal_cp_bits(n, lam, t, golden):
 
 @pytest.mark.parametrize("name", sorted(SAMPLER_PARAMS))
 def test_sampler_csv_digests(name, tmp_path):
-    bundle = run_experiment(
-        ExperimentSpec(name=name, params=SAMPLER_PARAMS[name],
-                       output_dir=tmp_path, master_seed=20240601),
-        threads=2)
-    assert "error" not in bundle.manifest
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in sorted(tmp_path.glob("*.csv"))}
-    assert digests == GOLDEN_SAMPLER_CSV[name]
+    assert (_sampler_digests(name, SAMPLER_PARAMS[name], tmp_path)
+            == GOLDEN_SAMPLER_CSV[name])
+
+
+@pytest.mark.parametrize("name", sorted(LONG_SAMPLER_PARAMS))
+def test_long_horizon_sampler_csv_digests(name, tmp_path):
+    assert (_sampler_digests(name, LONG_SAMPLER_PARAMS[name], tmp_path)
+            == GOLDEN_LONG_SAMPLER_CSV[name])
