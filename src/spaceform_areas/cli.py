@@ -101,8 +101,9 @@ def _is_count(v) -> bool:
 def _check_params(params: dict) -> None:
     """Raise ValueError naming the first parameter a run cannot use:
     `paths`, `n` and each of `ns` must be positive integers, each time
-    step 0 < dt <= t, and each list parameter a non-empty list of finite
-    numbers."""
+    step 0 < dt <= t, each list parameter a non-empty list of finite
+    numbers, each of `r0s` positive, 0 < r0 < pi/2 (winding-cp1),
+    0 < sigma < inf and 0 <= p_min < 1."""
     for key in ("paths", "n"):
         if key in params and not _is_count(params[key]):
             raise ValueError(
@@ -127,6 +128,17 @@ def _check_params(params: dict) -> None:
     if "ns" in params and not all(map(_is_count, params["ns"])):
         raise ValueError(
             f"'ns' must hold positive integers, got {params['ns']!r}")
+    if "r0s" in params and not all(r0 > 0 for r0 in params["r0s"]):
+        raise ValueError(
+            f"'r0s' must hold positive radii, got {params['r0s']!r}")
+    for key, in_range, bounds in (
+            ("r0", lambda v: 0 < v < math.pi / 2, "0 < r0 < pi/2"),
+            ("sigma", lambda v: 0 < v < math.inf, "0 < sigma < inf"),
+            ("p_min", lambda v: 0 <= v < 1, "0 <= p_min < 1")):
+        if key in params and not (_is_number(params[key])
+                                  and in_range(params[key])):
+            raise ValueError(
+                f"'{key}' must satisfy {bounds}, got {params[key]!r}")
 
 
 @dataclass

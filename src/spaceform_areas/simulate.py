@@ -142,16 +142,12 @@ def _run_blocks(cfg: SimConfig, block_fn, threads: int = 1) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# clock integrands, accumulated by the trapezoid rule (tan^2 r capped per
-# step; tanh^2 r <= 1 needs no cap)
+# the tan^2 r clock integrand, accumulated by the trapezoid rule and capped
+# per step
 
 def _tan2(r: np.ndarray) -> np.ndarray:
     rho = np.cos(2.0 * r)
     return (1.0 - rho) / np.maximum(1.0 + rho, 1e-300)
-
-
-def _tanh2(r: np.ndarray) -> np.ndarray:
-    return np.tanh(r) ** 2
 
 
 def _clock_step(clock_fn, r: np.ndarray, f_old: np.ndarray,
@@ -195,21 +191,30 @@ def _implicit_cot_tan_solve(arg: np.ndarray, b1: float, b2: float) -> np.ndarray
     x0 = np.where(arg < math.pi / 4.0,
                   0.5 * (arg + np.sqrt(arg * arg + 4.0 * b1)),
                   math.pi / 2.0 - 0.5 * (c + np.sqrt(c * c + 4.0 * b2)))
-    np.clip(x0, 1e-12, math.pi / 2.0 - 1e-12, out=x0)
-    u = np.clip(np.log(np.tan(x0)), -u_cap, u_cap)
+    np.minimum(np.maximum(x0, 1e-12, out=x0), math.pi / 2.0 - 1e-12, out=x0)
+    u = np.log(np.tan(x0, out=x0), out=x0)
+    np.minimum(np.maximum(u, -u_cap, out=u), u_cap, out=u)
     for _ in range(_MAX_SOLVER_ITERS + 1):
+        # arctan(e), b1/e and b2 e serve both the residual and its derivative
         e = np.exp(u)
-        einv = 1.0 / e
-        h = np.arctan(e) - b1 * einv + b2 * e - arg
+        at = np.arctan(e)
+        b1e = np.divide(1.0, e)
+        b1e *= b1
+        b2e = b2 * e
+        h = at - b1e + b2e - arg
         live = np.abs(h) >= _SOLVER_TOL
-        if not live.any():
-            return np.arctan(e)
+        if not np.count_nonzero(live):
+            return at
         np.copyto(lo, u, where=h < 0)
         np.copyto(hi, u, where=h > 0)
-        hp = e / (1.0 + e * e) + b1 * einv + b2 * e
-        u_new = u - h / hp
+        hp = e * e + 1.0
+        np.divide(e, hp, out=hp)
+        hp += b1e
+        hp += b2e
+        u_new = u - np.divide(h, hp, out=hp)
         bad = (u_new <= lo) | (u_new >= hi)
-        u_new = np.where(bad, 0.5 * (lo + hi), u_new)
+        if np.count_nonzero(bad):
+            u_new[bad] = 0.5 * (lo[bad] + hi[bad])
         np.copyto(u, u_new, where=live)
     raise RuntimeError(
         f"implicit cot/tan solve not converged after {_MAX_SOLVER_ITERS} "
@@ -276,17 +281,21 @@ def _implicit_coth_solve(arg: np.ndarray, b: float) -> np.ndarray:
     _SOLVER_TOL.  Raises RuntimeError if some lane is still unconverged
     after _MAX_SOLVER_ITERS steps.
     """
-    x = 0.5 * (arg + np.sqrt(arg * arg + 4.0 * b))
-    np.clip(x, 1e-12, None, out=x)
+    x = np.maximum(0.5 * (arg + np.sqrt(arg * arg + 4.0 * b)), 1e-12)
     for _ in range(_MAX_SOLVER_ITERS + 1):
-        th = np.tanh(x)
-        g = x - b / th - arg
-        if np.all(np.abs(g) < _SOLVER_TOL):
+        # g = x - b / tanh(x) - arg and gp = 1 + b / sinh^2 x, in place
+        g = np.tanh(x)
+        np.subtract(x, np.divide(b, g, out=g), out=g)
+        g -= arg
+        # max |g| is NaN if some g is, so a NaN lane stays unconverged
+        if np.abs(g).max(initial=0.0) < _SOLVER_TOL:
             return x
-        sh2 = np.sinh(np.minimum(x, 350.0)) ** 2
-        gp = 1.0 + b / np.maximum(sh2, 1e-300)
-        x = x - g / gp
-        np.clip(x, 1e-12, None, out=x)
+        gp = np.sinh(np.minimum(x, 350.0))
+        np.maximum(np.multiply(gp, gp, out=gp), 1e-300, out=gp)
+        np.divide(b, gp, out=gp)
+        gp += 1.0
+        x -= np.divide(g, gp, out=gp)
+        np.maximum(x, 1e-12, out=x)
     raise RuntimeError(
         f"implicit coth solve not converged after {_MAX_SOLVER_ITERS} "
         f"steps: largest residual {np.abs(g).max():.3g}")
@@ -317,12 +326,14 @@ def _hyperbolic_block(n: int, lam: float, r0: float, dts: np.ndarray,
     misses is below 1.1e-16 (T - tau).
     """
     r = np.full(m, r0)
+    th = np.tanh(r)
     clock = np.zeros(m) if record_clock else None
-    f = _tanh2(r) if record_clock else None
+    f = th * th if record_clock else None
     slack = np.full(m, math.inf)
     gamma = np.zeros(m)
     t_acc = 0.0
     b_coth = 0.5 * (2.0 * n - 1.0)
+    b_tanh = 0.5 * (2.0 * lam + 1.0)
     for k, dt in enumerate(dts):
         if r.min() > _R_FAR:
             t_left = float(dts[k:].sum())
@@ -332,14 +343,15 @@ def _hyperbolic_block(n: int, lam: float, r0: float, dts: np.ndarray,
                 clock += t_left
             break
         dw = rng.standard_normal(m) * math.sqrt(dt)
-        arg = r + 0.5 * (2.0 * lam + 1.0) * np.tanh(r) * dt + dw
-        r = _implicit_coth_solve(arg, b_coth * dt)
+        # th is tanh(r), computed once per step
+        r = _implicit_coth_solve(r + b_tanh * th * dt + dw, b_coth * dt)
         if track_bound:
             gamma += dw
             t_acc += dt
             np.minimum(slack, r - ((n - 0.5) * t_acc + gamma), out=slack)
+        th = np.tanh(r)
         if record_clock:
-            f_new = _tanh2(r)
+            f_new = th * th
             clock += 0.5 * (f + f_new) * dt
             f = f_new
     return r, clock, slack
@@ -468,57 +480,55 @@ def _clock_sweeps(cfg: SimConfig, rngs: list, tau: np.ndarray, normals,
 def _winding_phi(kind: str, r0: float, cfg: SimConfig, rngs: list):
     """Winding radial paths in clock-time coordinates, every block of cfg
     in one sweep loop, with m = log tan r (cp, on R) or log tanh r (ch, on
-    (-inf, 0)).
+    (-inf, 0)).  A sweep steps only the live lanes.
 
     Returns the clock int 4 ds / sin^2 2r (cp) or int 4 ds / sinh^2 2r (ch)
     up to the horizon.
     """
     horizon, dt, lanes = cfg.horizon, cfg.dt, cfg.paths
-    if kind == "cp":
-        mm = np.full(lanes, math.log(math.tan(r0)))
-    else:
-        mm = np.full(lanes, math.log(math.tanh(r0)))
+    cp = kind == "cp"
+    m0 = math.log(math.tan(r0)) if cp else math.log(math.tanh(r0))
+    mm = np.full(lanes, m0)
     tau = np.zeros(lanes)
     clock = np.zeros(lanes)
     z = np.zeros(lanes)
-
-    def retire_far():
-        # ch transient endgame: for m this close to 0 the remaining clock is
-        # below 4 m^2 (horizon - tau), which is negligible
-        if kind == "ch":
-            tau[(tau < horizon) & (mm > -_M_FLOOR_CH)] = horizon
-
-    retire_far()
+    # the clock rate is 4 csh(m)^2: 4 cosh^2 m (cp) or 4 sinh^2 m (ch)
+    csh = np.cosh if cp else np.sinh
+    # ch transient endgame: for m this close to 0 the remaining clock is
+    # below 4 m^2 (horizon - tau), which is negligible, so the lane retires
+    if not cp and m0 > -_M_FLOOR_CH:
+        tau[:] = horizon
     with np.errstate(over="ignore"):
         for active in _clock_sweeps(cfg, rngs, tau, (z,)):
-            if kind == "cp":
-                q = 4.0 * np.cosh(mm) ** 2
+            idx = np.flatnonzero(active)
+            m, t = mm[idx], tau[idx]
+            t_rem = horizon - t  # > 0, since a live lane has tau < horizon
+            q = 4.0 * csh(m) ** 2
+            h = np.minimum(np.minimum(t_rem, dt) * q,
+                           np.maximum(_H_FLOOR, m * m / _DIVE_STEPS))
+            m_new = m + np.sqrt(h) * z[idx]
+            if cp:
+                np.minimum(np.maximum(m_new, -_M_CAP, out=m_new), _M_CAP,
+                           out=m_new)
             else:
-                q = 4.0 * np.sinh(mm) ** 2
-            t_rem = np.maximum(horizon - tau, 0.0)
-            dtau_t = np.minimum(t_rem, dt)
-            cap = np.maximum(_H_FLOOR, mm * mm / _DIVE_STEPS)
-            h = np.minimum(dtau_t * q, cap)
-            m_new = mm + np.sqrt(h) * z
-            if kind == "ch":
-                m_new = np.where(m_new >= 0.0, 0.5 * mm, m_new)
-                np.clip(m_new, -_M_CAP, None, out=m_new)
-            else:
-                np.clip(m_new, -_M_CAP, _M_CAP, out=m_new)
-            if kind == "cp":
-                q_new = 4.0 * np.cosh(m_new) ** 2
-            else:
-                q_new = 4.0 * np.sinh(m_new) ** 2
+                above = m_new >= 0.0
+                if np.count_nonzero(above):
+                    m_new[above] = 0.5 * m[above]
+                np.maximum(m_new, -_M_CAP, out=m_new)
+            q_new = 4.0 * csh(m_new) ** 2
             # trapezoid estimate of the real time elapsed over the Phi-step
             # (the rate 1/q varies exponentially within a step, so the
             # left-endpoint rule is systematically biased)
             dtau = 0.5 * h * (1.0 / q + 1.0 / np.maximum(q_new, 1e-300))
             # final step: credit clock only for the fraction inside the horizon
-            frac = np.where(dtau > t_rem, t_rem / np.maximum(dtau, 1e-300), 1.0)
-            np.copyto(mm, m_new, where=active)
-            tau += np.where(active, dtau, 0.0)
-            clock += np.where(active, h * frac, 0.0)
-            retire_far()
+            last = dtau > t_rem
+            if np.count_nonzero(last):
+                h[last] *= t_rem[last] / np.maximum(dtau[last], 1e-300)
+            mm[idx] = m_new
+            tau[idx] = t + dtau
+            clock[idx] += h
+            if not cp:
+                tau[idx[m_new > -_M_FLOOR_CH]] = horizon
     return clock
 
 
@@ -549,54 +559,62 @@ def _cp_area_phi(n: int, lam: float, cfg: SimConfig, rngs: list,
     normals = (z, z2) if euler_theta else (z,)
     with np.errstate(over="ignore"):
         for active in _clock_sweeps(cfg, rngs, tau, normals, t_fine / fine):
-            in_psi_now = in_psi.copy()
-            idx = np.nonzero(active & ~in_psi_now)[0]
+            # lanes promoted from r-mode below are stepped in psi-mode from
+            # the next sweep on, so no lane moves (or consumes its Gaussian)
+            # twice per sweep
+            stepped_in_psi = active & in_psi
+            jdx = np.flatnonzero(stepped_in_psi)
+            idx = np.flatnonzero(active ^ stepped_in_psi)
             if idx.size:
-                dti = np.where(tau[idx] < t_fine, fine, dt)
-                dti = np.minimum(dti, np.maximum(horizon - tau[idx], 0.0))
+                ti = tau[idx]  # < horizon on a live lane
+                dti = np.minimum(np.where(ti < t_fine, fine, dt),
+                                 horizon - ti)
                 sq = np.sqrt(dti)
                 r_old = r[idx]
-                r_new = _implicit_cot_tan_solve(r_old + sq * z[idx],
-                                                b1 * dti, (lam + 0.5) * dti)
-                clock[idx] += 0.5 * (np.tan(r_old) ** 2 + np.tan(r_new) ** 2) * dti
+                r_new = _implicit_cot_tan_solve(r_old + sq * z[idx], b1 * dti,
+                                                (lam + 0.5) * dti)
+                tan_old, tan_new = np.tan(r_old), np.tan(r_new)
+                clock[idx] += (0.5 * (tan_old * tan_old + tan_new * tan_new)
+                               * dti)
                 if euler_theta:
-                    theta[idx] += np.tan(r_old) * sq * z2[idx]
-                tau[idx] += dti
+                    theta[idx] += tan_old * sq * z2[idx]
+                tau[idx] = ti + dti
                 r[idx] = r_new
                 up = r_new > _R_UP
-                if up.any():
+                if np.count_nonzero(up):
                     j = idx[up]
-                    psi[j] = -np.log(np.cos(r[j]))
+                    psi[j] = -np.log(np.cos(r_new[up]))
                     in_psi[j] = True
-            # lanes promoted above are stepped starting next iteration, so no
-            # lane moves (or consumes its Gaussian) twice per sweep
-            jdx = np.nonzero(active & in_psi_now)[0]
             if jdx.size:
-                p_old = psi[jdx]
+                p_old, tj = psi[jdx], tau[jdx]
                 t2 = np.expm1(2.0 * p_old)
-                t_rem = np.maximum(horizon - tau[jdx], 0.0)
-                dtau_t = np.minimum(t_rem, dt)
+                t_rem = horizon - tj
                 cap = np.maximum(_H_FLOOR, p_old * p_old / _DIVE_STEPS)
-                h = np.minimum(dtau_t * t2, cap)
+                h = np.minimum(np.minimum(t_rem, dt) * t2, cap)
                 p_mart = p_old - lam * h + np.sqrt(h) * z[jdx]
-                np.clip(p_mart, 1e-12, _M_CAP, out=p_mart)
+                np.minimum(np.maximum(p_mart, 1e-12, out=p_mart), _M_CAP,
+                           out=p_mart)
                 # trapezoid real-time estimate over the Phi-step; any part of
                 # the step below the handoff level runs at the handoff rate
                 # (the lane exits to r-mode there, so 1/t2 stays bounded)
                 t2_new = np.maximum(np.expm1(2.0 * p_mart), _T2_SWITCH)
                 dtau = 0.5 * h * (1.0 / t2 + 1.0 / t2_new)
-                p_new = np.clip(p_mart + n * dtau, 1e-12, _M_CAP)
-                frac = np.where(dtau > t_rem, t_rem / np.maximum(dtau, 1e-300),
-                                1.0)
-                clock[jdx] += h * frac
+                p_new = np.minimum(np.maximum(p_mart + n * dtau, 1e-12),
+                                   _M_CAP)
+                # final step: credit clock only for the fraction inside the
+                # horizon
+                last = dtau > t_rem
+                if np.count_nonzero(last):
+                    h[last] *= t_rem[last] / np.maximum(dtau[last], 1e-300)
+                clock[jdx] += h
                 if euler_theta:
-                    theta[jdx] += np.sqrt(h * frac) * z2[jdx]
-                tau[jdx] += dtau
+                    theta[jdx] += np.sqrt(h) * z2[jdx]
+                tau[jdx] = tj + dtau
                 psi[jdx] = p_new
                 down = p_new < _PSI_SWITCH
-                if down.any():
+                if np.count_nonzero(down):
                     k = jdx[down]
-                    r[k] = np.arccos(np.exp(-psi[k]))
+                    r[k] = np.arccos(np.exp(-p_new[down]))
                     in_psi[k] = False
     cos_r = np.where(in_psi, np.exp(-psi), np.cos(r))
     r_end = np.where(in_psi, np.arccos(np.minimum(np.exp(-psi), 1.0)), r)

@@ -127,6 +127,42 @@ class TestParseConfig:
                      "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("name,key,value", [
+        ("winding-cp1", "r0", 0.0),
+        ("winding-cp1", "r0", math.pi / 2),
+        ("winding-cp1", "r0", 2.0),
+        ("winding-cp1", "r0", "0.7"),
+        ("winding-ch1", "r0s", [0.5, 0.0]),
+        ("winding-ch1", "r0s", [-1.0]),
+        ("cp-area-cf", "sigma", 0.0),
+        ("levy-baseline", "sigma", -3.0),
+        ("winding-cp1", "sigma", float("inf")),
+        ("winding-ch1", "sigma", float("nan")),
+        ("ch-gaussian-limit", "p_min", 1.0),
+        ("ch-gaussian-limit", "p_min", -0.01),
+        ("ch-gaussian-limit", "p_min", None),
+    ])
+    def test_bad_sampler_scalar_named(self, name, key, value, tmp_path):
+        # an r0 outside (0, pi/2) used to fail inside sample_winding (exit
+        # 1); sigma <= 0 or NaN failed every z-check, or none, silently
+        text = json.dumps({"experiment": name, "params": {key: value}})
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            parse_config(text)
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(text)
+        assert main(["--config", str(cfgp),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert main(["--experiment", name, "--override",
+                     f"{key}={json.dumps(value)}",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_scalar_bounds_accept_edges(self):
+        ExperimentSpec("winding-cp1", {"r0": 1e-9, "sigma": 1e-9})
+        ExperimentSpec("winding-cp1", {"r0": math.pi / 2 - 1e-9})
+        ExperimentSpec("ch-gaussian-limit", {"p_min": 0.0})
+        ExperimentSpec("winding-ch1", {"r0s": [1e-9, 30]})
+
     def test_dt_bound_uses_overridden_t(self):
         with pytest.raises(ValueError, match="'dt'"):
             ExperimentSpec("winding-cp1", {"t": 0.5, "dt": 0.6})

@@ -1,6 +1,7 @@
 """Source checks that need no import of the package."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,3 +22,39 @@ def test_no_assert_statements(path):
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name}: assert at line(s) {lines}"
+
+
+# The only packages available are the standard library and the installed
+# numerical stack; a compiled-kernel or other third-party dependency would
+# make the package unusable where it is not installed.
+ALLOWED_PACKAGES = {"numpy", "scipy", "mpmath", "spaceform_areas"}
+
+
+def _foreign_imports(source: str) -> list:
+    """Top-level names of the modules imported by source that are neither
+    standard library nor in ALLOWED_PACKAGES (relative imports are the
+    package's own)."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    tops = (name.partition(".")[0] for name in names)
+    return sorted({top for top in tops
+                   if top not in sys.stdlib_module_names
+                   and top not in ALLOWED_PACKAGES})
+
+
+def test_foreign_import_check_flags_third_party():
+    source = ("import numba\nfrom cython.parallel import prange\n"
+              "import numpy.linalg, math\nfrom scipy import special\n"
+              "from . import specfun\nfrom __future__ import annotations\n"
+              "def f():\n    import pandas as pd\n")
+    assert _foreign_imports(source) == ["cython", "numba", "pandas"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_only_stdlib_and_numerical_stack(path):
+    foreign = _foreign_imports(path.read_text(encoding="utf-8"))
+    assert foreign == [], f"{path.name}: imports {foreign}"

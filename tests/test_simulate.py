@@ -1,9 +1,10 @@
 import math
+import re
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import ks_2samp, kstest
@@ -270,6 +271,129 @@ class TestImplicitCotTanSolve:
         assert np.abs(x[:x_star.size] - x_star).max() <= 1e-12
         # a lane's root does not depend on the other lanes in its call
         np.testing.assert_array_equal(x, alone)
+
+
+# The two implicit solvers as they stood before their sweep bodies were
+# rewritten to issue fewer array operations, kept verbatim (with the budget
+# read from the module) as the oracle that the rewrite is bit for bit the
+# same.
+
+def _reference_cot_tan_solve(arg, b1, b2):
+    u_cap = 28.0
+    lo = np.full_like(arg, -u_cap)
+    hi = np.full_like(arg, u_cap)
+    c = math.pi / 2.0 - arg
+    x0 = np.where(arg < math.pi / 4.0,
+                  0.5 * (arg + np.sqrt(arg * arg + 4.0 * b1)),
+                  math.pi / 2.0 - 0.5 * (c + np.sqrt(c * c + 4.0 * b2)))
+    np.clip(x0, 1e-12, math.pi / 2.0 - 1e-12, out=x0)
+    u = np.clip(np.log(np.tan(x0)), -u_cap, u_cap)
+    for _ in range(simulate._MAX_SOLVER_ITERS + 1):
+        e = np.exp(u)
+        einv = 1.0 / e
+        h = np.arctan(e) - b1 * einv + b2 * e - arg
+        live = np.abs(h) >= simulate._SOLVER_TOL
+        if not live.any():
+            return np.arctan(e)
+        np.copyto(lo, u, where=h < 0)
+        np.copyto(hi, u, where=h > 0)
+        hp = e / (1.0 + e * e) + b1 * einv + b2 * e
+        u_new = u - h / hp
+        bad = (u_new <= lo) | (u_new >= hi)
+        u_new = np.where(bad, 0.5 * (lo + hi), u_new)
+        np.copyto(u, u_new, where=live)
+    raise RuntimeError(
+        f"implicit cot/tan solve not converged after "
+        f"{simulate._MAX_SOLVER_ITERS} "
+        f"steps: largest residual {np.abs(h).max():.3g}")
+
+
+def _reference_coth_solve(arg, b):
+    x = 0.5 * (arg + np.sqrt(arg * arg + 4.0 * b))
+    np.clip(x, 1e-12, None, out=x)
+    for _ in range(simulate._MAX_SOLVER_ITERS + 1):
+        th = np.tanh(x)
+        g = x - b / th - arg
+        if np.all(np.abs(g) < simulate._SOLVER_TOL):
+            return x
+        sh2 = np.sinh(np.minimum(x, 350.0)) ** 2
+        gp = 1.0 + b / np.maximum(sh2, 1e-300)
+        x = x - g / gp
+        np.clip(x, 1e-12, None, out=x)
+    raise RuntimeError(
+        f"implicit coth solve not converged after "
+        f"{simulate._MAX_SOLVER_ITERS} "
+        f"steps: largest residual {np.abs(g).max():.3g}")
+
+
+def _assert_same_outcome(reference, solve, *args):
+    """solve(*args) returns the bits reference(*args) returns, or raises
+    the same RuntimeError."""
+    try:
+        want = reference(*args)
+    except RuntimeError as e:
+        with pytest.raises(RuntimeError, match=re.escape(str(e))):
+            solve(*args)
+        return
+    got = solve(*args)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want, strict=True)
+
+
+# lanes whose arg lies anywhere, or within 1e-6 of either end of (0, pi/2)
+_ARGS = st.one_of(st.floats(-5.0, 5.0), st.floats(-1e-6, 1e-6),
+                  st.floats(math.pi / 2 - 1e-6, math.pi / 2 + 1e-6))
+# coefficients from 1e-12 to 100; a large b1 with a tiny b2 (or the
+# reverse) starts Newton far from the root, where it leaves the bracket
+_COEFS = st.floats(-12.0, 2.0).map(lambda p: 10.0 ** p)
+
+
+class TestSolverOracle:
+    """The rewritten solvers against their verbatim reference copies."""
+
+    def test_fixed_lanes_take_the_bisection_fallback(self):
+        # each lane leaves its bracket once on the way to its root
+        arg = np.array([-4.0, -1.0, 0.5, 1.0, 3.0])
+        b1 = np.array([10.0, 10.0, 10.0, 1e-6, 1e-6])
+        b2 = np.array([1e-10, 1e-10, 1e-10, 10.0, 10.0])
+        x = simulate._implicit_cot_tan_solve(arg, b1, b2)
+        np.testing.assert_array_equal(
+            x, _reference_cot_tan_solve(arg, b1, b2), strict=True)
+        assert np.abs(_cot_tan_residual(x, arg, b1, b2)).max() <= 1e-11
+
+    @given(lanes=st.lists(st.tuples(_ARGS, _COEFS, _COEFS),
+                          min_size=1, max_size=48),
+           per_lane=st.booleans())
+    @example(lanes=[(-1.0, 10.0, 1e-10), (0.5, 10.0, 1e-10)],
+             per_lane=False)
+    @example(lanes=[(1.0, 1e-6, 10.0), (3.0, 1e-7, 25.0),
+                    (0.2, 1e-3, 1e-3)], per_lane=True)
+    @example(lanes=[(0.3, 1e-14, 1e-14)], per_lane=False)
+    @settings(max_examples=300, deadline=None)
+    def test_cot_tan_bits(self, lanes, per_lane):
+        arg, b1, b2 = (np.array(v) for v in zip(*lanes))
+        if not per_lane:
+            b1, b2 = float(b1[0]), float(b2[0])
+        _assert_same_outcome(_reference_cot_tan_solve,
+                             simulate._implicit_cot_tan_solve, arg, b1, b2)
+
+    @given(arg=st.lists(st.one_of(st.floats(-5.0, 60.0),
+                                  st.floats(-1e-6, 1e-6)),
+                        min_size=1, max_size=48),
+           b=st.floats(-12.0, 1.0).map(lambda p: 10.0 ** p))
+    @settings(max_examples=300, deadline=None)
+    def test_coth_bits(self, arg, b):
+        _assert_same_outcome(_reference_coth_solve,
+                             simulate._implicit_coth_solve, np.array(arg), b)
+
+    def test_exhausted_budget_same_message(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_MAX_SOLVER_ITERS", 1)
+        _assert_same_outcome(_reference_cot_tan_solve,
+                             simulate._implicit_cot_tan_solve,
+                             np.array([0.3, 1.2]), 5e-3, 5e-3)
+        _assert_same_outcome(_reference_coth_solve,
+                             simulate._implicit_coth_solve,
+                             np.array([0.3, -3.0]), 0.5)
 
 
 def _coth_residual(x, arg, b):
