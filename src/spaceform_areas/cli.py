@@ -93,21 +93,24 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _is_count(v) -> bool:
-    return _is_number(v) and v >= 1 and (isinstance(v, int)
-                                         or v.is_integer())
+def _is_count(v, least: int = 1) -> bool:
+    return _is_number(v) and v >= least and (isinstance(v, int)
+                                             or v.is_integer())
 
 
 def _check_params(params: dict) -> None:
     """Raise ValueError naming the first parameter a run cannot use:
-    `paths`, `n` and each of `ns` must be positive integers, each time
+    `paths`, `n`, `points` and each of `ns` must be positive integers,
+    `m_max_oracle` and `m_max_eig` non-negative integers, each time
     step 0 < dt <= t, each list parameter a non-empty list of finite
     numbers, each of `r0s` positive, 0 < r0 < pi/2 (winding-cp1),
     0 < sigma < inf and 0 <= p_min < 1."""
-    for key in ("paths", "n"):
-        if key in params and not _is_count(params[key]):
+    for key, least in (("paths", 1), ("n", 1), ("points", 1),
+                       ("m_max_oracle", 0), ("m_max_eig", 0)):
+        if key in params and not _is_count(params[key], least):
+            kind = "positive" if least else "non-negative"
             raise ValueError(
-                f"'{key}' must be a positive integer, got {params[key]!r}")
+                f"'{key}' must be a {kind} integer, got {params[key]!r}")
     for key in ("dt", "dt_direct", "dt_girsanov"):
         if key in params:
             dt, t = params[key], params["t"]

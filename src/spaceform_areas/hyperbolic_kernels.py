@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 import threading
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import quad
 
 
 class QuadratureFailureError(RuntimeError):
@@ -51,35 +50,16 @@ class JointDensityValue:
 
 _ACOSH_EPS = 1e-12
 
-
-def _ch1_amplitude(r, y) -> np.ndarray:
-    """arcosh(cosh r cosh y) / sqrt(cosh^2 r cosh^2 y - 1), limit 1 at the origin."""
-    c = np.cosh(r) * np.cosh(y)
-    c2m1 = c * c - 1.0
-    out = np.where(
-        c2m1 < _ACOSH_EPS,
-        1.0,
-        np.arccosh(np.maximum(c, 1.0)) / np.sqrt(np.maximum(c2m1, _ACOSH_EPS)),
-    )
-    return out
-
-
 def _ch1_magnitude(y, t: float, r, theta: float):
     """Modulus e^{-(a^2 - y^2 + theta^2)/2t} amp(r, y) of the n=1 y-integrand,
-    with a = arcosh(cosh r cosh y); r and y broadcast."""
-    a = np.arccosh(np.maximum(np.cosh(r) * np.cosh(y), 1.0))
-    return np.exp(-(a * a - y * y + theta * theta) / (2.0 * t)) * _ch1_amplitude(r, y)
-
-
-def _ch1_integrand(y, t: float, r: float, theta: float):
-    """Real and imaginary parts of the n=1 y-integrand.
-
-    The complex factor e^{(y - i theta)^2 / 2t} splits into
-    e^{(y^2 - theta^2)/2t} (cos(y theta / t) - i sin(y theta / t)).
-    """
-    mag = _ch1_magnitude(y, t, r, theta)
-    phase = y * theta / t
-    return mag * np.cos(phase), -mag * np.sin(phase)
+    with a = arcosh(cosh r cosh y) and amp = a / sqrt(cosh^2 r cosh^2 y - 1)
+    (limit 1 at the origin); r and y broadcast."""
+    c = np.cosh(r) * np.cosh(y)
+    a = np.arccosh(np.maximum(c, 1.0))
+    c2m1 = c * c - 1.0
+    amp = np.where(c2m1 < _ACOSH_EPS, 1.0,
+                   a / np.sqrt(np.maximum(c2m1, _ACOSH_EPS)))
+    return np.exp(-(a * a - y * y + theta * theta) / (2.0 * t)) * amp
 
 
 def _ch1_tail_bound(W: float, t: float, r: float, theta: float) -> float:
@@ -115,8 +95,12 @@ def ch1_joint_density(t: float, r: float, theta: float,
     """Oscillatory-integral kernel p_t(r, theta) for the n=1 hyperbolic model.
 
     The joint law of the radial coordinate and area at time t has density
-    pi * p_t(r, theta) * sinh(2r) with respect to dr dtheta.  The imaginary
-    residue of the quadrature is asserted to vanish within abs_tol.
+    pi * p_t(r, theta) * sinh(2r) with respect to dr dtheta.  The y-integral
+    of e^{(y - i theta)^2 / 2t} times the real amplitude runs on composite
+    Gauss-Legendre panels over the window [-W, W]; the panels double until
+    the change meets the target or stops shrinking (the round-off floor of
+    the oscillatory sum), and est_error adds that change to the tail bound.
+    The imaginary residue is checked to vanish within abs_tol.
     """
     if not (t > 0):
         raise ValueError("t must be positive")
@@ -128,36 +112,49 @@ def ch1_joint_density(t: float, r: float, theta: float,
     scale = math.exp(-theta * theta / (2.0 * t))
     W = _ch1_window(t, r, theta, max(ctl.abs_tol / 10.0, 1e-17 * scale), ctl)
     epsabs = max(1e-300, 1e-14 * scale)
-    with warnings.catch_warnings():
-        # roundoff warnings are expected near machine precision; the final
-        # error check below is authoritative
-        warnings.simplefilter("ignore", IntegrationWarning)
-        re, re_err = quad(lambda y: _ch1_integrand(y, t, r, theta)[0], -W, W,
-                          epsabs=epsabs, epsrel=ctl.rel_tol,
-                          limit=ctl.max_subdivisions)
-        im, _ = quad(lambda y: _ch1_integrand(y, t, r, theta)[1], -W, W,
-                     epsabs=epsabs, epsrel=ctl.rel_tol,
-                     limit=ctl.max_subdivisions)
+
+    def rule(n_panels: int):
+        # e^{(y - i theta)^2/2t} = e^{(y^2 - theta^2)/2t} e^{-i y theta/t}
+        y, w = _gauss_panels(-W, W, n_panels)
+        mag = w * _ch1_magnitude(y, t, r, theta)
+        phase = y * theta / t
+        return float(mag @ np.cos(phase)), -float(mag @ np.sin(phase))
+
+    # panels follow the window and the frequency theta/t of the phase
+    n_panels = math.ceil(0.5 * W * (1.0 + abs(theta) / (4.0 * math.pi * t)))
+    re, im = rule(n_panels)
+    prev_dif = math.inf
+    for _ in range(5):
+        n_panels *= 2
+        re2, im = rule(n_panels)
+        dif, re = abs(re2 - re), re2
+        if dif <= max(epsabs, ctl.rel_tol * abs(re)) or dif >= 0.5 * prev_dif:
+            break
+        prev_dif = dif
     pref = math.exp(-t / 2.0) / (2.0 * math.pi * t) ** 2
     if abs(pref * im) > max(ctl.abs_tol, 10.0 * ctl.rel_tol * abs(pref * re)):
         raise QuadratureFailureError(
             f"imaginary residue {pref * im} above tolerance"
         )
-    err = pref * (re_err + _ch1_tail_bound(W, t, r, theta))
+    err = pref * (dif + _ch1_tail_bound(W, t, r, theta))
     val = pref * re
     if err > max(ctl.abs_tol, ctl.rel_tol * abs(val), 10.0 * epsabs * pref):
         raise QuadratureFailureError(f"error estimate {err} above target")
     return JointDensityValue(val, err)
 
 
-def _gauss_panels(lo: float, hi: float, n_panels: int, order: int = 16):
+# 16-point Gauss-Legendre rule on [-1, 1], the panel rule of every
+# composite quadrature below
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+
+def _gauss_panels(lo: float, hi: float, n_panels: int):
     """Composite Gauss-Legendre nodes and weights on [lo, hi]."""
-    xg, wg = np.polynomial.legendre.leggauss(order)
     edges = np.linspace(lo, hi, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    weights = (half[:, None] * wg[None, :]).ravel()
+    nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
+    weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
     return nodes, weights
 
 

@@ -157,6 +157,36 @@ class TestParseConfig:
                      "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("name,key,value", [
+        ("ch1-loop-density", "points", 0),
+        ("ch1-loop-density", "points", 2.7),
+        ("ch1-loop-density", "points", -21),
+        ("ch1-loop-density", "points", "21"),
+        ("jacobi-selftest", "m_max_oracle", -1),
+        ("jacobi-selftest", "m_max_oracle", 6.5),
+        ("jacobi-selftest", "m_max_eig", -1),
+        ("jacobi-selftest", "m_max_eig", None),
+    ])
+    def test_bad_quadrature_count_named(self, name, key, value, tmp_path):
+        # points = 0 and m_max_* = -1 used to write a passing verdict that
+        # compared nothing (check value 0.0); points = 2.7 ran 2 points
+        text = json.dumps({"experiment": name, "params": {key: value}})
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            parse_config(text)
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(text)
+        assert main(["--config", str(cfgp),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert main(["--experiment", name, "--override",
+                     f"{key}={json.dumps(value)}",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_quadrature_counts_accept_edges(self):
+        ExperimentSpec("ch1-loop-density", {"points": 1})
+        ExperimentSpec("ch1-loop-density", {"points": 21.0})
+        ExperimentSpec("jacobi-selftest", {"m_max_oracle": 0, "m_max_eig": 0})
+
     def test_scalar_bounds_accept_edges(self):
         ExperimentSpec("winding-cp1", {"r0": 1e-9, "sigma": 1e-9})
         ExperimentSpec("winding-cp1", {"r0": math.pi / 2 - 1e-9})

@@ -1,11 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
 from spaceform_areas import (
+    JointDensityValue,
     QuadratureControl,
+    QuadratureFailureError,
     WindowExhaustedError,
     ch1_area_cf,
     ch1_joint_density,
@@ -14,6 +17,11 @@ from spaceform_areas import (
     chn_joint_density,
 )
 from spaceform_areas import hyperbolic_kernels
+from spaceform_areas.hyperbolic_kernels import (
+    _ch1_magnitude,
+    _ch1_tail_bound,
+    _ch1_window,
+)
 
 CTL = QuadratureControl()
 
@@ -70,6 +78,66 @@ class TestCh1JointDensity:
         assert W <= 40.0
         assert hyperbolic_kernels._ch1_tail_bound(W, t, 0.0, 0.0) <= target
         assert hyperbolic_kernels._ch1_tail_bound(W - 1.0, t, 0.0, 0.0) > target
+
+
+def _ch1_integrand(y, t: float, r: float, theta: float):
+    """Real and imaginary parts of the n=1 y-integrand.
+
+    The complex factor e^{(y - i theta)^2 / 2t} splits into
+    e^{(y^2 - theta^2)/2t} (cos(y theta / t) - i sin(y theta / t)).
+    """
+    mag = _ch1_magnitude(y, t, r, theta)
+    phase = y * theta / t
+    return mag * np.cos(phase), -mag * np.sin(phase)
+
+
+def _ch1_joint_density_quad(t: float, r: float, theta: float,
+                            ctl: QuadratureControl = QuadratureControl()) -> JointDensityValue:
+    """ch1_joint_density by two adaptive scipy quad calls over the y-window,
+    the kernel's earlier body kept as an independent reference."""
+    if not (t > 0):
+        raise ValueError("t must be positive")
+    if r < 0:
+        raise ValueError("r must be nonnegative")
+    # The oscillatory y-integral cancels down to a value roughly
+    # e^{-2 pi |theta| / t} times the central integrand scale, so the tail is
+    # truncated relative to that scale rather than in absolute terms.
+    scale = math.exp(-theta * theta / (2.0 * t))
+    W = _ch1_window(t, r, theta, max(ctl.abs_tol / 10.0, 1e-17 * scale), ctl)
+    epsabs = max(1e-300, 1e-14 * scale)
+    with warnings.catch_warnings():
+        # roundoff warnings are expected near machine precision; the final
+        # error check below is authoritative
+        warnings.simplefilter("ignore", IntegrationWarning)
+        re, re_err = quad(lambda y: _ch1_integrand(y, t, r, theta)[0], -W, W,
+                          epsabs=epsabs, epsrel=ctl.rel_tol,
+                          limit=ctl.max_subdivisions)
+        im, _ = quad(lambda y: _ch1_integrand(y, t, r, theta)[1], -W, W,
+                     epsabs=epsabs, epsrel=ctl.rel_tol,
+                     limit=ctl.max_subdivisions)
+    pref = math.exp(-t / 2.0) / (2.0 * math.pi * t) ** 2
+    if abs(pref * im) > max(ctl.abs_tol, 10.0 * ctl.rel_tol * abs(pref * re)):
+        raise QuadratureFailureError(
+            f"imaginary residue {pref * im} above tolerance"
+        )
+    err = pref * (re_err + _ch1_tail_bound(W, t, r, theta))
+    val = pref * re
+    if err > max(ctl.abs_tol, ctl.rel_tol * abs(val), 10.0 * epsabs * pref):
+        raise QuadratureFailureError(f"error estimate {err} above target")
+    return JointDensityValue(val, err)
+
+
+class TestCh1JointDensityOracle:
+    @pytest.mark.parametrize("t", [0.5, 1.0, 4.0])
+    @pytest.mark.parametrize("r", [0.0, 0.6, 2.0])
+    def test_matches_adaptive_quad(self, t, r):
+        # r > 0 has no closed form; at t = 0.5, |theta| = 3 the value lies
+        # below the round-off of the oscillatory sum and both rules stop at
+        # their noise floor
+        for theta in (-3.0, -1.3, 0.0, 0.7, 3.0, 4.0):
+            new = ch1_joint_density(t, r, theta, CTL)
+            old = _ch1_joint_density_quad(t, r, theta, CTL)
+            assert abs(new.value - old.value) <= new.est_error + old.est_error
 
 
 class TestCh1AreaCf:
