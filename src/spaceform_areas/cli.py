@@ -100,11 +100,32 @@ def _is_count(v, least: int = 1) -> bool:
 
 def _check_params(params: dict) -> None:
     """Raise ValueError naming the first parameter a run cannot use:
-    `paths`, `n`, `points` and each of `ns` must be positive integers,
-    `m_max_oracle` and `m_max_eig` non-negative integers, each time
-    step 0 < dt <= t, each list parameter a non-empty list of finite
-    numbers, each of `r0s` positive, 0 < r0 < pi/2 (winding-cp1),
-    0 < sigma < inf and 0 <= p_min < 1."""
+    0 < t < inf, `lam`, `theta_lo` and `theta_hi` finite with
+    theta_lo < theta_hi, each tolerance and `sigma` in (0, inf),
+    0 < r0 < pi/2 (winding-cp1), 0 <= p_min < 1, `paths`, `n`, `points`
+    and each of `ns` positive integers, `m_max_oracle` and `m_max_eig`
+    non-negative integers, each time step 0 < dt <= t, each list parameter
+    a non-empty list of finite numbers and each of `r0s` positive."""
+    positive = lambda v: 0 < v < math.inf
+    finite = lambda v: -math.inf < v < math.inf
+    for key, in_range, bounds in (
+            ("t", positive, "0 < t < inf"),
+            ("lam", finite, "-inf < lam < inf"),
+            ("theta_lo", finite, "-inf < theta_lo < inf"),
+            ("theta_hi", finite, "-inf < theta_hi < inf"),
+            *((key, positive, f"0 < {key} < inf") for key in (
+                "tol", "oracle_tol", "eig_tol", "norm_tol", "analytic_tol",
+                "sigma")),
+            ("r0", lambda v: 0 < v < math.pi / 2, "0 < r0 < pi/2"),
+            ("p_min", lambda v: 0 <= v < 1, "0 <= p_min < 1")):
+        if key in params and not (_is_number(params[key])
+                                  and in_range(params[key])):
+            raise ValueError(
+                f"'{key}' must satisfy {bounds}, got {params[key]!r}")
+    if "theta_lo" in params and not params["theta_lo"] < params["theta_hi"]:
+        raise ValueError(
+            f"'theta_lo' must be below 'theta_hi', got theta_lo = "
+            f"{params['theta_lo']!r} with theta_hi = {params['theta_hi']!r}")
     for key, least in (("paths", 1), ("n", 1), ("points", 1),
                        ("m_max_oracle", 0), ("m_max_eig", 0)):
         if key in params and not _is_count(params[key], least):
@@ -134,14 +155,6 @@ def _check_params(params: dict) -> None:
     if "r0s" in params and not all(r0 > 0 for r0 in params["r0s"]):
         raise ValueError(
             f"'r0s' must hold positive radii, got {params['r0s']!r}")
-    for key, in_range, bounds in (
-            ("r0", lambda v: 0 < v < math.pi / 2, "0 < r0 < pi/2"),
-            ("sigma", lambda v: 0 < v < math.inf, "0 < sigma < inf"),
-            ("p_min", lambda v: 0 <= v < 1, "0 <= p_min < 1")):
-        if key in params and not (_is_number(params[key])
-                                  and in_range(params[key])):
-            raise ValueError(
-                f"'{key}' must satisfy {bounds}, got {params[key]!r}")
 
 
 @dataclass

@@ -272,38 +272,33 @@ def sample_radial_spherical(p: JacobiParams, r0: float, cfg: SimConfig,
 # ---------------------------------------------------------------------------
 # hyperbolic radial sampler
 
-def _implicit_coth_solve(arg: np.ndarray, b: float) -> np.ndarray:
-    """Solve x = arg + b*coth(x) on (0, inf) by Newton, b > 0.
+def _coth_step(arg: np.ndarray, b: float) -> np.ndarray:
+    """The implicit step x = arg + b*coth(x), b > 0, in closed form.
 
-    The map x - b coth(x) is strictly increasing from -inf, so the positive
-    root is unique; since coth >= 1 the solution satisfies x >= arg + b.
-    Every lane takes a Newton step until all residuals are below
-    _SOLVER_TOL.  Raises RuntimeError if some lane is still unconverged
-    after _MAX_SOLVER_ITERS steps.
+    coth x = 1/x + g(x), where g (the Langevin function) is increasing,
+    0 <= g < 1 and g' <= 1/3.  The 1/x part stays implicit: the positive
+    root of x = a + b/x is Q(a) = (a + sqrt(a^2 + 4b))/2.  g is taken at
+    the upper predictor x_up = Q(arg + b), so x = Q(arg + b g(x_up)).
+    Since 0 < Q' < 1, the exact root x* satisfies x* <= x <= x_up and
+    x - x* <= b^2/3, and x >= arg + b as for x*.  Each lane depends only
+    on its own arg.
     """
-    x = np.maximum(0.5 * (arg + np.sqrt(arg * arg + 4.0 * b)), 1e-12)
-    for _ in range(_MAX_SOLVER_ITERS + 1):
-        # g = x - b / tanh(x) - arg and gp = 1 + b / sinh^2 x, in place
-        g = np.tanh(x)
-        np.subtract(x, np.divide(b, g, out=g), out=g)
-        g -= arg
-        # max |g| is NaN if some g is, so a NaN lane stays unconverged
-        if np.abs(g).max(initial=0.0) < _SOLVER_TOL:
-            return x
-        gp = np.sinh(np.minimum(x, 350.0))
-        np.maximum(np.multiply(gp, gp, out=gp), 1e-300, out=gp)
-        np.divide(b, gp, out=gp)
-        gp += 1.0
-        x -= np.divide(g, gp, out=gp)
-        np.maximum(x, 1e-12, out=x)
-    raise RuntimeError(
-        f"implicit coth solve not converged after {_MAX_SOLVER_ITERS} "
-        f"steps: largest residual {np.abs(g).max():.3g}")
+    a = arg + b
+    x_up = np.maximum(0.5 * (a + np.sqrt(a * a + 4.0 * b)), 1e-12)
+    # a = arg + b g(x_up), in place
+    a = np.tanh(x_up)
+    np.subtract(np.divide(1.0, a, out=a), np.divide(1.0, x_up, out=x_up),
+                out=a)
+    a *= b
+    a += arg
+    x = 0.5 * (a + np.sqrt(a * a + 4.0 * b))
+    return np.maximum(x, 1e-12, out=x)
 
 
 # Past this radius np.tanh(r) == 1.0 in double precision (1 - tanh r is
-# about 2 exp(-2r), below half an ulp of 1 from r = 19.06 on), so the
-# implicit CH step is exactly r + (n + lam) dt + dW and tanh^2 r is 1.
+# about 2 exp(-2r), below half an ulp of 1 from r = 19.06 on), so the exact
+# implicit CH step is r + (n + lam) dt + dW and tanh^2 r is 1.  _coth_step
+# adds b (1/x - 1/x_up), about b^2/r^3 and under 1.5e-4 b^2, to it there.
 _R_FAR = 19.1
 
 
@@ -344,7 +339,7 @@ def _hyperbolic_block(n: int, lam: float, r0: float, dts: np.ndarray,
             break
         dw = rng.standard_normal(m) * math.sqrt(dt)
         # th is tanh(r), computed once per step
-        r = _implicit_coth_solve(r + b_tanh * th * dt + dw, b_coth * dt)
+        r = _coth_step(r + b_tanh * th * dt + dw, b_coth * dt)
         if track_bound:
             gamma += dw
             t_acc += dt
@@ -363,11 +358,11 @@ def sample_radial_hyperbolic(n: int, girsanov_lambda: float, r0: float,
     """Paths of the radial diffusion on [0, inf) with drift
     (1/2)((2n - 1) coth r + (2 lambda + 1) tanh r).
 
-    Semi-implicit scheme: the coth term is solved implicitly, which keeps
-    paths strictly positive and preserves the per-step lower bound
-    r_{k+1} >= r_k + (n - 1/2) dt + dW_k.  A block whose lanes are all past
-    _R_FAR finishes in one closed-form draw (see _hyperbolic_block).  No
-    clock is recorded: `clock` is all zeros.
+    Semi-implicit scheme: the coth term is stepped implicitly in closed form
+    (_coth_step), which keeps paths strictly positive and preserves the
+    per-step lower bound r_{k+1} >= r_k + (n - 1/2) dt + dW_k.  A block
+    whose lanes are all past _R_FAR finishes in one closed-form draw (see
+    _hyperbolic_block).  No clock is recorded: `clock` is all zeros.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -670,7 +665,7 @@ def _ch_area_euler_block(n: int, dts, rng, m):
         theta += th * db
         clock += th * th * dt
         arg = r + 0.5 * th * dt + dw
-        r = _implicit_coth_solve(arg, 0.5 * (2.0 * n - 1.0) * dt)
+        r = _coth_step(arg, 0.5 * (2.0 * n - 1.0) * dt)
     return r, theta, clock
 
 

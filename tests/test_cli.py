@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from spaceform_areas import cli
 from spaceform_areas.cli import (
     EXPERIMENT_DEFAULTS,
     ConfigParseError,
@@ -182,6 +183,48 @@ class TestParseConfig:
                      "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("name,key,value", [
+        ("ch1-loop-density", "t", -1.0),
+        ("berger-homogenisation", "t", 0.0),
+        ("levy-baseline", "t", float("inf")),
+        ("winding-ch1", "t", "100"),
+        ("winding-cp1", "lam", float("nan")),
+        ("levy-baseline", "lam", float("inf")),
+        ("berger-homogenisation", "lam", None),
+        ("ch1-loop-density", "theta_lo", float("nan")),
+        ("ch1-loop-density", "theta_hi", float("inf")),
+        ("ch1-loop-density", "theta_lo", 3.0),
+        ("ch1-loop-density", "theta_hi", -4.0),
+        ("ch1-loop-density", "tol", -1.0),
+        ("winding-cp1", "tol", 0.0),
+        ("jacobi-selftest", "oracle_tol", float("nan")),
+        ("jacobi-selftest", "eig_tol", -1e-6),
+        ("berger-homogenisation", "norm_tol", float("inf")),
+        ("cp-cauchy-limit", "analytic_tol", 0.0),
+    ])
+    def test_bad_scalar_named(self, name, key, value, tmp_path):
+        # each used to reach the run: t <= 0 failed its `completed` check,
+        # a NaN lam or an inverted theta range failed a comparison, and a
+        # tolerance <= 0 failed one that the values could not pass (exit 1)
+        text = json.dumps({"experiment": name, "params": {key: value}})
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            parse_config(text)
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(text)
+        assert main(["--config", str(cfgp),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert main(["--experiment", name, "--override",
+                     f"{key}={json.dumps(value)}",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_scalars_accept_edges(self):
+        ExperimentSpec("ch1-loop-density", {"t": 1e-9, "tol": 1e-300,
+                                            "theta_lo": -1e-9,
+                                            "theta_hi": 0.0})
+        ExperimentSpec("winding-cp1", {"lam": 0.0, "tol": 1e9})
+        ExperimentSpec("jacobi-selftest", {"oracle_tol": 1e-30})
+
     def test_quadrature_counts_accept_edges(self):
         ExperimentSpec("ch1-loop-density", {"points": 1})
         ExperimentSpec("ch1-loop-density", {"points": 21.0})
@@ -256,10 +299,14 @@ class TestRunExperiment:
             if "." in cell or "e" in cell:
                 assert float(cell) == float(format(float(cell), ".17g"))
 
-    def test_failure_recorded_not_raised(self, tmp_path):
-        spec = ExperimentSpec(
-            name="ch1-loop-density", params={"t": -1.0},
-            output_dir=tmp_path, master_seed=1)
+    def test_failure_recorded_not_raised(self, tmp_path, monkeypatch):
+        def runner(params, seed, threads):
+            raise RuntimeError("runner failed")
+
+        monkeypatch.setitem(cli._EXPERIMENT_RUNNERS, "ch1-loop-density",
+                            runner)
+        spec = ExperimentSpec(name="ch1-loop-density", output_dir=tmp_path,
+                              master_seed=1)
         bundle = run_experiment(spec)
         assert not bundle.passed
         man = json.loads((tmp_path / "manifest.json").read_text())

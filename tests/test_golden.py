@@ -70,11 +70,11 @@ GOLDEN_SAMPLER_CSV = {
     },
     "ch-area-cf": {
         "ch_area_cf.csv":
-            "7340abb2e299c4f4218ffbfb12615637978504b260c455e55d6a791b627a47ac",
+            "1fa2d801618d50eb939366a8b6b3cff2ce4f3ca0bbb51751c782370d6854cbc9",
     },
     "ch-gaussian-limit": {
         "ch_gaussian_limit.csv":
-            "904d36a639d5044527029f3f6c9ff98feb12c24b783e14bb904e8fe0579f0fe1",
+            "2df2bfe9d262c91121e01792833c74a1748b82c7bce5e98b1744963a0617b52d",
     },
     "winding-cp1": {
         "winding_cp1.csv":
@@ -107,7 +107,7 @@ GOLDEN_LONG_SAMPLER_CSV = {
     },
     "ch-gaussian-limit": {
         "ch_gaussian_limit.csv":
-            "4e59ebf6c5df905cd3f64befff0b3f810e996884b219a74c6fecb56a41920c39",
+            "297332b7f6808bbe1312ade49d04b1585f95d6ac273d61a20fbb6bf421b83f99",
     },
     "winding-cp1": {
         "winding_cp1.csv":

@@ -58,3 +58,48 @@ def test_foreign_import_check_flags_third_party():
 def test_imports_only_stdlib_and_numerical_stack(path):
     foreign = _foreign_imports(path.read_text(encoding="utf-8"))
     assert foreign == [], f"{path.name}: imports {foreign}"
+
+
+# A run is configured by its experiment parameters and command-line flags
+# only, so that its manifest records everything that shaped it; a setting
+# read from the environment would not appear there.
+ENVIRONMENT_NAMES = {"environ", "getenv", "putenv"}
+
+
+def _environment_access(source: str) -> list:
+    """(line, name) of every use of os.environ, os.getenv or os.putenv in
+    source, through `os`, an alias of it, or a `from os import`."""
+    tree = ast.parse(source)
+    os_names = {"os"} | {alias.asname for node in ast.walk(tree)
+                         if isinstance(node, ast.Import)
+                         for alias in node.names
+                         if alias.name == "os" and alias.asname}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [(node.lineno, f"os.{alias.name}")
+                      for alias in node.names
+                      if alias.name in ENVIRONMENT_NAMES]
+        elif (isinstance(node, ast.Attribute)
+              and node.attr in ENVIRONMENT_NAMES
+              and isinstance(node.value, ast.Name)
+              and node.value.id in os_names):
+            found.append((node.lineno, f"os.{node.attr}"))
+    return sorted(found)
+
+
+def test_environment_check_flags_os_environment():
+    source = ("import os\nimport os as system\n"
+              "from os import getenv, path\n"
+              "x = os.environ.get('HOME')\ny = system.putenv\n"
+              "z = os.path.join('a', 'b')\nenviron = {}\n"
+              "def f():\n    return os.getenv('X')\n")
+    assert _environment_access(source) == [
+        (3, "os.getenv"), (4, "os.environ"), (5, "os.putenv"),
+        (9, "os.getenv")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_environment_access(path):
+    found = _environment_access(path.read_text(encoding="utf-8"))
+    assert found == [], f"{path.name}: reads the environment at {found}"

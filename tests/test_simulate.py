@@ -273,10 +273,12 @@ class TestImplicitCotTanSolve:
         np.testing.assert_array_equal(x, alone)
 
 
-# The two implicit solvers as they stood before their sweep bodies were
+# The implicit cot/tan solver as it stood before its sweep body was
 # rewritten to issue fewer array operations, kept verbatim (with the budget
 # read from the module) as the oracle that the rewrite is bit for bit the
-# same.
+# same; and the Newton solve of x = arg + b coth x that the CH samplers used
+# before their closed-form step, kept verbatim as the exact root that step
+# is checked against.
 
 def _reference_cot_tan_solve(arg, b1, b2):
     u_cap = 28.0
@@ -377,44 +379,26 @@ class TestSolverOracle:
         _assert_same_outcome(_reference_cot_tan_solve,
                              simulate._implicit_cot_tan_solve, arg, b1, b2)
 
-    @given(arg=st.lists(st.one_of(st.floats(-5.0, 60.0),
-                                  st.floats(-1e-6, 1e-6)),
-                        min_size=1, max_size=48),
-           b=st.floats(-12.0, 1.0).map(lambda p: 10.0 ** p))
-    @settings(max_examples=300, deadline=None)
-    def test_coth_bits(self, arg, b):
-        _assert_same_outcome(_reference_coth_solve,
-                             simulate._implicit_coth_solve, np.array(arg), b)
-
     def test_exhausted_budget_same_message(self, monkeypatch):
         monkeypatch.setattr(simulate, "_MAX_SOLVER_ITERS", 1)
         _assert_same_outcome(_reference_cot_tan_solve,
                              simulate._implicit_cot_tan_solve,
                              np.array([0.3, 1.2]), 5e-3, 5e-3)
-        _assert_same_outcome(_reference_coth_solve,
-                             simulate._implicit_coth_solve,
-                             np.array([0.3, -3.0]), 0.5)
 
 
-def _coth_residual(x, arg, b):
-    return x - b / np.tanh(x) - arg
-
-
-class TestImplicitCothSolve:
-    """x = arg + b coth x, the implicit r-step of the CH samplers."""
-
-    def test_exhausted_budget_raises(self, monkeypatch):
-        monkeypatch.setattr(simulate, "_MAX_SOLVER_ITERS", 1)
-        with pytest.raises(RuntimeError, match="largest residual"):
-            simulate._implicit_coth_solve(np.array([0.3, -3.0]), 0.5)
+class TestCothStep:
+    """x = arg + b coth x in closed form, the r-step of the CH samplers,
+    against the Newton root of _reference_coth_solve."""
 
     @given(x_star=st.lists(st.floats(1e-3, 60.0), min_size=1, max_size=32),
            z=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=32),
            dt=st.floats(1e-5, 0.05),
            n=st.integers(1, 3),
            lam=st.floats(0.0, 2.0))
+    @example(x_star=[1e-3, 0.05, 2.0], z=[-6.0, 0.0, 6.0], dt=0.05, n=3,
+             lam=2.0)
     @settings(max_examples=80, deadline=None)
-    def test_root_residual_and_bound(self, x_star, z, dt, n, lam):
+    def test_bracketed_by_root_and_bound(self, x_star, z, dt, n, lam):
         # b = (n - 1/2) dt as in the CH samplers; the first lanes are given
         # an arg whose root is exactly x_star, the rest a sampler step
         b = (n - 0.5) * dt
@@ -423,19 +407,17 @@ class TestImplicitCothSolve:
         stepped = (x_star[0] + (lam + 0.5) * math.tanh(x_star[0]) * dt
                    + math.sqrt(dt) * np.asarray(z))
         arg = np.concatenate([at_root, stepped])
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(simulate, "_MAX_SOLVER_ITERS", 8)
-            x = simulate._implicit_coth_solve(arg, b)
-            alone = [simulate._implicit_coth_solve(arg[i:i + 1], b)[0]
-                     for i in range(arg.size)]
-        assert np.abs(_coth_residual(x, arg, b)).max() <= 1e-12
-        # coth >= 1, and the residual bounds the root's error since the
-        # map x - b coth x has slope >= 1
+        x = simulate._coth_step(arg, b)
+        # the step lies outward of the exact root by at most b^2/3
+        dev = x - _reference_coth_solve(arg, b)
+        assert dev.min() >= -2e-12
+        assert dev.max() <= b * b / 3.0 + 2e-12
+        # the per-step lower bound that track_bound checks
         assert np.all(x >= arg + b - 1e-12)
-        assert np.abs(x[:x_star.size] - x_star).max() <= 1e-12
-        # lanes are not frozen once converged, so a lane may take one more
-        # Newton step than it needs alone; its root agrees to tolerance
-        assert np.abs(x - alone).max() <= 2e-12
+        # a lane's step depends on its own arg only
+        alone = [simulate._coth_step(arg[i:i + 1], b)[0]
+                 for i in range(arg.size)]
+        assert np.array_equal(x, alone)
 
 
 class TestRadialHyperbolic:
@@ -446,6 +428,21 @@ class TestRadialHyperbolic:
             res = sample_radial_hyperbolic(n, 0.0, 0.0, cfg, track_bound=True)
             assert res.min_bound_slack >= -1e-9
             assert np.all(res.r_end > 0)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_cosh_moment_from_the_pole(self, n):
+        # L cosh 2r = (2n + 2) cosh 2r + 2n - 2 at lam = 0, so from the pole
+        # E[cosh 2r_t] = (2n/(n+1)) e^{2(n+1)t} - (n-1)/(n+1).  At t = 1 the
+        # scheme's bias is well inside 3 SE; the lag at small t is not
+        # checked here.
+        t = 1.0
+        r = sample_radial_hyperbolic(
+            n, 0.0, 0.0, SimConfig(t, 1e-3, 65536, 20 + n)).r_end
+        c = np.cosh(2.0 * r)
+        exact = (2.0 * n / (n + 1) * math.exp(2.0 * (n + 1) * t)
+                 - (n - 1) / (n + 1))
+        se = c.std(ddof=1) / math.sqrt(c.size)
+        assert abs(c.mean() - exact) <= 3.0 * se
 
     def test_girsanov_tilt_pushes_outward(self):
         cfg = SimConfig(1.0, 1e-3, 4000, 11)
