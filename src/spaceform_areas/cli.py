@@ -81,7 +81,13 @@ class ExperimentSpec:
             raise ValueError(
                 f"ch-area-cf supports n = 1 only, got n = "
                 f"{self.params['n']!r}")
-        _check_params(self.resolved_params())
+        params = self.resolved_params()
+        _check_params(params)
+        if self.name == "berger-homogenisation" and not params["lam"] > 0:
+            # there `lam` is the fiber stiffness of berger_kernel
+            raise ValueError(
+                f"'lam' must be positive for berger-homogenisation, got "
+                f"{params['lam']!r}")
 
     def resolved_params(self) -> dict:
         out = dict(EXPERIMENT_DEFAULTS[self.name])

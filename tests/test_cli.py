@@ -191,6 +191,8 @@ class TestParseConfig:
         ("winding-cp1", "lam", float("nan")),
         ("levy-baseline", "lam", float("inf")),
         ("berger-homogenisation", "lam", None),
+        ("berger-homogenisation", "lam", 0.0),
+        ("berger-homogenisation", "lam", -1.0),
         ("ch1-loop-density", "theta_lo", float("nan")),
         ("ch1-loop-density", "theta_hi", float("inf")),
         ("ch1-loop-density", "theta_lo", 3.0),
@@ -204,8 +206,9 @@ class TestParseConfig:
     ])
     def test_bad_scalar_named(self, name, key, value, tmp_path):
         # each used to reach the run: t <= 0 failed its `completed` check,
-        # a NaN lam or an inverted theta range failed a comparison, and a
-        # tolerance <= 0 failed one that the values could not pass (exit 1)
+        # a NaN lam or an inverted theta range failed a comparison, a
+        # tolerance <= 0 failed one that no value could pass, and a Berger
+        # stiffness <= 0 failed inside berger_kernel (exit 1)
         text = json.dumps({"experiment": name, "params": {key: value}})
         with pytest.raises(ValueError, match=f"'{key}'"):
             parse_config(text)
