@@ -22,13 +22,11 @@ from .hyperbolic_kernels import (
     WindowExhaustedError,
     ch1_area_cf,
     ch1_joint_density,
-    ch1_loop_area_density,
     ch1_loop_slice,
     chn_joint_density,
 )
 from .analytics import (
     cf_conditional_cp,
-    cf_marginal_ch,
     cf_marginal_cp,
     levy_cf,
     winding_limit_cf,
@@ -43,23 +41,16 @@ from .simulate import (
     sample_area,
     sample_planar_area,
     sample_radial_hyperbolic,
-    sample_radial_spherical,
     sample_winding,
 )
 from .specfun import (
-    CauchyLaw,
     JacobiParams,
     NormalLaw,
-    Regime,
     jacobi_poly,
-    jacobi_poly_at_one,
-    log_gamma_ratio,
 )
 from .stats import (
     CfEstimate,
-    HistogramBin,
     SampleSet,
     empirical_cf,
-    histogram_density,
     ks_statistic,
 )

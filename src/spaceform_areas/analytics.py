@@ -10,9 +10,8 @@ from scipy.integrate import quad
 
 from .densities import SeriesControl, spherical_density
 from .hyperbolic_kernels import QuadratureControl
-from .simulate import Geometry, SimConfig, girsanov_cf_estimator
+from .simulate import Geometry
 from .specfun import JacobiParams
-from .stats import CfEstimate
 
 _DENSITY_FLOOR = 1e-300
 
@@ -49,22 +48,11 @@ def cf_marginal_cp(n: int, lam: float, t: float, ctl: SeriesControl,
         return spherical_density(p, t, 0.0, r, ctl).value * math.cos(r) ** (-a)
 
     val, err = quad(integrand, 0.0, math.pi / 2,
-                    epsabs=qctl.abs_tol, epsrel=qctl.rel_tol,
-                    limit=qctl.max_subdivisions)
+                    epsabs=qctl.abs_tol, epsrel=qctl.rel_tol, limit=200)
     out = math.exp(-n * a * t) * val
     if not (-1e-12 <= out <= 1.0 + 1e-9):
         raise ArithmeticError(f"marginal CF out of range: {out}")
     return min(max(out, 0.0), 1.0)
-
-
-def cf_marginal_ch(n: int, lam: float, t: float, cfg: SimConfig,
-                   threads: int = 1) -> CfEstimate:
-    """E[e^{i lam theta(t)}] on complex hyperbolic space, as a Monte Carlo
-    estimate through the drift-tilted radial diffusion (no spectral series
-    is available in this regime)."""
-    if cfg.horizon != t:
-        cfg = SimConfig(t, min(cfg.dt, t), cfg.paths, cfg.master_seed)
-    return girsanov_cf_estimator(Geometry.ch(n), abs(lam), cfg, threads=threads)
 
 
 def levy_cf(lam: float, t: float, z: complex) -> float:

@@ -88,6 +88,14 @@ class ExperimentSpec:
             raise ValueError(
                 f"'lam' must be positive for berger-homogenisation, got "
                 f"{params['lam']!r}")
+        min_time = SeriesControl().min_time
+        if (self.name in ("cp-area-cf", "cp-cauchy-limit",
+                          "berger-homogenisation")
+                and not params["t"] >= min_time):
+            # their spectral series raise TimeTooSmallError below min_time
+            raise ValueError(
+                f"'t' must be at least {min_time} for {self.name}, got "
+                f"{params['t']!r}")
 
     def resolved_params(self) -> dict:
         out = dict(EXPERIMENT_DEFAULTS[self.name])

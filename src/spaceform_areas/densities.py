@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .specfun import JacobiParams, Regime, _jacobi_table, jacobi_endpoint_bound
+from .specfun import JacobiParams, _jacobi_table, jacobi_endpoint_bound
 
 
 class SeriesNotConvergedError(RuntimeError):
@@ -122,11 +122,9 @@ def spherical_density(p: JacobiParams, t: float, r0: float, r: float,
                       ctl: SeriesControl = SeriesControl()) -> DensityValue:
     """Transition density q_t^{alpha,beta}(r0, r) of the radial diffusion on [0, pi/2].
 
-    Density with respect to Lebesgue measure in r.  Requires the trigonometric
-    regime with alpha, beta >= 0 and t >= ctl.min_time.
+    Density with respect to Lebesgue measure in r.  Requires alpha, beta >= 0
+    and t >= ctl.min_time.
     """
-    if p.regime is not Regime.TRIGONOMETRIC:
-        raise ValueError("spherical_density requires the trigonometric regime")
     if p.alpha < 0 or p.beta < 0:
         raise ValueError("spherical_density requires alpha, beta >= 0")
     if t < ctl.min_time:
@@ -147,8 +145,6 @@ def stationary_spherical_density(p: JacobiParams, r) -> np.ndarray:
     Equals 2 (cos r)^{2 beta + 1} (sin r)^{2 alpha + 1} / B(alpha+1, beta+1)
     (the degree-0 term of the spectral series).
     """
-    if p.regime is not Regime.TRIGONOMETRIC:
-        raise ValueError("requires the trigonometric regime")
     if p.alpha < 0 or p.beta < 0:
         raise ValueError("requires alpha, beta >= 0")
     a, b = p.alpha, p.beta

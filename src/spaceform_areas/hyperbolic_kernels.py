@@ -2,19 +2,17 @@
 
 Evaluates the n=1 and n>=2 oscillatory-integral formulas for the joint density
 p_t(r, theta) of the radial coordinate and stochastic area, the n=1 area
-characteristic function integrated from it, and the closed-form loop-area
-density at r=0 for n=1.
+characteristic function integrated from it, and the closed-form r=0 slice
+for n=1.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 
 class QuadratureFailureError(RuntimeError):
@@ -30,15 +28,12 @@ class QuadratureControl:
     rel_tol: float = 1e-9
     abs_tol: float = 1e-11
     max_window: float = 60.0
-    max_subdivisions: int = 200
 
     def __post_init__(self):
         if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValueError("tolerances must be positive")
         if self.max_window < 1:
             raise ValueError("max_window must be >= 1")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -350,29 +345,6 @@ def ch1_area_cf(lam: float, t: float,
         k += 1.0
 
 
-_loop_norm_cache: dict[float, float] = {}
-_loop_norm_lock = threading.Lock()
-
-
-def _loop_norm(t: float) -> float:
-    with _loop_norm_lock:
-        cached = _loop_norm_cache.get(t)
-    if cached is not None:
-        return cached
-    def integrand(th: float) -> float:
-        x = abs(math.pi * th / (2.0 * t))
-        # 1/cosh^2 x = 4 e^{-2x} / (1 + e^{-2x})^2, overflow-safe
-        e = math.exp(-2.0 * x)
-        return math.exp(-th * th / (2.0 * t)) * 4.0 * e / (1.0 + e) ** 2
-
-    val, _ = quad(integrand, -np.inf, np.inf, epsabs=1e-14, epsrel=1e-12, limit=200)
-    if not (val > 0):
-        raise QuadratureFailureError("normalization constant quadrature failed")
-    with _loop_norm_lock:
-        _loop_norm_cache[t] = val
-    return val
-
-
 def ch1_loop_slice(t: float, theta) -> np.ndarray:
     """Unnormalized r=0 slice of the n=1 kernel, in closed form.
 
@@ -385,19 +357,4 @@ def ch1_loop_slice(t: float, theta) -> np.ndarray:
     out = (math.exp(-t / 2.0) / (8.0 * t * t)
            * np.exp(-theta * theta / (2.0 * t))
            / np.cosh(np.pi * theta / (2.0 * t)) ** 2)
-    return out if out.ndim else float(out)
-
-
-def ch1_loop_area_density(t: float, theta, ctl: QuadratureControl = QuadratureControl()):
-    """Density of the loop (r(t)=0 bridge) area for the n=1 hyperbolic model.
-
-    (1/C(t)) e^{-theta^2/2t} / cosh^2(pi theta / 2t), with C(t) computed once
-    per t by quadrature and cached per distinct t.
-    """
-    if not (t > 0):
-        raise ValueError("t must be positive")
-    c = _loop_norm(t)
-    theta = np.asarray(theta, dtype=float)
-    out = (np.exp(-theta * theta / (2.0 * t))
-           / np.cosh(np.pi * theta / (2.0 * t)) ** 2 / c)
     return out if out.ndim else float(out)

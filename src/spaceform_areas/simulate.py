@@ -17,13 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import JacobiParams, Regime
 from .stats import CfEstimate
 
 BLOCK_SIZE = 4096
 EPS_START = 1e-6
 FINE_DT = 1e-4
-CLOCK_CAP = 1e12
 
 
 @dataclass(frozen=True)
@@ -70,13 +68,11 @@ class Geometry:
 
 @dataclass
 class RadialSamples:
-    """Terminal radial values and accumulated clock (zeros when no clock is
-    recorded), with scheme diagnostics."""
+    """Terminal radial values, with scheme diagnostics."""
 
     r_end: np.ndarray
-    clock: np.ndarray
-    cap_count: int = 0
-    # min over all paths/steps of r - ((n - 1/2) t + gamma); hyperbolic only
+    # min over all paths/steps of r - ((n - 1/2) t + gamma); inf unless
+    # track_bound
     min_bound_slack: float = math.inf
 
 
@@ -142,27 +138,7 @@ def _run_blocks(cfg: SimConfig, block_fn, threads: int = 1) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# the tan^2 r clock integrand, accumulated by the trapezoid rule and capped
-# per step
-
-def _tan2(r: np.ndarray) -> np.ndarray:
-    rho = np.cos(2.0 * r)
-    return (1.0 - rho) / np.maximum(1.0 + rho, 1e-300)
-
-
-def _clock_step(clock_fn, r: np.ndarray, f_old: np.ndarray,
-                clock: np.ndarray, caps: np.ndarray, dt: float) -> np.ndarray:
-    """Add one trapezoid step of clock_fn along r to clock, counting in caps
-    the lanes where it exceeded CLOCK_CAP; returns the capped clock_fn(r)."""
-    f_new = clock_fn(r)
-    caps += f_new > CLOCK_CAP
-    f_new = np.minimum(f_new, CLOCK_CAP)
-    clock += 0.5 * (f_old + f_new) * dt
-    return f_new
-
-
-# ---------------------------------------------------------------------------
-# spherical radial sampler
+# implicit cot/tan solve of the r-mode CP^n area step (_cp_area_phi)
 
 _MAX_SOLVER_ITERS = 60
 _SOLVER_TOL = 1e-12
@@ -219,54 +195,6 @@ def _implicit_cot_tan_solve(arg: np.ndarray, b1: float, b2: float) -> np.ndarray
     raise RuntimeError(
         f"implicit cot/tan solve not converged after {_MAX_SOLVER_ITERS} "
         f"steps: largest residual {np.abs(h).max():.3g}")
-
-
-def _spherical_block(p: JacobiParams, r0: float, dts: np.ndarray,
-                     rng: np.random.Generator, m: int, clock_fn):
-    """Semi-implicit scheme in r for one block of m paths; both singular
-    drift terms are solved implicitly, which keeps every path strictly
-    inside (0, pi/2) with no clamping."""
-    b1, b2 = p.alpha + 0.5, p.beta + 0.5
-    r = np.full(m, r0)
-    clock = np.zeros(m)
-    caps = np.zeros(m, dtype=np.int64)
-    f = None if clock_fn is None else np.minimum(clock_fn(r), CLOCK_CAP)
-    for dt in dts:
-        dw = rng.standard_normal(m) * math.sqrt(dt)
-        r = _implicit_cot_tan_solve(r + dw, b1 * dt, b2 * dt)
-        if clock_fn is not None:
-            f = _clock_step(clock_fn, r, f, clock, caps, dt)
-    return r, clock, caps
-
-
-def sample_radial_spherical(p: JacobiParams, r0: float, cfg: SimConfig,
-                            record_clock: str = "none",
-                            threads: int = 1) -> RadialSamples:
-    """Paths of the radial diffusion on [0, pi/2] with generator
-    (1/2)(d^2/dr^2 + ((2 alpha + 1) cot r - (2 beta + 1) tan r) d/dr).
-
-    Requires alpha, beta >= 0 (r=0 and r=pi/2 are then entrance boundaries).
-    `record_clock` is 'none' or 'tan2'; the integrand is accumulated by the
-    trapezoid rule and capped per step.
-    """
-    if p.regime is not Regime.TRIGONOMETRIC:
-        raise ValueError("requires trigonometric JacobiParams")
-    if p.alpha < 0 or p.beta < 0:
-        raise ValueError("requires alpha, beta >= 0 (entrance boundaries)")
-    if not (0.0 <= r0 < math.pi / 2):
-        raise ValueError("r0 must lie in [0, pi/2)")
-    if record_clock not in ("none", "tan2"):
-        raise ValueError(f"unknown spherical clock {record_clock!r}")
-    clock_fn = _tan2 if record_clock == "tan2" else None
-    eps_started = r0 == 0.0
-    r0_eff = EPS_START if eps_started else r0
-    dts = _time_grid(cfg, refine_start=eps_started)
-
-    def block(i, m, rng):
-        return _spherical_block(p, r0_eff, dts, rng, m, clock_fn)
-
-    r_end, clock, caps = _run_blocks(cfg, block, threads)
-    return RadialSamples(r_end, clock, cap_count=int(caps.sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +290,7 @@ def sample_radial_hyperbolic(n: int, girsanov_lambda: float, r0: float,
     (_coth_step), which keeps paths strictly positive and preserves the
     per-step lower bound r_{k+1} >= r_k + (n - 1/2) dt + dW_k.  A block
     whose lanes are all past _R_FAR finishes in one closed-form draw (see
-    _hyperbolic_block).  No clock is recorded: `clock` is all zeros.
+    _hyperbolic_block).
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -380,8 +308,7 @@ def sample_radial_hyperbolic(n: int, girsanov_lambda: float, r0: float,
         return r, slack
 
     r_end, slack = _run_blocks(cfg, block, threads)
-    return RadialSamples(r_end, np.zeros_like(r_end),
-                         min_bound_slack=float(slack.min()))
+    return RadialSamples(r_end, min_bound_slack=float(slack.min()))
 
 
 # ---------------------------------------------------------------------------

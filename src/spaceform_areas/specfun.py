@@ -1,13 +1,12 @@
-"""Special functions and reference laws used across the package.
+"""Special functions and the reference law used across the package.
 
-Jacobi polynomials with real parameters (three-term recurrence), log-gamma
-ratios for series coefficients, and the Cauchy / normal reference
-characteristic functions that appear as limit laws.
+Jacobi polynomials with real parameters (three-term recurrence), their
+endpoint bounds through log-gamma ratios, and the normal law of the CH^n
+Gaussian area limit.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -15,49 +14,21 @@ import numpy as np
 from scipy.special import gammaln
 
 
-class Regime(enum.Enum):
-    """State space of the radial diffusion: [0, pi/2] or [0, inf)."""
-
-    TRIGONOMETRIC = "trigonometric"
-    HYPERBOLIC = "hyperbolic"
-
-
 @dataclass(frozen=True)
 class JacobiParams:
     """Parameters (alpha, beta) of a radial Jacobi generator.
 
-    alpha, beta must both exceed -1.  The regime selects the trigonometric
-    diffusion on [0, pi/2] or the hyperbolic one on [0, inf).
+    alpha, beta must both exceed -1.
     """
 
     alpha: float
     beta: float
-    regime: Regime = Regime.TRIGONOMETRIC
 
     def __post_init__(self):
         if not (self.alpha > -1.0):
             raise ValueError(f"alpha must be > -1, got {self.alpha}")
         if not (self.beta > -1.0):
             raise ValueError(f"beta must be > -1, got {self.beta}")
-        if not isinstance(self.regime, Regime):
-            raise ValueError(f"regime must be a Regime, got {self.regime!r}")
-
-
-@dataclass(frozen=True)
-class CauchyLaw:
-    """Centered Cauchy law; `scale` is the parameter of the limit laws."""
-
-    scale: float
-
-    def __post_init__(self):
-        if not (self.scale > 0):
-            raise ValueError(f"scale must be positive, got {self.scale}")
-
-    def cf(self, lam: float) -> complex:
-        return complex(math.exp(-self.scale * abs(lam)))
-
-    def cdf(self, x) -> np.ndarray:
-        return 0.5 + np.arctan(np.asarray(x, dtype=float) / self.scale) / np.pi
 
 
 @dataclass(frozen=True)
@@ -70,11 +41,6 @@ class NormalLaw:
     def __post_init__(self):
         if self.variance < 0:
             raise ValueError(f"variance must be >= 0, got {self.variance}")
-
-    def cf(self, lam: float) -> complex:
-        return complex(
-            np.exp(1j * self.mean * lam - 0.5 * self.variance * lam * lam)
-        )
 
     def cdf(self, x) -> np.ndarray:
         from scipy.special import ndtr

@@ -1,10 +1,10 @@
 """Estimation and goodness-of-fit helpers: empirical characteristic
-functions, one-sample Kolmogorov-Smirnov statistics, histograms."""
+functions and one-sample Kolmogorov-Smirnov statistics."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,35 +91,3 @@ def ks_statistic(s: SampleSet, cdf) -> tuple[float, float]:
     d = max(d_plus, d_minus)
     p = _kolmogorov_sf(math.sqrt(n) * d)
     return d, p
-
-
-@dataclass(frozen=True)
-class HistogramBin:
-    center: float
-    density: float
-    std_error: float
-
-
-def histogram_density(s: SampleSet, bins: int, range: tuple[float, float]
-                      ) -> list[HistogramBin]:
-    """Normalized histogram with per-bin multinomial standard errors.
-
-    Densities are normalized by the total sample count, so bin masses plus
-    the out-of-range fraction sum to exactly 1.
-    """
-    s.require_nonempty()
-    lo, hi = range
-    if not (hi > lo):
-        raise ValueError("range must be non-degenerate")
-    if bins < 2:
-        raise ValueError("bins must be >= 2")
-    n = s.values.size
-    counts, edges = np.histogram(s.values, bins=bins, range=(lo, hi))
-    width = (hi - lo) / bins
-    out = []
-    for c, e0 in zip(counts, edges[:-1]):
-        p = c / n
-        dens = p / width
-        se = math.sqrt(p * (1.0 - p) / n) / width
-        out.append(HistogramBin(float(e0 + width / 2), dens, se))
-    return out

@@ -9,9 +9,7 @@ from spaceform_areas import (
     JacobiParams,
     QuadratureControl,
     SeriesControl,
-    SimConfig,
     cf_conditional_cp,
-    cf_marginal_ch,
     cf_marginal_cp,
     levy_cf,
     spherical_density,
@@ -66,14 +64,6 @@ class TestCfMarginalCp:
         for n in (1, 2):
             v = cf_marginal_cp(n, 1.0 / 50.0, 50.0, SCTL, QCTL)
             assert v == pytest.approx(math.exp(-n), abs=5e-3)
-
-
-class TestCfMarginalCh:
-    def test_matches_girsanov_estimator_contract(self):
-        est = cf_marginal_ch(1, 0.5, 0.5, SimConfig(0.5, 1e-3, 4096, 21))
-        assert est.n_samples == 4096
-        assert 0.0 < est.value.real <= 1.0
-        assert est.std_error > 0
 
 
 class TestLevyCf:

@@ -15,6 +15,7 @@ from spaceform_areas.cli import (
     parse_config,
     run_experiment,
 )
+from spaceform_areas.densities import SeriesControl
 
 
 class TestParseConfig:
@@ -245,6 +246,30 @@ class TestParseConfig:
         spec = ExperimentSpec("winding-cp1", {"t": 0.5, "dt": 0.5,
                                               "paths": 4096.0})
         assert spec.resolved_params()["dt"] == 0.5
+
+    @pytest.mark.parametrize("name,params", [
+        ("berger-homogenisation", {"t": 1e-4}),
+        ("cp-area-cf", {"t": 5e-4, "dt_direct": 1e-4, "dt_girsanov": 1e-4}),
+        ("cp-cauchy-limit", {"t": 5e-4, "dt": 1e-4}),
+    ], ids=["berger-homogenisation", "cp-area-cf", "cp-cauchy-limit"])
+    def test_series_time_below_min_time_named(self, name, params, tmp_path):
+        # each used to fail its `completed` check with TimeTooSmallError
+        # (exit 1) once the spectral series met t < SeriesControl.min_time
+        text = json.dumps({"experiment": name, "params": params})
+        with pytest.raises(ValueError, match="'t'"):
+            parse_config(text)
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(text)
+        assert main(["--config", str(cfgp),
+                     "--out", str(tmp_path / "o")]) == 2
+        overrides = [arg for key, value in params.items()
+                     for arg in ("--override", f"{key}={json.dumps(value)}")]
+        assert main(["--experiment", name, *overrides,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+        min_time = SeriesControl().min_time
+        spec = ExperimentSpec(name, {**params, "t": min_time})
+        assert spec.resolved_params()["t"] == min_time
 
     def test_defaults_pass_sampler_checks(self):
         for name in EXPERIMENT_DEFAULTS:

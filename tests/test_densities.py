@@ -7,7 +7,6 @@ from scipy.integrate import quad
 
 from spaceform_areas import (
     JacobiParams,
-    Regime,
     SeriesControl,
     SeriesNotConvergedError,
     TimeTooSmallError,
@@ -16,6 +15,7 @@ from spaceform_areas import (
     spherical_density,
     stationary_spherical_density,
 )
+from spaceform_areas.densities import _fiber_series
 
 CTL = SeriesControl()
 
@@ -68,11 +68,6 @@ class TestSphericalDensity:
         with pytest.raises(TimeTooSmallError):
             spherical_density(JacobiParams(0.0, 0.0), 1e-5, 0.0, 0.5, CTL)
 
-    def test_requires_trigonometric_regime(self):
-        p = JacobiParams(1.0, 0.0, Regime.HYPERBOLIC)
-        with pytest.raises(ValueError):
-            spherical_density(p, 0.5, 0.0, 0.5, CTL)
-
     def test_tail_estimate_reported(self):
         v = spherical_density(JacobiParams(1.0, 0.0), 0.5, 0.0, 0.7, CTL)
         assert 0 <= v.truncation_bound < 1e-10
@@ -84,6 +79,22 @@ class TestStationaryDensity:
         total, _ = quad(lambda r: float(stationary_spherical_density(p, r)),
                         0.0, math.pi / 2.0, epsabs=1e-13, limit=200)
         assert total == pytest.approx(1.0, abs=1e-9)
+
+
+def _fiber_gap_bound(n, lam, t, r):
+    """B(r) = pref sum_{k>=1} 2 e^{-k^2 lam^2 t/2} |cos r|^k A_k, where A_k
+    bounds the inner m-series of fiber frequency k in absolute value; B
+    bounds the k >= 1 terms that berger_kernel adds to berger_limit_kernel."""
+    pref = math.gamma(n) / (2.0 * math.pi ** (n + 1))
+    x, c = math.cos(2.0 * r), abs(math.cos(r))
+    total = 0.0
+    for k in range(1, CTL.max_terms + 1):
+        term = (2.0 * math.exp(-0.5 * k * k * lam * lam * t) * c ** k
+                * _fiber_series(n, k, t, x, CTL)[2])
+        total += term
+        if term <= 1e-17 * total:
+            break
+    return pref * total
 
 
 class TestBergerKernel:
@@ -121,6 +132,29 @@ class TestBergerKernel:
             0.0, math.pi / 2.0, epsabs=1e-11, epsrel=1e-10, limit=200)
         total *= 2.0 * math.pi
         assert total == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("lam", [2.0, 5.0])
+    def test_gap_within_fiber_bound(self, lam):
+        # criterion-10's grid at moderate stiffness; at its stiffness of 50
+        # the gap is exactly 0, so there the criterion tests no k >= 1 term
+        n, t = 1, 0.5
+        worst, worst_bound = 0.0, 0.0
+        for r in np.linspace(0.12, 1.45, 5):
+            lim = berger_limit_kernel(n, t, float(r), CTL)
+            bound = _fiber_gap_bound(n, lam, t, float(r))
+            for th in np.linspace(-2.0, 2.0, 5):
+                v = berger_kernel(n, lam, t, float(r), float(th), CTL)
+                gap = abs(v.value - lim.value)
+                assert gap <= (bound + v.truncation_bound
+                               + lim.truncation_bound)
+                worst = max(worst, gap)
+            worst_bound = max(worst_bound, bound)
+        # the bound is nearly attained, so the check above is not vacuous
+        assert worst >= 0.5 * worst_bound
+
+    def test_fiber_bound_vanishes_at_large_stiffness(self):
+        for r in np.linspace(0.12, 1.45, 5):
+            assert _fiber_gap_bound(1, 50.0, 0.5, float(r)) < 1e-250
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,6 @@ from spaceform_areas import (
     WindowExhaustedError,
     ch1_area_cf,
     ch1_joint_density,
-    ch1_loop_area_density,
     ch1_loop_slice,
     chn_joint_density,
 )
@@ -64,7 +63,7 @@ class TestCh1JointDensity:
 
     def test_window_exhaustion_raises(self):
         tight = QuadratureControl(rel_tol=1e-9, abs_tol=1e-11,
-                                  max_window=1.0, max_subdivisions=200)
+                                  max_window=1.0)
         with pytest.raises(WindowExhaustedError):
             ch1_joint_density(1.0, 0.5, 0.3, tight)
 
@@ -110,11 +109,9 @@ def _ch1_joint_density_quad(t: float, r: float, theta: float,
         # error check below is authoritative
         warnings.simplefilter("ignore", IntegrationWarning)
         re, re_err = quad(lambda y: _ch1_integrand(y, t, r, theta)[0], -W, W,
-                          epsabs=epsabs, epsrel=ctl.rel_tol,
-                          limit=ctl.max_subdivisions)
+                          epsabs=epsabs, epsrel=ctl.rel_tol, limit=200)
         im, _ = quad(lambda y: _ch1_integrand(y, t, r, theta)[1], -W, W,
-                     epsabs=epsabs, epsrel=ctl.rel_tol,
-                     limit=ctl.max_subdivisions)
+                     epsabs=epsabs, epsrel=ctl.rel_tol, limit=200)
     pref = math.exp(-t / 2.0) / (2.0 * math.pi * t) ** 2
     if abs(pref * im) > max(ctl.abs_tol, 10.0 * ctl.rel_tol * abs(pref * re)):
         raise QuadratureFailureError(
@@ -211,18 +208,3 @@ class TestChnJointDensity:
     def test_error_estimate_small(self):
         v = chn_joint_density(2, 1.0, 0.8, 0.5, CTL)
         assert v.est_error < 1e-6 * max(abs(v.value), 1e-30)
-
-
-class TestLoopAreaDensity:
-    def test_normalized(self):
-        total, _ = quad(lambda th: float(ch1_loop_area_density(1.0, th, CTL)),
-                        -40.0, 40.0, limit=200)
-        assert total == pytest.approx(1.0, abs=1e-9)
-
-    def test_proportional_to_loop_slice(self):
-        # same shape as the r=0 kernel slice, rescaled to unit mass
-        ths = np.array([-2.0, -0.5, 0.5, 1.5])
-        d = np.array([float(ch1_loop_area_density(1.0, t, CTL)) for t in ths])
-        s = ch1_loop_slice(1.0, ths)
-        ratio = d / s
-        assert np.allclose(ratio, ratio[0], rtol=1e-10)

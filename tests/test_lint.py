@@ -103,3 +103,42 @@ def test_environment_check_flags_os_environment():
 def test_no_environment_access(path):
     found = _environment_access(path.read_text(encoding="utf-8"))
     assert found == [], f"{path.name}: reads the environment at {found}"
+
+
+def _unused_imports(source: str) -> list:
+    """(line, name) of every name bound by a module-level import of source
+    that is never read as a name; `from __future__` imports are
+    directives, not bindings."""
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound = [alias.asname or alias.name.partition(".")[0]
+                     for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound = [alias.asname or alias.name for alias in node.names]
+        else:
+            continue
+        found += [(node.lineno, name) for name in bound if name not in used]
+    return sorted(found)
+
+
+def test_unused_import_check_flags_unread_names():
+    source = ("from __future__ import annotations\nimport math\n"
+              "import numpy as np\nimport os.path\n"
+              "from dataclasses import dataclass, field\n"
+              "from . import specfun\n"
+              "@dataclass\nclass A:\n    x: np.ndarray\n"
+              "def f():\n    import threading\n"
+              "    return os.path.join(specfun.__name__)\n")
+    assert _unused_imports(source) == [(2, "math"), (5, "field")]
+
+
+# __init__.py imports in order to re-export
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "__init__.py"],
+    ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    unused = _unused_imports(path.read_text(encoding="utf-8"))
+    assert unused == [], f"{path.name}: unused import(s) {unused}"

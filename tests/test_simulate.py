@@ -11,7 +11,6 @@ from scipy.stats import ks_2samp, kstest
 
 from spaceform_areas import (
     Geometry,
-    JacobiParams,
     SeriesControl,
     SimConfig,
     empirical_cf,
@@ -19,9 +18,7 @@ from spaceform_areas import (
     sample_area,
     sample_planar_area,
     sample_radial_hyperbolic,
-    sample_radial_spherical,
     sample_winding,
-    stationary_spherical_density,
     SampleSet,
 )
 from spaceform_areas import simulate
@@ -188,34 +185,6 @@ class TestTimeGrid:
         # 0.01 t <= 0.05 there, so the cap leaves every step's bits alone
         dts = simulate._time_grid(SimConfig(horizon, dt, 1, 1), True)
         np.testing.assert_array_equal(dts, _uncapped_time_grid(horizon, dt))
-
-
-class TestRadialSpherical:
-    def test_long_time_stationary_law(self):
-        p = JacobiParams(1.0, 0.5)
-        cfg = SimConfig(6.0, 2e-3, 4000, 99)
-        res = sample_radial_spherical(p, 0.0, cfg)
-        grid = np.linspace(1e-6, math.pi / 2 - 1e-6, 400)
-        pdf = np.array([stationary_spherical_density(p, r) for r in grid])
-        cdf_grid = np.concatenate(
-            [[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))])
-        cdf_grid /= cdf_grid[-1]
-        stat = kstest(res.r_end, lambda x: np.interp(x, grid, cdf_grid))
-        assert stat.pvalue > 0.01
-
-    def test_range_and_clock(self):
-        cfg = SimConfig(1.0, 1e-3, 2000, 5)
-        res = sample_radial_spherical(JacobiParams(1.0, 0.7), 0.3, cfg,
-                                      record_clock="tan2")
-        assert np.all(res.r_end > 0) and np.all(res.r_end < math.pi / 2)
-        assert np.all(res.clock > 0)
-
-    def test_requires_trig_regime_and_bounds(self):
-        cfg = SimConfig(1.0, 1e-2, 8, 1)
-        with pytest.raises(ValueError):
-            sample_radial_spherical(JacobiParams(-0.5, 0.0), 0.3, cfg)
-        with pytest.raises(ValueError):
-            sample_radial_spherical(JacobiParams(1.0, 0.0), 1.6, cfg)
 
 
 def _cot_tan_residual(x, arg, b1, b2):
@@ -548,7 +517,7 @@ class TestGirsanov:
         monkeypatch.setattr(
             simulate, "sample_radial_hyperbolic",
             lambda *args, **kwargs: simulate.RadialSamples(
-                np.array([0.5, math.nan]), np.zeros(2)))
+                np.array([0.5, math.nan])))
         with pytest.raises(RuntimeError):
             girsanov_cf_estimator(Geometry.ch(1), 1.0,
                                   SimConfig(0.5, 1e-2, 2, 3))

@@ -11,7 +11,6 @@ from spaceform_areas import (
     NormalLaw,
     SampleSet,
     empirical_cf,
-    histogram_density,
     ks_statistic,
 )
 
@@ -97,28 +96,3 @@ class TestKsStatistic:
         shifted = NormalLaw(1.0, 4.0)
         d2, _ = ks_statistic(SampleSet(x + 1.0), shifted.cdf)
         assert d1 == pytest.approx(d2, abs=1e-12)
-
-
-class TestHistogramDensity:
-    def test_total_mass_at_most_one(self):
-        rng = np.random.default_rng(9)
-        s = SampleSet(rng.standard_normal(2000))
-        bins = histogram_density(s, 20, (-2.0, 2.0))
-        width = 4.0 / 20
-        mass = sum(b.density for b in bins) * width
-        in_range = np.mean((s.values >= -2) & (s.values <= 2))
-        assert mass == pytest.approx(in_range, abs=1e-9)
-
-    def test_bin_validation(self):
-        s = SampleSet(np.array([0.0, 1.0]))
-        with pytest.raises(ValueError):
-            histogram_density(s, 1, (0.0, 1.0))
-        with pytest.raises(ValueError):
-            histogram_density(s, 10, (1.0, 1.0))
-
-    def test_se_positive_for_occupied_bins(self):
-        rng = np.random.default_rng(10)
-        s = SampleSet(rng.standard_normal(500))
-        for b in histogram_density(s, 10, (-1.0, 1.0)):
-            if b.density > 0:
-                assert b.std_error > 0
