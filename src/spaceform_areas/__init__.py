@@ -20,9 +20,9 @@ from .hyperbolic_kernels import (
     QuadratureControl,
     QuadratureFailureError,
     WindowExhaustedError,
-    ch1_area_cf,
     ch1_joint_density,
     ch1_loop_slice,
+    ch_area_cf,
     chn_joint_density,
 )
 from .analytics import (

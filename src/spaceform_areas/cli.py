@@ -32,9 +32,9 @@ from .densities import (
 from .hyperbolic_kernels import (
     JointDensityValue,
     QuadratureControl,
-    ch1_area_cf,
     ch1_joint_density,
     ch1_loop_slice,
+    ch_area_cf,
 )
 from .simulate import (
     Geometry,
@@ -76,11 +76,6 @@ class ExperimentSpec:
             raise UnknownKeyError(
                 f"unknown parameter key(s) {bad} for experiment "
                 f"{self.name!r}; known: {sorted(defaults)}")
-        if self.name == "ch-area-cf" and self.resolved_params()["n"] != 1:
-            # its quadrature column is the CH^1 area CF
-            raise ValueError(
-                f"ch-area-cf supports n = 1 only, got n = "
-                f"{self.params['n']!r}")
         params = self.resolved_params()
         _check_params(params)
         if self.name == "berger-homogenisation" and not params["lam"] > 0:
@@ -314,10 +309,10 @@ def _eigen_residual(m: int, p: JacobiParams, x: float) -> float:
     return abs(g - target) / scale
 
 
-def _quad_cf_ch1(lam: float, t: float) -> JointDensityValue:
-    """CF of the area by quadrature of the n=1 hyperbolic kernel, with its
-    error estimate (the call site that perfbench's tracer wraps)."""
-    return ch1_area_cf(lam, t)
+def _quad_cf_ch1(lam: float, t: float, n: int = 1) -> JointDensityValue:
+    """CF of the area on CH^n by quadrature of the hyperbolic kernel, with
+    its error estimate (the call site that perfbench's tracer wraps)."""
+    return ch_area_cf(n, lam, t)
 
 
 def _quad_cf_planar(lam: float, t: float, nodes: int = 64) -> float:
@@ -463,7 +458,7 @@ def _exp_ch_area_cf(params, seed, threads):
     rows, checks = [], []
     worst_err = 0.0
     for k, lam in enumerate(lambdas):
-        q = _quad_cf_ch1(lam, t)
+        q = _quad_cf_ch1(lam, t, n)
         quad_cf = q.value
         worst_err = max(worst_err, q.est_error)
         gir = girsanov_cf_estimator(

@@ -1,9 +1,12 @@
 """Quadrature evaluators for the joint radial/area densities on the hyperbolic side.
 
-Evaluates the n=1 and n>=2 oscillatory-integral formulas for the joint density
-p_t(r, theta) of the radial coordinate and stochastic area, the n=1 area
-characteristic function integrated from it, and the closed-form r=0 slice
-for n=1.
+On CH^n the joint kernel of (radius, area) is a y-integral of the heat
+kernel of real hyperbolic space H^{2n+1} at cosh(delta) = cosh r cosh y.
+In odd dimension that kernel is, up to its constant, the closed form
+F_n(delta) = (-(1/sinh delta) d/d delta)^n e^{-delta^2/2t}.  One magnitude
+function evaluates it for every n, one y-panel rule integrates the joint
+density from it, and one positive (r, y) rule the area characteristic
+function; the r=0 slice for n=1 is in closed form.
 """
 
 from __future__ import annotations
@@ -44,41 +47,112 @@ class JointDensityValue:
     est_error: float
 
 
-_ACOSH_EPS = 1e-12
-
-def _ch1_magnitude(y, t: float, r, theta: float):
-    """Modulus e^{-(a^2 - y^2 + theta^2)/2t} amp(r, y) of the n=1 y-integrand,
-    with a = arcosh(cosh r cosh y) and amp = a / sqrt(cosh^2 r cosh^2 y - 1)
-    (limit 1 at the origin); r and y broadcast."""
-    c = np.cosh(r) * np.cosh(y)
-    a = np.arccosh(np.maximum(c, 1.0))
-    c2m1 = c * c - 1.0
-    amp = np.where(c2m1 < _ACOSH_EPS, 1.0,
-                   a / np.sqrt(np.maximum(c2m1, _ACOSH_EPS)))
-    return np.exp(-(a * a - y * y + theta * theta) / (2.0 * t)) * amp
+# Taylor terms of F_n in v = cosh(delta) - 1 used below delta_0 = min(sqrt t, 1)
+_SERIES_TERMS = 60
 
 
-def _ch1_tail_bound(W: float, t: float, r: float, theta: float) -> float:
-    """Bound on the two y-tails beyond [-W, W] of the n=1 integrand.
+@functools.cache
+def _terms(n: int) -> tuple:
+    """Terms (c, p, q, b) of e^{delta^2/2t} F_n, each c delta^p t^{-q}
+    coth^b(delta) / sinh^n(delta), from g_0 = 1 and
+    g_{k+1} = (delta g_k / t - g_k') / sinh(delta)."""
+    terms = {(0, 0, 0): 1}
+    for k in range(n):
+        nxt = {}
+        for (p, q, b), c in terms.items():
+            for key, d in (((p + 1, q + 1, b), c), ((p - 1, q, b), -p * c),
+                           ((p, q, b - 1), -b * c),
+                           ((p, q, b + 1), (b + k) * c)):
+                nxt[key] = nxt.get(key, 0) + d
+        terms = {key: c for key, c in nxt.items() if c}
+    return tuple((c, p, q, b) for (p, q, b), c in sorted(terms.items()))
 
-    Beyond W >= 2: arcosh(cosh r cosh y)^2 - y^2 is nondecreasing, and the
-    amplitude is below (y + c) e^{-y} * 2.2 / cosh r, giving an explicit
-    exponential-integral bound.
+
+@functools.lru_cache(maxsize=8)
+def _series(n: int, t: float) -> np.ndarray:
+    """Coefficients f_j of t^n F_n = sum_j f_j (v/t)^j, v = cosh(delta) - 1.
+
+    F_n = (-d/dv)^n e^{-Phi(v)/2t} with Phi = arcosh(1 + v)^2
+    = sum_m phi_m v^m, phi_1 = 2, phi_{m+1} = -m^2 phi_m / ((m+1)(2m+1)),
+    which follows from (z^2 - 1) Phi'' + z Phi' = 2.  The exponential's
+    coefficients e_k in u = v/t follow from k e_k = sum_m m h_m e_{k-m}.
     """
-    a = math.acosh(math.cosh(r) * math.cosh(W))
-    gauss = math.exp(-(a * a - W * W + theta * theta) / (2.0 * t))
-    c = abs(math.log(math.cosh(r))) + 1.0
-    return 2.0 * gauss * 2.2 * (W + c + 1.0) * math.exp(-W) / math.cosh(r)
+    size = _SERIES_TERMS + n
+    m = np.arange(1, size)
+    phi = 2.0 * np.cumprod(np.concatenate(
+        ([1.0], -m[:-1] ** 2 / ((m[:-1] + 1.0) * (2.0 * m[:-1] + 1.0)))))
+    mh = m * (-0.5 * phi * t ** (m - 1.0))
+    e = np.zeros(size)
+    e[0] = 1.0
+    for k in range(1, size):
+        e[k] = mh[:k] @ e[k - 1::-1] / k
+    j = np.arange(_SERIES_TERMS, dtype=float)
+    falling = np.prod([j + i for i in range(1, n + 1)], axis=0)
+    return (-1.0) ** n * e[n:] * falling
 
 
-def _ch1_window(t: float, r: float, theta: float, target: float,
-                ctl: QuadratureControl) -> float:
-    """y-window W of the n=1 integrand: grown by 1 from max(4, 4 sqrt t)
-    until the tail bound beyond it is below target, capped at
-    ctl.max_window.  The bound falls at least like e^{-W}, so W stops
-    within 1 of the smallest window that meets the target."""
-    W = min(max(4.0, 4.0 * math.sqrt(t)), ctl.max_window)
-    while _ch1_tail_bound(W, t, r, theta) > target:
+def _cosh_cosh_m1(r, y):
+    """cosh(r) cosh(y) - 1 without cancellation (arrays broadcast)."""
+    a, b = 2.0 * np.sinh(0.5 * r) ** 2, 2.0 * np.sinh(0.5 * y) ** 2
+    return a * b + a + b
+
+
+def _kernel(n: int, t: float, v, log_scale):
+    """e^{log_scale} F_n(delta) at v = cosh(delta) - 1 (arrays broadcast).
+
+    The closed-form terms are combined with the scale into one exponential,
+    e^{log_scale - delta^2/2t}, so that neither overflows.  Below
+    delta_0 = min(sqrt t, 1), where those terms cancel, F_n is the 60-term
+    Taylor series of _series in v.
+    """
+    v, log_scale = np.broadcast_arrays(np.asarray(v, dtype=float),
+                                       np.asarray(log_scale, dtype=float))
+    d0 = min(math.sqrt(t), 1.0)
+    near = v < math.cosh(d0) - 1.0
+    vc = np.where(near, math.cosh(d0) - 1.0, v)  # keeps the far terms finite
+    sh = np.sqrt(vc * (vc + 2.0))  # sinh(delta)
+    delta = np.log1p(vc + sh)
+    coth = (1.0 + vc) / sh
+    dp, cb = [1.0], [1.0]
+    for _ in range(n):
+        dp.append(dp[-1] * delta)
+        cb.append(cb[-1] * coth)
+    total = sum(c * t ** -q * dp[p] * cb[b] for c, p, q, b in _terms(n))
+    out = np.exp(log_scale - delta * delta / (2.0 * t)) * total / sh ** n
+    if near.any():
+        u = v[near] / t
+        series = u[:, None] ** np.arange(_SERIES_TERMS) @ _series(n, t)
+        out[near] = np.exp(log_scale[near]) * series / t ** n
+    return out
+
+
+def _tail_bound(n: int, W: float, t: float, r: float, theta: float) -> float:
+    """Bound on the two y-tails beyond [-W, W] of the joint-density integrand
+    e^{(y^2 - theta^2)/2t} F_n(delta) cos(y theta / t).
+
+    Beyond W, delta^2 - y^2 and delta are nondecreasing in |y|,
+    delta <= r + |y| and sinh delta >= cosh r sinh|y|
+    >= cosh r (1 - e^{-2W}) e^{|y|} / 2, so each term of _terms integrates
+    in closed form: int_W^inf (r + y)^p e^{-n y} dy
+    = e^{-nW} sum_k p!/(p-k)! (r + W)^{p-k} / n^{k+1}.
+    """
+    d = math.acosh(math.cosh(r) * math.cosh(W))
+    coth = 1.0 / math.tanh(d)
+    total = sum(abs(c) * t ** -q * coth ** b
+                * sum(math.perm(p, k) * (r + W) ** (p - k) / n ** (k + 1)
+                      for k in range(p + 1))
+                for c, p, q, b in _terms(n))
+    gauss = math.exp(-(d * d - W * W + theta * theta) / (2.0 * t))
+    return (2.0 * gauss * total * math.exp(-n * W)
+            * (2.0 / ((1.0 - math.exp(-2.0 * W)) * math.cosh(r))) ** n)
+
+
+def _grow(bound, start: float, target: float, ctl: QuadratureControl) -> float:
+    """Window grown by 1 from start until bound(window) is below target,
+    capped at ctl.max_window.  The bounds fall at least like e^{-window},
+    so it stops within 1 of the smallest window that meets the target."""
+    W = min(start, ctl.max_window)
+    while bound(W) > target:
         if W == ctl.max_window:
             raise WindowExhaustedError(
                 f"tail bound above {target} at window cap {ctl.max_window}")
@@ -86,32 +160,45 @@ def _ch1_window(t: float, r: float, theta: float, target: float,
     return W
 
 
-def ch1_joint_density(t: float, r: float, theta: float,
-                      ctl: QuadratureControl = QuadratureControl()) -> JointDensityValue:
-    """Oscillatory-integral kernel p_t(r, theta) for the n=1 hyperbolic model.
-
-    The joint law of the radial coordinate and area at time t has density
-    pi * p_t(r, theta) * sinh(2r) with respect to dr dtheta.  The y-integral
-    runs on Gauss panels over the window [-W, W], doubled until the change
-    meets the target or stops shrinking (the round-off floor of the
-    oscillatory sum); est_error adds that change to the tail bound.  The
-    imaginary residue is checked to vanish within abs_tol.
-    """
+def _check_args(n, t: float) -> int:
+    if not (n >= 1 and n == int(n)):
+        raise ValueError("n must be a positive integer")
     if not (t > 0):
         raise ValueError("t must be positive")
+    return int(n)
+
+
+def chn_joint_density(n: int, t: float, r: float, theta: float,
+                      ctl: QuadratureControl = QuadratureControl()) -> JointDensityValue:
+    """Oscillatory-integral kernel p_t(r, theta) for the CH^n model, n >= 1:
+
+    p_t = e^{-n^2 t/2} / ((2 pi)^{n+1} t)
+          * int e^{(y^2 - theta^2)/2t} cos(y theta / t) F_n(delta) dy.
+
+    The joint law of (radial coordinate, area) has density
+    (2 pi^n / Gamma(n)) * p_t(r, theta) * (sinh r)^{2n-1} cosh r per dr dtheta.
+    The y-integral runs on Gauss panels over the window [-W, W], doubled
+    until the change meets the target or stops shrinking (the round-off
+    floor of the oscillatory sum); est_error adds that change to the tail
+    bound.  The imaginary residue is checked to vanish within abs_tol.
+    """
+    n = _check_args(n, t)
     if r < 0:
         raise ValueError("r must be nonnegative")
     # The oscillatory y-integral cancels down to a value roughly
     # e^{-2 pi |theta| / t} times the central integrand scale, so the tail is
     # truncated relative to that scale rather than in absolute terms.
     scale = math.exp(-theta * theta / (2.0 * t))
-    W = _ch1_window(t, r, theta, max(ctl.abs_tol / 10.0, 1e-17 * scale), ctl)
+    W = _grow(lambda w: _tail_bound(n, w, t, r, theta),
+              max(4.0, 4.0 * math.sqrt(t)),
+              max(ctl.abs_tol / 10.0, 1e-17 * scale), ctl)
     epsabs = max(1e-300, 1e-14 * scale)
 
     def rule(n_panels: int):
         # e^{(y - i theta)^2/2t} = e^{(y^2 - theta^2)/2t} e^{-i y theta/t}
         y, w = _gauss_panels(-W, W, n_panels)
-        mag = w * _ch1_magnitude(y, t, r, theta)
+        mag = w * _kernel(n, t, _cosh_cosh_m1(r, y),
+                          (y * y - theta * theta) / (2.0 * t))
         phase = y * theta / t
         return float(mag @ np.cos(phase)), -float(mag @ np.sin(phase))
 
@@ -126,16 +213,22 @@ def ch1_joint_density(t: float, r: float, theta: float,
         if dif <= max(epsabs, ctl.rel_tol * abs(re)) or dif >= 0.5 * prev_dif:
             break
         prev_dif = dif
-    pref = math.exp(-t / 2.0) / (2.0 * math.pi * t) ** 2
+    pref = math.exp(-n * n * t / 2.0) / ((2.0 * math.pi) ** (n + 1) * t)
     if abs(pref * im) > max(ctl.abs_tol, 10.0 * ctl.rel_tol * abs(pref * re)):
         raise QuadratureFailureError(
-            f"imaginary residue {pref * im} above tolerance"
-        )
-    err = pref * (dif + _ch1_tail_bound(W, t, r, theta))
+            f"imaginary residue {pref * im} above tolerance")
+    err = pref * (dif + _tail_bound(n, W, t, r, theta))
     val = pref * re
     if err > max(ctl.abs_tol, ctl.rel_tol * abs(val), 10.0 * epsabs * pref):
         raise QuadratureFailureError(f"error estimate {err} above target")
     return JointDensityValue(val, err)
+
+
+def ch1_joint_density(t: float, r: float, theta: float,
+                      ctl: QuadratureControl = QuadratureControl()) -> JointDensityValue:
+    """chn_joint_density at n = 1: the joint law of the radial coordinate
+    and area on CH^1 has density pi * p_t(r, theta) * sinh(2r) per dr dtheta."""
+    return chn_joint_density(1, t, r, theta, ctl)
 
 
 @functools.cache
@@ -156,193 +249,99 @@ def _gauss_panels(lo: float, hi: float, n_panels: int):
     return nodes, weights
 
 
-def _chn_segment(n: int, t: float, r: float, theta: float,
-                 y_lo: float, y_hi: float, panels_per_unit: float):
-    """Fixed-node double quadrature of the n>=2 integrand over [y_lo, y_hi] x [0, U].
+def _gauss_moments(k_max: int, X: float, a: float, t: float) -> list:
+    """[int_X^inf x^k e^{a x - x^2/2t} dx for k = 0..k_max], X >= 0, by
+    parts from x e^{a x - x^2/2t} = t (a - d/dx) e^{a x - x^2/2t}."""
+    g = math.exp(a * X - X * X / (2.0 * t))
+    m = [math.exp(a * a * t / 2.0) * math.sqrt(math.pi * t / 2.0)
+         * math.erfc((X - a * t) / math.sqrt(2.0 * t))]
+    for k in range(1, k_max + 1):
+        m.append(t * (X ** (k - 1) * g + a * m[k - 1]
+                      + (k - 1) * (m[k - 2] if k > 1 else 0.0)))
+    return m
 
-    Returns (real part, imag part) of the double integral, without prefactor.
+
+def _cf_tail(n: int, lam: float, t: float, X: float, radial: bool) -> float:
+    """Bound on the part of the (r, y) integral of ch_area_cf over r > X
+    (radial) or over |y| > X, without prefactor.
+
+    There delta >= X, delta^2 >= r^2 + y^2, delta <= r + |y| and
+    sinh delta >= cosh r sinh|y|, cosh y sinh r.  With
+    sinh^{2n-1} r cosh r / cosh^n r <= e^{nr} / 2^n,
+    sinh^{n-1} r cosh r <= e^{nr} / 2^{n-1} and cosh(lam y) <= e^{|lam y|},
+    each term of _terms is below a sum of products of Gaussian moments
+    int x^k e^{a x - x^2/2t} dx in r (a = n) and y (a = |lam| - n).
     """
-    y_edge = max(abs(y_lo), abs(y_hi))
-    U = math.acosh(math.cosh(r) * math.cosh(y_edge)) + t + 12.0 * math.sqrt(t) + 4.0
-    ny = max(4, int(round((y_hi - y_lo) * panels_per_unit)))
-    nu = max(8, int(round(U * panels_per_unit)))
-    y, wy = _gauss_panels(y_lo, y_hi, ny)
-    u, wu = _gauss_panels(0.0, U, nu)
-
-    # inner u-integral, vectorized over (y, u) in y-chunks to bound memory
-    coshy = np.cosh(r) * np.cosh(y)
-    inner_num = (np.exp(-u * u / (2.0 * t)) * np.sinh(u)
-                 * np.sin(math.pi * u / t) * wu)
-    coshu = np.cosh(u)
-    inner = np.empty_like(coshy)
-    chunk = max(1, int(4e6 // max(coshu.size, 1)))
-    for i in range(0, coshy.size, chunk):
-        denom = (coshu[None, :] + coshy[i:i + chunk, None]) ** (n + 1)
-        inner[i:i + chunk] = (inner_num[None, :] / denom).sum(axis=1)
-
-    mag = np.exp((y * y - theta * theta) / (2.0 * t)) * inner * wy
-    re = float((mag * np.cos(y * theta / t)).sum())
-    im = float(-(mag * np.sin(y * theta / t)).sum())
-    return re, im
+    mr = _gauss_moments(n, X if radial else 0.0, n, t)
+    my = _gauss_moments(n, 0.0 if radial else X, abs(lam) - n, t)
+    coth = 1.0 / math.tanh(X)
+    total = sum(abs(c) * t ** -q * coth ** b
+                * sum(math.comb(p, j) * mr[j] * my[p - j] for j in range(p + 1))
+                for c, p, q, b in _terms(n))
+    if radial:
+        return 4.0 * total
+    return 2.0 * total / (1.0 - math.exp(-2.0 * X)) ** n
 
 
-def chn_joint_density(n: int, t: float, r: float, theta: float,
-                      ctl: QuadratureControl = QuadratureControl()) -> JointDensityValue:
-    """Oscillatory-integral kernel p_t(r, theta) for the n >= 2 hyperbolic model.
-
-    The joint law of (radial coordinate, area) has density
-    (2 pi^n / Gamma(n)) * p_t(r, theta) * (sinh r)^{2n-1} cosh r per dr dtheta.
-
-    The inner oscillatory u-integral cancels to all orders in 1/cosh(y), so
-    the outer integrand decays at least like e^{-n |y|} while its raw
-    magnitude grows like e^{y^2/2t}; the window therefore expands in shells
-    and stops either at convergence or at the double-precision noise floor
-    (whichever comes first), with the noise onset folded into est_error.
-    """
-    if n < 2:
-        raise ValueError("n must be >= 2 (use ch1_joint_density for n = 1)")
-    if not (t > 0):
-        raise ValueError("t must be positive")
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    pref = (2.0 * math.gamma(n + 1.0)
-            * math.exp(-n * n * t / 2.0 + math.pi ** 2 / (2.0 * t))
-            / ((2.0 * math.pi) ** (n + 2) * t))
-
-    def total_at(density: float):
-        w0 = max(4.0, 2.0 * math.sqrt(t))
-        re, im = _chn_segment(n, t, r, theta, -w0, w0, density)
-        w, prev_shell, tail_err = w0, math.inf, 0.0
-        while w < ctl.max_window:
-            sr_hi, si_hi = _chn_segment(n, t, r, theta, w, w + 2.0, density)
-            sr_lo, si_lo = _chn_segment(n, t, r, theta, -w - 2.0, -w, density)
-            shell = abs(sr_hi + sr_lo) + abs(si_hi + si_lo)
-            if shell >= prev_shell and w > w0 + 2.0:
-                # round-off noise has taken over; the true tail is no larger
-                # than the last clean (still decaying) shell
-                tail_err = prev_shell
-                break
-            re += sr_hi + sr_lo
-            im += si_hi + si_lo
-            w += 2.0
-            if shell <= ctl.rel_tol * abs(re) / 10.0 + ctl.abs_tol / (10.0 * pref):
-                tail_err = shell
-                break
-            prev_shell = shell
-        return re, im, tail_err
-
-    density = 3.0
-    re, im, tail = total_at(density)
-    err = math.inf
-    prev_dif = math.inf
-    for _ in range(5):
-        re2, im2, tail2 = total_at(2.0 * density)
-        dif = abs(re2 - re)
-        err = pref * (dif + tail2)
-        re, im, tail, density = re2, im2, tail2, 2.0 * density
-        if err <= max(ctl.abs_tol, ctl.rel_tol * abs(pref * re)):
-            break
-        if dif >= 0.5 * prev_dif:
-            # node doubling has stopped improving: the cancellation noise
-            # floor of the oscillatory sum is reached; err records it
-            break
-        prev_dif = dif
-    if err > 0.01 * abs(pref * re):
-        raise QuadratureFailureError(
-            f"no significant digits at the noise floor (err={err})")
-    if abs(pref * im) > max(ctl.abs_tol, 10.0 * ctl.rel_tol * abs(pref * re)):
-        raise QuadratureFailureError(f"imaginary residue {pref * im} above tolerance")
-    return JointDensityValue(pref * re, err)
-
-
-# Temporaries of the tensor-product rule in ch1_area_cf are built in chunks
-# of about this many elements, so its memory does not grow with node counts.
+# Temporaries of the (r, y) rule in ch_area_cf are built in chunks of about
+# this many elements, so its memory does not grow with node counts.
 _CHUNK = 1 << 13
 
 
-def _ch1_cf_rule(lam: float, t: float, R: float, big_theta: float, W: float,
-                 density: float) -> np.ndarray:
-    """Tensor-product Gauss rule for ch1_area_cf on r <= R, |theta| <= big_theta,
-    |y| <= W, with `density` panels per unit length scale.
+def ch_area_cf(n: int, lam: float, t: float,
+               ctl: QuadratureControl = QuadratureControl()) -> JointDensityValue:
+    """Characteristic function E[cos(lam theta_t)] of the area on CH^n.
 
-    Returns [cf, mass, y_tail]: the box integral of the (r, theta) density
-    times cos(lam theta), the same with lam = 0, and a bound on the part of
-    either that the y-tails beyond W carry.
+    The theta-integral of p_t is closed form,
+    int e^{-theta^2/2t} cos(lam theta) cos(y theta/t) dtheta
+    = sqrt(2 pi t) e^{-lam^2 t/2 - y^2/2t} cosh(lam y), so
+    E[cos(lam theta_t)] = (2 pi^n / Gamma(n)) e^{-n^2 t/2} sqrt(2 pi t)
+    e^{-lam^2 t/2} / ((2 pi)^{n+1} t)
+    * int_0^inf sinh^{2n-1} r cosh r int cosh(lam y) F_n(delta) dy dr.
+    F_n is a heat kernel, so the integrand is positive.  One tensor-product
+    Gauss rule over [0, R] x [0, Y] (the y-integrand is even) doubles its
+    nodes until the change meets the target.  R and Y grow by 1 from
+    max(4, 4 sqrt t) until the tail bounds of _cf_tail beyond them are each
+    below abs_tol / 10; est_error adds both to the last change.
     """
-    s = min(1.0, math.sqrt(t))  # length scale of the integrand in r and y
-    r, wr = _gauss_panels(0.0, R, math.ceil(R * density / s))
-    y, wy = _gauss_panels(0.0, W, math.ceil(W * density / s))
-    # theta-panels also follow the frequency y/t + lam of the theta-integrand
-    th, wth = _gauss_panels(0.0, big_theta, math.ceil(
-        big_theta * density * (1.0 / s + (W / t + abs(lam)) / (4.0 * math.pi))))
-    # K[:, j] = int e^{-theta^2/2t} cos(y_j theta / t) (cos(lam theta), 1) dtheta
-    # over |theta| <= big_theta: the theta-rule folded into one y-vector.
-    g = 2.0 * wth * np.exp(-th * th / (2.0 * t))
-    v = np.stack([g * np.cos(lam * th), g])
-    K = np.empty((2, y.size))
-    step = max(1, _CHUNK // th.size)
-    for i in range(0, y.size, step):
-        K[:, i:i + step] = v @ np.cos(np.outer(th, y[i:i + step] / t))
-    K *= 2.0 * wy  # the y-integrand is even
-    wsr = wr * np.sinh(2.0 * r)
-    out = np.zeros(2)
-    step = max(1, _CHUNK // y.size)
-    for i in range(0, r.size, step):
-        mag = _ch1_magnitude(y[None, :], t, r[i:i + step, None], 0.0)
-        out += K @ (wsr[i:i + step] @ mag)
-    # |K| <= sqrt(2 pi t), so the y-tails add at most this to either value
-    y_tail = math.sqrt(2.0 * math.pi * t) * sum(
-        w * _ch1_tail_bound(W, t, float(ri), 0.0) for ri, w in zip(r, wsr))
-    pref = math.pi * math.exp(-t / 2.0) / (2.0 * math.pi * t) ** 2
-    return pref * np.array([out[0], out[1], y_tail])
-
-
-def ch1_area_cf(lam: float, t: float,
-                ctl: QuadratureControl = QuadratureControl()) -> JointDensityValue:
-    """Characteristic function E[cos(lam theta_t)] of the area on CH^1.
-
-    Integrates pi sinh(2r) p_t(r, theta) cos(lam theta) over r >= 0 and all
-    theta, with p_t the oscillatory y-integral of ch1_joint_density, by one
-    tensor-product Gauss rule over (r, theta, y).  The theta-rule folds into
-    a y-vector, so each chunk of r-nodes costs two matrix-vector products.
-
-    est_error adds the change under node doubling, the y-tail bound beyond
-    the window W of ch1_joint_density, and the probability mass outside the
-    (r, theta) box, which the same rule gives at lam = 0: the density is
-    positive and |cos| <= 1, so that mass bounds the truncation error.  The
-    box starts at r <= t + 6 sqrt t, |theta| <= 6 sqrt t and grows by sqrt t
-    in each until the missing mass is below target.
-    """
-    if not (t > 0):
-        raise ValueError("t must be positive")
+    n = _check_args(n, t)
     if not math.isfinite(lam):
         raise ValueError("lam must be finite")
-    W = _ch1_window(t, 0.0, 0.0, ctl.abs_tol / 10.0, ctl)
-    k, density = 6.0, 0.5
-    while True:
-        R = min(t + k * math.sqrt(t), ctl.max_window)
-        big_theta = min(k * math.sqrt(t), ctl.max_window)
-        coarse = _ch1_cf_rule(lam, t, R, big_theta, W, density)
-        for _ in range(4):
-            fine = _ch1_cf_rule(lam, t, R, big_theta, W, 2.0 * density)
-            d_cf, d_mass = abs(fine[:2] - coarse[:2])
-            cf, mass, y_tail = fine
-            target = max(ctl.abs_tol, ctl.rel_tol * abs(cf))
-            if d_cf + d_mass <= 0.5 * target:
-                break
-            coarse, density = fine, 2.0 * density
-        else:
-            raise QuadratureFailureError(
-                f"node-doubling error {d_cf + d_mass} above target {target}")
-        # mass outside the box: 1 minus a lower bound on the box's mass
-        outside = max(0.0, 1.0 - mass + d_mass + y_tail)
-        err = d_cf + y_tail + outside
-        if err <= target:
-            return JointDensityValue(float(cf), float(err))
-        if R == ctl.max_window and big_theta == ctl.max_window:
-            raise WindowExhaustedError(
-                f"mass {outside} outside the box at window cap {ctl.max_window}")
-        k += 1.0
+    pref = (2.0 * math.pi ** n / math.gamma(n)
+            * math.exp(-(n * n + lam * lam) * t / 2.0)
+            * math.sqrt(2.0 * math.pi * t) / ((2.0 * math.pi) ** (n + 1) * t))
+    R, Y = (_grow(lambda X: pref * _cf_tail(n, lam, t, X, radial),
+                  max(4.0, 4.0 * math.sqrt(t)), ctl.abs_tol / 10.0, ctl)
+            for radial in (True, False))
+    tails = pref * (_cf_tail(n, lam, t, R, True)
+                    + _cf_tail(n, lam, t, Y, False))
+    s = min(1.0, math.sqrt(t))  # length scale of the integrand in r and y
+
+    def rule(density: float) -> float:
+        r, wr = _gauss_panels(0.0, R, math.ceil(R * density / s))
+        y, wy = _gauss_panels(0.0, Y, math.ceil(Y * density / s))
+        log_r = (2 * n - 1) * np.log(np.sinh(r)) + np.log(np.cosh(r))
+        log_y = np.logaddexp(lam * y, -lam * y) - math.log(2.0)
+        total = 0.0
+        step = max(1, _CHUNK // y.size)
+        for i in range(0, r.size, step):
+            f = _kernel(n, t, _cosh_cosh_m1(r[i:i + step, None], y),
+                        log_r[i:i + step, None] + log_y)
+            total += wr[i:i + step] @ f @ wy
+        return 2.0 * pref * total
+
+    density = 0.5
+    coarse = rule(density)
+    for _ in range(4):
+        density *= 2.0
+        fine = rule(density)
+        dif = abs(fine - coarse)
+        target = max(ctl.abs_tol, ctl.rel_tol * abs(fine))
+        if dif <= 0.5 * target:
+            return JointDensityValue(fine, dif + tails)
+        coarse = fine
+    raise QuadratureFailureError(
+        f"node-doubling error {dif} above target {target}")
 
 
 def ch1_loop_slice(t: float, theta) -> np.ndarray:

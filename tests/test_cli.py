@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from pathlib import Path
 
 import pytest
@@ -78,12 +79,12 @@ class TestParseConfig:
         cfgp.write_text(text)
         assert main(["--config", str(cfgp)]) == 2
 
-    @pytest.mark.parametrize("n", [2, 3, 1.5])
+    @pytest.mark.parametrize("n", [1.5])
     def test_ch_area_cf_rejects_n_other_than_one(self, n, tmp_path):
-        # its quadrature column is the CH^1 CF, so at n = 2 the verdict
-        # would fail for the wrong reason
+        # ch-area-cf runs at every positive integer n; a fractional n
+        # names no space CH^n
         text = json.dumps({"experiment": "ch-area-cf", "params": {"n": n}})
-        with pytest.raises(ValueError, match=r"ch-area-cf .* n = "):
+        with pytest.raises(ValueError, match="'n' must be a positive integer"):
             parse_config(text)
         cfgp = tmp_path / "c.json"
         cfgp.write_text(text)
@@ -93,6 +94,12 @@ class TestParseConfig:
         spec = parse_config(
             '{"experiment": "ch-area-cf", "params": {"n": 1}}')
         assert spec.resolved_params()["n"] == 1
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_ch_area_cf_accepts_n_above_one(self, n):
+        spec = parse_config(
+            '{"experiment": "ch-area-cf", "params": {"n": %d}}' % n)
+        assert spec.resolved_params()["n"] == n
 
     @pytest.mark.parametrize("name,key,value", [
         ("levy-baseline", "paths", 0),
@@ -356,6 +363,20 @@ class TestRunExperiment:
             "quadrature_err"])
         assert 0.0 < err == check["value"]
 
+    def test_ch2_area_cf_triangle(self, tmp_path):
+        # the CH^2 quadrature CF against the direct and Girsanov samplers,
+        # every pair within sigma = 3 SE, at 2^15 paths and a budget of 60 s
+        t0 = time.perf_counter()
+        spec = ExperimentSpec(name="ch-area-cf",
+                              params={"n": 2, "paths": 2 ** 15},
+                              output_dir=tmp_path, master_seed=314159)
+        bundle = run_experiment(spec, threads=1)
+        elapsed = time.perf_counter() - t0
+        failed = [c["name"] for c in bundle.manifest["checks"]
+                  if c["verdict"] != "pass"]
+        assert failed == []
+        assert elapsed < 60.0
+
     def test_rerun_byte_identical_across_threads(self, tmp_path):
         base = {"paths": 8192, "dt": 5e-3}
         outs = []
@@ -398,8 +419,8 @@ class TestMain:
 
     def test_exit_two_on_ch_area_cf_n_override(self, tmp_path, capsys):
         assert main(["--experiment", "ch-area-cf", "--out", str(tmp_path),
-                     "--override", "n=2"]) == 2
-        assert "n = 2" in capsys.readouterr().err
+                     "--override", "n=0"]) == 2
+        assert "'n'" in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
 
     @pytest.mark.parametrize("override", ["paths=0", "lambdas=[]"])

@@ -3,11 +3,12 @@ bit for bit.
 
 The SHA-256 digests cover every CSV of the two deterministic spectral
 experiments at default parameters, and of the seven sampler experiments
-at small sizes and one seed, and of the four long-horizon sampler
-experiments at one seed; the hex floats pin the marginal CP area CF
-that feeds the `analytic` columns of cp-area-cf and cp-cauchy-limit.  A
-refactor of the Jacobi series or of the samplers must leave all of them
-unchanged; an intended output change must update them and say why.
+(ch-area-cf at n = 1 and 2) at small sizes and one seed, and of the four
+long-horizon sampler experiments at one seed; the hex floats pin the
+marginal CP area CF that feeds the `analytic` columns of cp-area-cf and
+cp-cauchy-limit.  A refactor of the Jacobi series or of the samplers must
+leave all of them unchanged; an intended output change must update them
+and say why.
 """
 
 import hashlib
@@ -41,16 +42,19 @@ GOLDEN_CF_MARGINAL_CP = [
 ]
 
 
-# Small sizes so that all seven run in a few seconds.  cp-area-cf,
+# Small sizes so that all eight run in a few seconds.  cp-area-cf,
 # ch-area-cf, winding-cp1, winding-ch1 and levy-baseline use more paths
 # than simulate.BLOCK_SIZE, so that each runs several blocks: the CH and
 # planar ones on the thread pool, the clock-time ones in one sweep loop.
+# A key "<experiment>/<label>" runs that experiment with other parameters.
 SAMPLER_PARAMS = {
     "cp-area-cf": {"t": 0.25, "lambdas": [1.0], "paths": 5000,
                    "dt_direct": 1e-2, "dt_girsanov": 1e-2},
     "cp-cauchy-limit": {"t": 5.0, "ns": [1, 2], "lambdas": [1.0],
                         "paths": 512, "dt": 0.05},
     "ch-area-cf": {"t": 0.5, "lambdas": [0.5], "paths": 4500, "dt": 1e-2},
+    "ch-area-cf/n2": {"n": 2, "t": 0.5, "lambdas": [0.5], "paths": 4500,
+                      "dt": 1e-2},
     "ch-gaussian-limit": {"t": 5.0, "ns": [1, 2], "paths": 256,
                           "dt": 0.05},
     "winding-cp1": {"t": 2.0, "paths": 4500, "dt": 0.05},
@@ -70,7 +74,11 @@ GOLDEN_SAMPLER_CSV = {
     },
     "ch-area-cf": {
         "ch_area_cf.csv":
-            "1fa2d801618d50eb939366a8b6b3cff2ce4f3ca0bbb51751c782370d6854cbc9",
+            "ce3777349b92457f5679b1aa589de8dbf226ff1c6e7447f8921117abb6fc6acc",
+    },
+    "ch-area-cf/n2": {
+        "ch_area_cf.csv":
+            "fc11723a155e792f14a74953a4e1877c8f8dc5e60dfc636f684983d6f3e89958",
     },
     "ch-gaussian-limit": {
         "ch_gaussian_limit.csv":
@@ -148,7 +156,8 @@ def test_cf_marginal_cp_bits(n, lam, t, golden):
 
 @pytest.mark.parametrize("name", sorted(SAMPLER_PARAMS))
 def test_sampler_csv_digests(name, tmp_path):
-    assert (_sampler_digests(name, SAMPLER_PARAMS[name], tmp_path)
+    experiment = name.partition("/")[0]
+    assert (_sampler_digests(experiment, SAMPLER_PARAMS[name], tmp_path)
             == GOLDEN_SAMPLER_CSV[name])
 
 

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
@@ -10,17 +11,13 @@ from spaceform_areas import (
     QuadratureControl,
     QuadratureFailureError,
     WindowExhaustedError,
-    ch1_area_cf,
     ch1_joint_density,
     ch1_loop_slice,
+    ch_area_cf,
     chn_joint_density,
 )
 from spaceform_areas import hyperbolic_kernels
-from spaceform_areas.hyperbolic_kernels import (
-    _ch1_magnitude,
-    _ch1_tail_bound,
-    _ch1_window,
-)
+from spaceform_areas.hyperbolic_kernels import _gauss_panels, _kernel
 
 CTL = QuadratureControl()
 
@@ -70,13 +67,60 @@ class TestCh1JointDensity:
     @pytest.mark.parametrize("t", [0.1, 1.0, 4.0])
     def test_window_stops_near_first_sufficient(self, t):
         # at r = 0, theta = 0 the smallest window with tail bound below
-        # 1e-12 is about 32.75 for every t; doubling from 4 sqrt t jumped
+        # 1e-12 is 32 to 35 for these t; doubling from 4 sqrt t jumped
         # past it to the cap of 60
         target = CTL.abs_tol / 10.0
-        W = hyperbolic_kernels._ch1_window(t, 0.0, 0.0, target, CTL)
+        bound = lambda W: hyperbolic_kernels._tail_bound(1, W, t, 0.0, 0.0)
+        W = hyperbolic_kernels._grow(bound, max(4.0, 4.0 * math.sqrt(t)),
+                                     target, CTL)
         assert W <= 40.0
-        assert hyperbolic_kernels._ch1_tail_bound(W, t, 0.0, 0.0) <= target
-        assert hyperbolic_kernels._ch1_tail_bound(W - 1.0, t, 0.0, 0.0) > target
+        assert bound(W) <= target
+        assert bound(W - 1.0) > target
+
+
+# The n=1 magnitude, tail bound and window of the kernel's earlier body,
+# kept verbatim so that the reference below does not share the library's
+# closed form.
+_ACOSH_EPS = 1e-12
+
+def _ch1_magnitude(y, t: float, r, theta: float):
+    """Modulus e^{-(a^2 - y^2 + theta^2)/2t} amp(r, y) of the n=1 y-integrand,
+    with a = arcosh(cosh r cosh y) and amp = a / sqrt(cosh^2 r cosh^2 y - 1)
+    (limit 1 at the origin); r and y broadcast."""
+    c = np.cosh(r) * np.cosh(y)
+    a = np.arccosh(np.maximum(c, 1.0))
+    c2m1 = c * c - 1.0
+    amp = np.where(c2m1 < _ACOSH_EPS, 1.0,
+                   a / np.sqrt(np.maximum(c2m1, _ACOSH_EPS)))
+    return np.exp(-(a * a - y * y + theta * theta) / (2.0 * t)) * amp
+
+
+def _ch1_tail_bound(W: float, t: float, r: float, theta: float) -> float:
+    """Bound on the two y-tails beyond [-W, W] of the n=1 integrand.
+
+    Beyond W >= 2: arcosh(cosh r cosh y)^2 - y^2 is nondecreasing, and the
+    amplitude is below (y + c) e^{-y} * 2.2 / cosh r, giving an explicit
+    exponential-integral bound.
+    """
+    a = math.acosh(math.cosh(r) * math.cosh(W))
+    gauss = math.exp(-(a * a - W * W + theta * theta) / (2.0 * t))
+    c = abs(math.log(math.cosh(r))) + 1.0
+    return 2.0 * gauss * 2.2 * (W + c + 1.0) * math.exp(-W) / math.cosh(r)
+
+
+def _ch1_window(t: float, r: float, theta: float, target: float,
+                ctl: QuadratureControl) -> float:
+    """y-window W of the n=1 integrand: grown by 1 from max(4, 4 sqrt t)
+    until the tail bound beyond it is below target, capped at
+    ctl.max_window.  The bound falls at least like e^{-W}, so W stops
+    within 1 of the smallest window that meets the target."""
+    W = min(max(4.0, 4.0 * math.sqrt(t)), ctl.max_window)
+    while _ch1_tail_bound(W, t, r, theta) > target:
+        if W == ctl.max_window:
+            raise WindowExhaustedError(
+                f"tail bound above {target} at window cap {ctl.max_window}")
+        W = min(W + 1.0, ctl.max_window)
+    return W
 
 
 def _ch1_integrand(y, t: float, r: float, theta: float):
@@ -140,30 +184,32 @@ class TestCh1JointDensityOracle:
 class TestCh1AreaCf:
     @pytest.mark.parametrize("t", [1.0, 4.0, 6.0])
     def test_unit_mass(self, t):
-        # a fixed r <= 8, |theta| <= 12 box holds only 0.962 of the mass at
-        # t = 4 and 0.719 at t = 6; the windows must grow with t
-        v = ch1_area_cf(0.0, t, CTL)
+        # a fixed r <= 8 window holds only 0.962 of the mass at t = 4 and
+        # 0.719 at t = 6; the windows must grow with t
+        v = ch_area_cf(1, 0.0, t, CTL)
         assert v.value == pytest.approx(1.0, abs=1e-9)
         assert v.est_error <= 1e-9
 
     def test_y_window_cap_raises(self):
         with pytest.raises(WindowExhaustedError):
-            ch1_area_cf(0.5, 1.0, QuadratureControl(max_window=2.0))
+            ch_area_cf(1, 0.5, 1.0, QuadratureControl(max_window=2.0))
 
     def test_box_cap_raises(self):
         # the y-window fits under the cap, but r(25) ~ 25 + N(0, 25) does not
         with pytest.raises(WindowExhaustedError):
-            ch1_area_cf(0.5, 25.0, QuadratureControl(max_window=40.0))
+            ch_area_cf(1, 0.5, 25.0, QuadratureControl(max_window=40.0))
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
-            ch1_area_cf(0.5, 0.0, CTL)
+            ch_area_cf(1, 0.5, 0.0, CTL)
         with pytest.raises(ValueError):
-            ch1_area_cf(math.nan, 1.0, CTL)
+            ch_area_cf(1, math.nan, 1.0, CTL)
+        with pytest.raises(ValueError):
+            ch_area_cf(0, 0.5, 1.0, CTL)
 
 
 def _ch1_area_cf_oracle(lam, t):
-    """ch1_area_cf with the theta-integral in closed form,
+    """The CH^1 area CF with the theta-integral in closed form,
     int e^{i lam theta} e^{-(theta + i y)^2 / 2t} dtheta
     = sqrt(2 pi t) e^{-lam^2 t / 2} e^{lam y}, leaving a non-oscillatory
     integral over (r, y) for nested adaptive quadrature on a finite box."""
@@ -188,15 +234,15 @@ class TestCh1AreaCfOracle:
     @pytest.mark.parametrize("lam,t", [(0.5, 1.0), (1.0, 1.0), (0.5, 4.0),
                                        (0.5, 6.0), (2.0, 0.5)])
     def test_matches_closed_form_theta_integral(self, lam, t):
-        v = ch1_area_cf(lam, t, CTL)
+        v = ch_area_cf(1, lam, t, CTL)
         assert v.value == pytest.approx(_ch1_area_cf_oracle(lam, t), abs=1e-9)
         assert v.est_error <= 1e-9
 
 
 class TestChnJointDensity:
-    def test_requires_n_at_least_two(self):
+    def test_rejects_n_zero(self):
         with pytest.raises(ValueError):
-            chn_joint_density(1, 1.0, 0.5, 0.0, CTL)
+            chn_joint_density(0, 1.0, 0.5, 0.0, CTL)
 
     def test_positive_even_decaying(self):
         v0 = chn_joint_density(2, 1.0, 0.5, 0.0, CTL).value
@@ -208,3 +254,108 @@ class TestChnJointDensity:
     def test_error_estimate_small(self):
         v = chn_joint_density(2, 1.0, 0.8, 0.5, CTL)
         assert v.est_error < 1e-6 * max(abs(v.value), 1e-30)
+
+    @pytest.mark.parametrize("t", [0.1, 0.25, 0.5])
+    def test_returns_at_small_t(self, t):
+        # the earlier double quadrature cancelled e^{pi^2/2t} and raised here
+        v = chn_joint_density(2, t, 0.3, 0.7, CTL)
+        assert v.value > 0
+        assert v.est_error <= max(CTL.abs_tol, CTL.rel_tol * v.value)
+
+
+def _heat_kernel_reference(n, t, delta):
+    """F_n(delta) = (-d/dv)^n e^{-arcosh(1+v)^2/2t} at v = cosh(delta) - 1,
+    by 40-digit mpmath differentiation with a step relative to v."""
+    t = mp.mpf(t)
+    v0 = mp.cosh(mp.mpf(delta)) - 1
+    f = lambda v: mp.exp(-mp.re(mp.acosh(1 + v) ** 2) / (2 * t))
+    return (-1) ** n * mp.diff(f, v0, n, h=v0 * mp.mpf(2) ** -60)
+
+
+class TestHeatKernel:
+    def test_term_counts(self):
+        assert [len(hyperbolic_kernels._terms(n)) for n in range(1, 5)] == [
+            1, 3, 6, 11]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_matches_mpmath_derivative(self, n):
+        # across the switch to the Taylor series at delta_0 = min(sqrt t, 1)
+        with mp.workdps(40):
+            for t in (0.01, 0.1, 1.0, 10.0, 100.0):
+                for delta in np.geomspace(1e-8, 30.0, 25):
+                    ref = _heat_kernel_reference(n, t, float(delta))
+                    if abs(ref) <= mp.mpf("1e-280"):
+                        continue
+                    v = float(mp.cosh(mp.mpf(float(delta))) - 1)
+                    got = _kernel(n, t, np.array([v]), 0.0)[0]
+                    assert abs(got / ref - 1) <= 1e-12, (t, delta)
+
+    @pytest.mark.parametrize("t", [0.5, 1.0, 4.0])
+    def test_n1_is_the_ch1_magnitude(self, t):
+        # _ch1_magnitude's amplitude a / sqrt(c^2 - 1) is t e^{a^2/2t} F_1(a)
+        y = np.linspace(-30.0, 30.0, 301)
+        for r in (0.0, 0.4, 2.5):
+            v = np.cosh(r) * np.cosh(y) - 1.0
+            got = t * _kernel(1, t, v, (y * y - 0.49) / (2.0 * t))
+            np.testing.assert_allclose(got, _ch1_magnitude(y, t, r, 0.7),
+                                       rtol=1e-12)
+
+
+def _chn_segment_inner(n, t, z, panels_per_unit=16):
+    """The inner u-integral of the earlier n >= 2 double quadrature at
+    cosh r cosh y = z, its integrand kept verbatim."""
+    U = math.acosh(z) + t + 12.0 * math.sqrt(t) + 4.0
+    u, wu = _gauss_panels(0.0, U, max(8, int(round(U * panels_per_unit))))
+    inner_num = (np.exp(-u * u / (2.0 * t)) * np.sinh(u)
+                 * np.sin(math.pi * u / t) * wu)
+    coshu = np.cosh(u)
+    return float((inner_num / (coshu + z) ** (n + 1)).sum())
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("t", [1.0, 2.0])
+def test_u_integral_is_the_heat_kernel(n, t):
+    # int e^{-u^2/2t} sinh u sin(pi u/t) / (cosh u + cosh delta)^{n+1} du
+    # = (pi / n!) e^{-pi^2/2t} F_n(delta): the earlier kernel's prefactor
+    # e^{pi^2/2t} cancels against it
+    for z in (1.3, 2.0, 5.0, 20.0):
+        closed = (math.pi / math.factorial(n) * math.exp(-math.pi ** 2 / (2 * t))
+                  * _kernel(n, t, np.array([z - 1.0]), 0.0)[0])
+        assert _chn_segment_inner(n, t, z) == pytest.approx(closed, rel=1e-9)
+
+
+def _chn_joint_density_reference(n, t, r, theta):
+    """p_t(r, theta) by a 40-digit mpmath y-quadrature of
+    e^{(y^2 - theta^2)/2t} cos(y theta/t) F_n over |y| <= 30."""
+    with mp.workdps(40):
+        t, r, theta = mp.mpf(t), mp.mpf(r), mp.mpf(theta)
+
+        def f(y):
+            v = mp.cosh(r) * mp.cosh(y) - 1
+            F = mp.diff(lambda x: mp.exp(-mp.re(mp.acosh(1 + x) ** 2) / (2 * t)),
+                        v, n, h=(v + mp.mpf(10) ** -30) * mp.mpf(2) ** -60)
+            return ((-1) ** n * F * mp.cos(y * theta / t)
+                    * mp.exp((y * y - theta * theta) / (2 * t)))
+
+        integral = 2 * mp.quad(f, mp.linspace(0, 30, 16))
+        return (mp.exp(-n * n * t / 2) / ((2 * mp.pi) ** (n + 1) * t)
+                * integral)
+
+
+@pytest.mark.parametrize("t,r,theta", [
+    (0.1, 0.5, 0.3), (0.25, 0.3, 0.7), (0.5, 0.0, 1.0), (1.0, 0.5, 0.3),
+    (1.0, 0.8, 0.5), (2.0, 0.2, 1.5)])
+def test_chn_joint_density_matches_mpmath(t, r, theta):
+    # the earlier double quadrature missed (1, 0.5, 0.3), (2, 0.2, 1.5) and
+    # (1, 0.8, 0.5) by 2.4e-10, 1.1e-13 and 3.6e-11 and raised at t <= 0.5
+    v = chn_joint_density(2, t, r, theta, CTL)
+    assert abs(v.value - _chn_joint_density_reference(2, t, r, theta)) <= (
+        v.est_error)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("t", [0.25, 1.0, 4.0, 6.0])
+def test_area_cf_unit_mass(n, t):
+    v = ch_area_cf(n, 0.0, t, CTL)
+    assert v.value == pytest.approx(1.0, abs=1e-9)
+    assert v.est_error <= 1e-9

@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 from scipy.stats import ks_2samp, kstest
 
 from spaceform_areas import (
     Geometry,
-    SeriesControl,
     SimConfig,
     empirical_cf,
     girsanov_cf_estimator,
