@@ -74,8 +74,9 @@ def _series(n: int, t: float) -> np.ndarray:
 
     F_n = (-d/dv)^n e^{-Phi(v)/2t} with Phi = arcosh(1 + v)^2
     = sum_m phi_m v^m, phi_1 = 2, phi_{m+1} = -m^2 phi_m / ((m+1)(2m+1)),
-    which follows from (z^2 - 1) Phi'' + z Phi' = 2.  The exponential's
-    coefficients e_k in u = v/t follow from k e_k = sum_m m h_m e_{k-m}.
+    which follows from (z^2 - 1) Phi'' + z Phi' = 2.  In u = v/t the
+    exponent has coefficients h_m = -phi_m t^{m-1} / 2, and the
+    exponential's follow from k e_k = sum_m m h_m e_{k-m}.
     """
     size = _SERIES_TERMS + n
     m = np.arange(1, size)
@@ -113,10 +114,7 @@ def _kernel(n: int, t: float, v, log_scale):
     sh = np.sqrt(vc * (vc + 2.0))  # sinh(delta)
     delta = np.log1p(vc + sh)
     coth = (1.0 + vc) / sh
-    dp, cb = [1.0], [1.0]
-    for _ in range(n):
-        dp.append(dp[-1] * delta)
-        cb.append(cb[-1] * coth)
+    dp, cb = [delta ** k for k in range(n + 1)], [coth ** k for k in range(n)]
     total = sum(c * t ** -q * dp[p] * cb[b] for c, p, q, b in _terms(n))
     out = np.exp(log_scale - delta * delta / (2.0 * t)) * total / sh ** n
     if near.any():
@@ -149,8 +147,8 @@ def _tail_bound(n: int, W: float, t: float, r: float, theta: float) -> float:
 
 def _grow(bound, start: float, target: float, ctl: QuadratureControl) -> float:
     """Window grown by 1 from start until bound(window) is below target,
-    capped at ctl.max_window.  The bounds fall at least like e^{-window},
-    so it stops within 1 of the smallest window that meets the target."""
+    capped at ctl.max_window.  Each bound decreases with the window, so it
+    stops within 1 of the smallest window that meets the target."""
     W = min(start, ctl.max_window)
     while bound(W) > target:
         if W == ctl.max_window:

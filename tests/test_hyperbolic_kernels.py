@@ -182,7 +182,7 @@ class TestCh1JointDensityOracle:
 
 
 class TestCh1AreaCf:
-    @pytest.mark.parametrize("t", [1.0, 4.0, 6.0])
+    @pytest.mark.parametrize("t", [0.25, 1.0, 4.0, 6.0])
     def test_unit_mass(self, t):
         # a fixed r <= 8 window holds only 0.962 of the mass at t = 4 and
         # 0.719 at t = 6; the windows must grow with t
@@ -254,13 +254,6 @@ class TestChnJointDensity:
     def test_error_estimate_small(self):
         v = chn_joint_density(2, 1.0, 0.8, 0.5, CTL)
         assert v.est_error < 1e-6 * max(abs(v.value), 1e-30)
-
-    @pytest.mark.parametrize("t", [0.1, 0.25, 0.5])
-    def test_returns_at_small_t(self, t):
-        # the earlier double quadrature cancelled e^{pi^2/2t} and raised here
-        v = chn_joint_density(2, t, 0.3, 0.7, CTL)
-        assert v.value > 0
-        assert v.est_error <= max(CTL.abs_tol, CTL.rel_tol * v.value)
 
 
 def _heat_kernel_reference(n, t, delta):
@@ -347,13 +340,14 @@ def _chn_joint_density_reference(n, t, r, theta):
     (1.0, 0.8, 0.5), (2.0, 0.2, 1.5)])
 def test_chn_joint_density_matches_mpmath(t, r, theta):
     # the earlier double quadrature missed (1, 0.5, 0.3), (2, 0.2, 1.5) and
-    # (1, 0.8, 0.5) by 2.4e-10, 1.1e-13 and 3.6e-11 and raised at t <= 0.5
+    # (1, 0.8, 0.5) by 2.4e-10, 1.1e-13 and 3.6e-11 and raised at t <= 0.5,
+    # where its prefactor e^{pi^2/2t} cancelled against the u-integral
     v = chn_joint_density(2, t, r, theta, CTL)
     assert abs(v.value - _chn_joint_density_reference(2, t, r, theta)) <= (
         v.est_error)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("t", [0.25, 1.0, 4.0, 6.0])
 def test_area_cf_unit_mass(n, t):
     v = ch_area_cf(n, 0.0, t, CTL)
