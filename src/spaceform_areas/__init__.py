@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 
 from .densities import (
     DensityValue,
-    SeriesControl,
     SeriesNotConvergedError,
     TimeTooSmallError,
     berger_kernel,
@@ -17,7 +16,6 @@ from .densities import (
 )
 from .hyperbolic_kernels import (
     JointDensityValue,
-    QuadratureControl,
     QuadratureFailureError,
     WindowExhaustedError,
     ch1_joint_density,
@@ -45,7 +43,6 @@ from .simulate import (
 )
 from .specfun import (
     JacobiParams,
-    NormalLaw,
     jacobi_poly,
 )
 from .stats import (

@@ -8,16 +8,15 @@ import math
 
 from scipy.integrate import quad
 
-from .densities import SeriesControl, spherical_density
-from .hyperbolic_kernels import QuadratureControl
+from . import hyperbolic_kernels
+from .densities import spherical_density
 from .simulate import Geometry
 from .specfun import JacobiParams
 
 _DENSITY_FLOOR = 1e-300
 
 
-def cf_conditional_cp(n: int, lam: float, t: float, r: float,
-                      ctl: SeriesControl) -> float:
+def cf_conditional_cp(n: int, lam: float, t: float, r: float) -> float:
     """E[e^{i lam theta(t)} | r(t) = r] on the projective space of complex
     dimension n, via the ratio of tilted to untilted radial densities:
     e^{-n lam t} (cos r)^{-lam} q_t^{n-1,lam}(0,r) / q_t^{n-1,0}(0,r).
@@ -28,15 +27,14 @@ def cf_conditional_cp(n: int, lam: float, t: float, r: float,
         raise ValueError("r must lie in [0, pi/2)")
     if lam == 0.0:
         return 1.0
-    q_lam = spherical_density(JacobiParams(float(n - 1), lam), t, 0.0, r, ctl)
-    q_0 = spherical_density(JacobiParams(float(n - 1), 0.0), t, 0.0, r, ctl)
+    q_lam = spherical_density(JacobiParams(float(n - 1), lam), t, 0.0, r)
+    q_0 = spherical_density(JacobiParams(float(n - 1), 0.0), t, 0.0, r)
     if q_0.value < _DENSITY_FLOOR:
         raise ZeroDivisionError("untilted density vanishes at this point")
     return math.exp(-n * lam * t) * math.cos(r) ** (-lam) * q_lam.value / q_0.value
 
 
-def cf_marginal_cp(n: int, lam: float, t: float, ctl: SeriesControl,
-                   qctl: QuadratureControl) -> float:
+def cf_marginal_cp(n: int, lam: float, t: float) -> float:
     """E[e^{i lam theta(t)}] = e^{-n|lam|t} * integral over r of
     q_t^{n-1,|lam|}(0,r) / (cos r)^{|lam|}; real and in (0, 1]."""
     a = abs(lam)
@@ -45,10 +43,11 @@ def cf_marginal_cp(n: int, lam: float, t: float, ctl: SeriesControl,
     p = JacobiParams(float(n - 1), a)
 
     def integrand(r):
-        return spherical_density(p, t, 0.0, r, ctl).value * math.cos(r) ** (-a)
+        return spherical_density(p, t, 0.0, r).value * math.cos(r) ** (-a)
 
     val, err = quad(integrand, 0.0, math.pi / 2,
-                    epsabs=qctl.abs_tol, epsrel=qctl.rel_tol, limit=200)
+                    epsabs=hyperbolic_kernels.ABS_TOL,
+                    epsrel=hyperbolic_kernels.REL_TOL, limit=200)
     out = math.exp(-n * a * t) * val
     if not (-1e-12 <= out <= 1.0 + 1e-9):
         raise ArithmeticError(f"marginal CF out of range: {out}")

@@ -20,18 +20,13 @@ from pathlib import Path
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import ndtr
 
-from . import __version__
+from . import __version__, densities
 from .analytics import cf_marginal_cp, levy_cf, winding_limit_cf
-from .densities import (
-    SeriesControl,
-    berger_kernel,
-    berger_limit_kernel,
-    spherical_density,
-)
+from .densities import berger_kernel, berger_limit_kernel, spherical_density
 from .hyperbolic_kernels import (
     JointDensityValue,
-    QuadratureControl,
     ch1_joint_density,
     ch1_loop_slice,
     ch_area_cf,
@@ -44,7 +39,7 @@ from .simulate import (
     sample_planar_area,
     sample_winding,
 )
-from .specfun import JacobiParams, NormalLaw, jacobi_poly
+from .specfun import JacobiParams, jacobi_poly
 from .stats import SampleSet, empirical_cf, ks_statistic
 
 
@@ -83,14 +78,20 @@ class ExperimentSpec:
             raise ValueError(
                 f"'lam' must be positive for berger-homogenisation, got "
                 f"{params['lam']!r}")
-        min_time = SeriesControl().min_time
+        if (self.name in ("levy-baseline", "winding-cp1")
+                and params["lam"] == 0):
+            # the z-score would divide by a standard error of 0, and the
+            # winding check would compare 1 with 1
+            raise ValueError(
+                f"'lam' must be nonzero for {self.name}, got "
+                f"{params['lam']!r}")
         if (self.name in ("cp-area-cf", "cp-cauchy-limit",
                           "berger-homogenisation")
-                and not params["t"] >= min_time):
-            # their spectral series raise TimeTooSmallError below min_time
+                and not params["t"] >= densities.MIN_TIME):
+            # their spectral series raise TimeTooSmallError below MIN_TIME
             raise ValueError(
-                f"'t' must be at least {min_time} for {self.name}, got "
-                f"{params['t']!r}")
+                f"'t' must be at least {densities.MIN_TIME} for {self.name}, "
+                f"got {params['t']!r}")
 
     def resolved_params(self) -> dict:
         out = dict(EXPERIMENT_DEFAULTS[self.name])
@@ -114,7 +115,8 @@ def _check_params(params: dict) -> None:
     0 < r0 < pi/2 (winding-cp1), 0 <= p_min < 1, `paths`, `n`, `points`
     and each of `ns` positive integers, `m_max_oracle` and `m_max_eig`
     non-negative integers, each time step 0 < dt <= t, each list parameter
-    a non-empty list of finite numbers and each of `r0s` positive."""
+    a non-empty list of finite numbers and each of `lambdas` and `r0s`
+    positive."""
     positive = lambda v: 0 < v < math.inf
     finite = lambda v: -math.inf < v < math.inf
     for key, in_range, bounds in (
@@ -161,9 +163,11 @@ def _check_params(params: dict) -> None:
     if "ns" in params and not all(map(_is_count, params["ns"])):
         raise ValueError(
             f"'ns' must hold positive integers, got {params['ns']!r}")
-    if "r0s" in params and not all(r0 > 0 for r0 in params["r0s"]):
-        raise ValueError(
-            f"'r0s' must hold positive radii, got {params['r0s']!r}")
+    for key in ("lambdas", "r0s"):
+        # a zero lambda makes every z-score divide by a standard error of 0
+        if key in params and not all(v > 0 for v in params[key]):
+            raise ValueError(
+                f"'{key}' must hold positive numbers, got {params[key]!r}")
 
 
 @dataclass
@@ -327,7 +331,6 @@ def _quad_cf_planar(lam: float, t: float, nodes: int = 64) -> float:
 # experiment implementations; each returns (tables, checks)
 
 def _exp_jacobi_selftest(params, seed, threads):
-    ctl = SeriesControl()
     tables, checks = [], []
     # recurrence vs Rodrigues oracle
     rows = []
@@ -367,7 +370,7 @@ def _exp_jacobi_selftest(params, seed, threads):
         p = JacobiParams(alpha, beta)
         for t in (0.2, 0.5, 2.0):
             total, _ = quad(
-                lambda r: spherical_density(p, t, 0.0, r, ctl).value,
+                lambda r: spherical_density(p, t, 0.0, r).value,
                 0.0, math.pi / 2.0, epsabs=1e-12, epsrel=1e-11, limit=200)
             err = abs(total - 1.0)
             worst = max(worst, err)
@@ -384,14 +387,13 @@ def _exp_cp_area_cf(params, seed, threads):
     lambdas = [float(v) for v in params["lambdas"]]
     paths = int(params["paths"])
     sigma = params["sigma"]
-    sctl, qctl = SeriesControl(), QuadratureControl()
     area = sample_area(
         Geometry.cp(int(params["n"])),
         SimConfig(t, params["dt_direct"], paths, seed), threads=threads)
     s = SampleSet(area.theta_end)
     rows, checks = [], []
     for k, lam in enumerate(lambdas):
-        ana = cf_marginal_cp(int(params["n"]), lam, t, sctl, qctl)
+        ana = cf_marginal_cp(int(params["n"]), lam, t)
         gir = girsanov_cf_estimator(
             Geometry.cp(int(params["n"])), lam,
             SimConfig(t, params["dt_girsanov"], paths, _sub_seed(seed, k)),
@@ -418,7 +420,6 @@ def _exp_cp_cauchy_limit(params, seed, threads):
     lambdas = [float(v) for v in params["lambdas"]]
     ns = [int(v) for v in params["ns"]]
     sigma = params["sigma"]
-    sctl, qctl = SeriesControl(), QuadratureControl()
     rows, checks = [], []
     for j, n in enumerate(ns):
         area = sample_area(
@@ -429,7 +430,7 @@ def _exp_cp_cauchy_limit(params, seed, threads):
         worst_ana = 0.0
         for lam in lambdas:
             limit = math.exp(-n * lam)
-            ana = cf_marginal_cp(n, lam / t, t, sctl, qctl)
+            ana = cf_marginal_cp(n, lam / t, t)
             emp = empirical_cf(s, lam)
             z = (emp.value.real - limit) / emp.std_error
             worst_ana = max(worst_ana, abs(ana - limit))
@@ -496,7 +497,7 @@ def _exp_ch_gaussian_limit(params, seed, threads):
             SimConfig(t, params["dt"], int(params["paths"]),
                       _sub_seed(seed, j)), threads=threads)
         s = SampleSet(area.theta_end / math.sqrt(t))
-        d, p = ks_statistic(s, NormalLaw().cdf)
+        d, p = ks_statistic(s, ndtr)
         rows.append([n, d, p, float(s.values.mean()), float(s.values.var())])
         checks.append(_check_ge(f"ks_pvalue_n{n}", p, params["p_min"]))
     table = Table("ch_gaussian_limit",
@@ -527,15 +528,14 @@ def _exp_berger_homogenisation(params, seed, threads):
     n = int(params["n"])
     t = params["t"]
     lam = params["lam"]
-    ctl = SeriesControl()
     r_grid = np.linspace(0.12, 1.45, 5)
     th_grid = np.linspace(0.0, 2.0 * math.pi, 5, endpoint=False)
     rows = []
     worst = 0.0
     for r in r_grid:
-        lim = berger_limit_kernel(n, t, float(r), ctl).value
+        lim = berger_limit_kernel(n, t, float(r)).value
         for th in th_grid:
-            v = berger_kernel(n, lam, t, float(r), float(th), ctl).value
+            v = berger_kernel(n, lam, t, float(r), float(th)).value
             diff = abs(v - lim)
             worst = max(worst, diff)
             rows.append([float(r), float(th), v, lim, diff])
@@ -547,7 +547,7 @@ def _exp_berger_homogenisation(params, seed, threads):
     pref = 2.0 * math.pi ** n / math.gamma(n)
 
     def radial(r):
-        return (berger_kernel(n, lam, t, r, 0.3, ctl).value
+        return (berger_kernel(n, lam, t, r, 0.3).value
                 * pref * math.sin(r) ** (2 * n - 1) * math.cos(r))
 
     # the kernel is independent of theta up to the homogenisation error, so
@@ -712,8 +712,11 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ReportBundle:
     """Execute the named experiment, write its artifacts, return the bundle.
 
     Numeric failures inside the experiment are recorded in the manifest as
-    a failed 'completed' check rather than crashing the runner.
+    a failed 'completed' check rather than crashing the runner.  Raises
+    ValueError if threads is below 1.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     params = spec.resolved_params()
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -770,6 +773,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     try:
+        if args.threads < 1:
+            raise ValueError(
+                f"--threads must be at least 1, got {args.threads}")
         if args.config is not None:
             spec = parse_config(Path(args.config).read_text(encoding="utf-8"))
         elif args.experiment is not None:

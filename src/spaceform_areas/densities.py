@@ -17,28 +17,19 @@ from .specfun import JacobiParams, _jacobi_table, jacobi_endpoint_bound
 
 
 class SeriesNotConvergedError(RuntimeError):
-    """Raised when the tail bound cannot be brought below tail_tol."""
+    """Raised when the tail bound cannot be brought below TAIL_TOL."""
 
 
 class TimeTooSmallError(ValueError):
     """Raised when t is below the series' minimum-time guard."""
 
 
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation policy for the spectral series."""
-
-    max_terms: int = 400
-    tail_tol: float = 1e-12
-    min_time: float = 1e-3
-
-    def __post_init__(self):
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
-        if not (self.tail_tol > 0):
-            raise ValueError("tail_tol must be positive")
-        if not (self.min_time > 0):
-            raise ValueError("min_time must be positive")
+# Truncation policy of every spectral series, read when a series runs: it
+# stops once its tail bound is at most TAIL_TOL, raises after MAX_TERMS
+# terms, and refuses t below MIN_TIME.
+MAX_TERMS = 400
+TAIL_TOL = 1e-12
+MIN_TIME = 1e-3
 
 
 @dataclass(frozen=True)
@@ -63,14 +54,14 @@ def _log_coeff(m: int, a: float, b: float) -> float:
     )
 
 
-def _jacobi_series(a: float, b: float, log_w, xs: tuple[float, ...],
-                   ctl: SeriesControl) -> tuple[float, float, float]:
+def _jacobi_series(a: float, b: float, log_w,
+                   xs: tuple[float, ...]) -> tuple[float, float, float]:
     """Certified sum over m of w_m prod_i P_m^{a,b}(x_i), w_m = exp(log_w(m)).
 
     For a, b >= -1/2 the endpoint value e_m bounds |P_m| on [-1, 1], so
     b_m = w_m e_m^len(xs) bounds the m-th term.  The sum stops at the first
     m whose geometric tail b_{m+1} / (1 - b_{m+2}/b_{m+1}) is at most
-    ctl.tail_tol.  Returns (sum, tail, abs_bound), where abs_bound =
+    TAIL_TOL.  Returns (sum, tail, abs_bound), where abs_bound =
     b_0 + ... + b_m + tail bounds the series of absolute values.
     """
     w: list[float] = []
@@ -87,7 +78,7 @@ def _jacobi_series(a: float, b: float, log_w, xs: tuple[float, ...],
 
     extend()
     extend()
-    for m in range(ctl.max_terms + 1):
+    for m in range(MAX_TERMS + 1):
         extend()
         b1, b2 = bnd[m + 1], bnd[m + 2]
         if b1 <= 0.0:
@@ -96,11 +87,11 @@ def _jacobi_series(a: float, b: float, log_w, xs: tuple[float, ...],
         ratio = b2 / b1
         if ratio < 1.0:
             tail = b1 / (1.0 - ratio)
-            if tail <= ctl.tail_tol:
+            if tail <= TAIL_TOL:
                 break
     else:
         raise SeriesNotConvergedError(
-            f"tail bound not below {ctl.tail_tol} within {ctl.max_terms} "
+            f"tail bound not below {TAIL_TOL} within {MAX_TERMS} "
             f"terms (a={a}, b={b}, x={xs})")
     tables = [_jacobi_table(m, a, b, x) for x in xs]
     total = 0.0
@@ -118,24 +109,24 @@ def _clip(raw: float, tail: float) -> DensityValue:
     return DensityValue(raw, tail)
 
 
-def spherical_density(p: JacobiParams, t: float, r0: float, r: float,
-                      ctl: SeriesControl = SeriesControl()) -> DensityValue:
+def spherical_density(p: JacobiParams, t: float, r0: float,
+                      r: float) -> DensityValue:
     """Transition density q_t^{alpha,beta}(r0, r) of the radial diffusion on [0, pi/2].
 
     Density with respect to Lebesgue measure in r.  Requires alpha, beta >= 0
-    and t >= ctl.min_time.
+    and t >= MIN_TIME.
     """
     if p.alpha < 0 or p.beta < 0:
         raise ValueError("spherical_density requires alpha, beta >= 0")
-    if t < ctl.min_time:
-        raise TimeTooSmallError(f"t={t} below minimum time {ctl.min_time}")
+    if t < MIN_TIME:
+        raise TimeTooSmallError(f"t={t} below minimum time {MIN_TIME}")
     if not (0.0 <= r0 <= math.pi / 2) or not (0.0 <= r <= math.pi / 2):
         raise ValueError("r0 and r must lie in [0, pi/2]")
     a, b = p.alpha, p.beta
     front = 2.0 * math.cos(r) ** (2 * b + 1) * math.sin(r) ** (2 * a + 1)
     s, tail, _ = _jacobi_series(
         a, b, lambda m: _log_coeff(m, a, b) - 2.0 * m * (m + a + b + 1.0) * t,
-        (math.cos(2 * r0), math.cos(2 * r)), ctl)
+        (math.cos(2 * r0), math.cos(2 * r)))
     return _clip(front * s, front * tail)
 
 
@@ -154,8 +145,8 @@ def stationary_spherical_density(p: JacobiParams, r) -> np.ndarray:
     return out if out.ndim else float(out)
 
 
-def _fiber_series(n: int, k: int, t: float, x: float,
-                  ctl: SeriesControl) -> tuple[float, float, float]:
+def _fiber_series(n: int, k: int, t: float,
+                  x: float) -> tuple[float, float, float]:
     """Inner m-series of the rescaled-sphere kernel at fiber frequency k >= 0.
 
     Sum_m (2m+k+n) binom(m+k+n-1, n-1) e^{-lam_{m,k} t / 2} P_m^{n-1,k}(x),
@@ -167,11 +158,11 @@ def _fiber_series(n: int, k: int, t: float, x: float,
                 + gammaln(m + k + n) - gammaln(m + k + 1.0) - gammaln(float(n))
                 - 0.5 * (4.0 * m * (m + k + n) + 2.0 * k * n) * t)
 
-    return _jacobi_series(float(n - 1), float(k), log_w, (x,), ctl)
+    return _jacobi_series(float(n - 1), float(k), log_w, (x,))
 
 
-def berger_kernel(n: int, lam: float, t: float, r: float, theta: float,
-                  ctl: SeriesControl = SeriesControl()) -> DensityValue:
+def berger_kernel(n: int, lam: float, t: float, r: float,
+                  theta: float) -> DensityValue:
     """Kernel at the pole of the radial(+fiber) diffusion on the rescaled sphere.
 
     Double series over fiber frequency k and radial degree m; the imaginary
@@ -182,18 +173,18 @@ def berger_kernel(n: int, lam: float, t: float, r: float, theta: float,
         raise ValueError("n must be a positive integer")
     if not (lam > 0):
         raise ValueError("lam must be positive")
-    if t < ctl.min_time:
-        raise TimeTooSmallError(f"t={t} below minimum time {ctl.min_time}")
+    if t < MIN_TIME:
+        raise TimeTooSmallError(f"t={t} below minimum time {MIN_TIME}")
     x = math.cos(2 * r)
     pref = math.gamma(n) / (2.0 * math.pi ** (n + 1))
     cosr = math.cos(r)
 
-    total, tail, _ = _fiber_series(n, 0, t, x, ctl)
-    for k in range(1, ctl.max_terms + 1):
+    total, tail, _ = _fiber_series(n, 0, t, x)
+    for k in range(1, MAX_TERMS + 1):
         damp = math.exp(-0.5 * k * k * lam * lam * t)
-        msum, mtail, mbound = _fiber_series(n, k, t, x, ctl)
+        msum, mtail, mbound = _fiber_series(n, k, t, x)
         kbound = 2.0 * damp * abs(cosr) ** k * mbound
-        if kbound <= ctl.tail_tol:
+        if kbound <= TAIL_TOL:
             # remaining k decay at least geometrically through the k^2 factor
             q = math.exp(-0.5 * (2 * k + 1) * lam * lam * t)
             tail += kbound + kbound * q / max(1.0 - q, 0.5)
@@ -205,8 +196,7 @@ def berger_kernel(n: int, lam: float, t: float, r: float, theta: float,
     return _clip(pref * total, pref * tail)
 
 
-def berger_limit_kernel(n: int, t: float, r: float,
-                        ctl: SeriesControl = SeriesControl()) -> DensityValue:
+def berger_limit_kernel(n: int, t: float, r: float) -> DensityValue:
     """Large-stiffness limit of `berger_kernel`: the k = 0 series alone.
 
     Equals the radial heat kernel at the pole of Brownian motion on the base
@@ -214,8 +204,8 @@ def berger_limit_kernel(n: int, t: float, r: float,
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    if t < ctl.min_time:
-        raise TimeTooSmallError(f"t={t} below minimum time {ctl.min_time}")
+    if t < MIN_TIME:
+        raise TimeTooSmallError(f"t={t} below minimum time {MIN_TIME}")
     pref = math.gamma(n) / (2.0 * math.pi ** (n + 1))
-    s, tail, _ = _fiber_series(n, 0, t, math.cos(2 * r), ctl)
+    s, tail, _ = _fiber_series(n, 0, t, math.cos(2 * r))
     return _clip(pref * s, pref * tail)

@@ -26,17 +26,12 @@ class WindowExhaustedError(QuadratureFailureError):
     """Raised when the truncation window hits its cap with too large a tail."""
 
 
-@dataclass(frozen=True)
-class QuadratureControl:
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-11
-    max_window: float = 60.0
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("tolerances must be positive")
-        if self.max_window < 1:
-            raise ValueError("max_window must be >= 1")
+# Error targets of every quadrature, read when a quadrature runs: a value
+# meets max(ABS_TOL, REL_TOL |value|), and a truncation window stops
+# growing at MAX_WINDOW.
+REL_TOL = 1e-9
+ABS_TOL = 1e-11
+MAX_WINDOW = 60.0
 
 
 @dataclass(frozen=True)
@@ -145,16 +140,16 @@ def _tail_bound(n: int, W: float, t: float, r: float, theta: float) -> float:
             * (2.0 / ((1.0 - math.exp(-2.0 * W)) * math.cosh(r))) ** n)
 
 
-def _grow(bound, start: float, target: float, ctl: QuadratureControl) -> float:
+def _grow(bound, start: float, target: float) -> float:
     """Window grown by 1 from start until bound(window) is below target,
-    capped at ctl.max_window.  Each bound decreases with the window, so it
+    capped at MAX_WINDOW.  Each bound decreases with the window, so it
     stops within 1 of the smallest window that meets the target."""
-    W = min(start, ctl.max_window)
+    W = min(start, MAX_WINDOW)
     while bound(W) > target:
-        if W == ctl.max_window:
+        if W == MAX_WINDOW:
             raise WindowExhaustedError(
-                f"tail bound above {target} at window cap {ctl.max_window}")
-        W = min(W + 1.0, ctl.max_window)
+                f"tail bound above {target} at window cap {MAX_WINDOW}")
+        W = min(W + 1.0, MAX_WINDOW)
     return W
 
 
@@ -166,8 +161,8 @@ def _check_args(n, t: float) -> int:
     return int(n)
 
 
-def chn_joint_density(n: int, t: float, r: float, theta: float,
-                      ctl: QuadratureControl = QuadratureControl()) -> JointDensityValue:
+def chn_joint_density(n: int, t: float, r: float,
+                      theta: float) -> JointDensityValue:
     """Oscillatory-integral kernel p_t(r, theta) for the CH^n model, n >= 1:
 
     p_t = e^{-n^2 t/2} / ((2 pi)^{n+1} t)
@@ -178,7 +173,7 @@ def chn_joint_density(n: int, t: float, r: float, theta: float,
     The y-integral runs on Gauss panels over the window [-W, W], doubled
     until the change meets the target or stops shrinking (the round-off
     floor of the oscillatory sum); est_error adds that change to the tail
-    bound.  The imaginary residue is checked to vanish within abs_tol.
+    bound.  The imaginary residue is checked to vanish within ABS_TOL.
     """
     n = _check_args(n, t)
     if r < 0:
@@ -189,7 +184,7 @@ def chn_joint_density(n: int, t: float, r: float, theta: float,
     scale = math.exp(-theta * theta / (2.0 * t))
     W = _grow(lambda w: _tail_bound(n, w, t, r, theta),
               max(4.0, 4.0 * math.sqrt(t)),
-              max(ctl.abs_tol / 10.0, 1e-17 * scale), ctl)
+              max(ABS_TOL / 10.0, 1e-17 * scale))
     epsabs = max(1e-300, 1e-14 * scale)
 
     def rule(n_panels: int):
@@ -208,25 +203,24 @@ def chn_joint_density(n: int, t: float, r: float, theta: float,
         n_panels *= 2
         re2, im = rule(n_panels)
         dif, re = abs(re2 - re), re2
-        if dif <= max(epsabs, ctl.rel_tol * abs(re)) or dif >= 0.5 * prev_dif:
+        if dif <= max(epsabs, REL_TOL * abs(re)) or dif >= 0.5 * prev_dif:
             break
         prev_dif = dif
     pref = math.exp(-n * n * t / 2.0) / ((2.0 * math.pi) ** (n + 1) * t)
-    if abs(pref * im) > max(ctl.abs_tol, 10.0 * ctl.rel_tol * abs(pref * re)):
+    if abs(pref * im) > max(ABS_TOL, 10.0 * REL_TOL * abs(pref * re)):
         raise QuadratureFailureError(
             f"imaginary residue {pref * im} above tolerance")
     err = pref * (dif + _tail_bound(n, W, t, r, theta))
     val = pref * re
-    if err > max(ctl.abs_tol, ctl.rel_tol * abs(val), 10.0 * epsabs * pref):
+    if err > max(ABS_TOL, REL_TOL * abs(val), 10.0 * epsabs * pref):
         raise QuadratureFailureError(f"error estimate {err} above target")
     return JointDensityValue(val, err)
 
 
-def ch1_joint_density(t: float, r: float, theta: float,
-                      ctl: QuadratureControl = QuadratureControl()) -> JointDensityValue:
+def ch1_joint_density(t: float, r: float, theta: float) -> JointDensityValue:
     """chn_joint_density at n = 1: the joint law of the radial coordinate
     and area on CH^1 has density pi * p_t(r, theta) * sinh(2r) per dr dtheta."""
-    return chn_joint_density(1, t, r, theta, ctl)
+    return chn_joint_density(1, t, r, theta)
 
 
 @functools.cache
@@ -286,8 +280,7 @@ def _cf_tail(n: int, lam: float, t: float, X: float, radial: bool) -> float:
 _CHUNK = 1 << 13
 
 
-def ch_area_cf(n: int, lam: float, t: float,
-               ctl: QuadratureControl = QuadratureControl()) -> JointDensityValue:
+def ch_area_cf(n: int, lam: float, t: float) -> JointDensityValue:
     """Characteristic function E[cos(lam theta_t)] of the area on CH^n.
 
     The theta-integral of p_t is closed form,
@@ -300,7 +293,7 @@ def ch_area_cf(n: int, lam: float, t: float,
     Gauss rule over [0, R] x [0, Y] (the y-integrand is even) doubles its
     nodes until the change meets the target.  R and Y grow by 1 from
     max(4, 4 sqrt t) until the tail bounds of _cf_tail beyond them are each
-    below abs_tol / 10; est_error adds both to the last change.
+    below ABS_TOL / 10; est_error adds both to the last change.
     """
     n = _check_args(n, t)
     if not math.isfinite(lam):
@@ -309,7 +302,7 @@ def ch_area_cf(n: int, lam: float, t: float,
             * math.exp(-(n * n + lam * lam) * t / 2.0)
             * math.sqrt(2.0 * math.pi * t) / ((2.0 * math.pi) ** (n + 1) * t))
     R, Y = (_grow(lambda X: pref * _cf_tail(n, lam, t, X, radial),
-                  max(4.0, 4.0 * math.sqrt(t)), ctl.abs_tol / 10.0, ctl)
+                  max(4.0, 4.0 * math.sqrt(t)), ABS_TOL / 10.0)
             for radial in (True, False))
     tails = pref * (_cf_tail(n, lam, t, R, True)
                     + _cf_tail(n, lam, t, Y, False))
@@ -334,7 +327,7 @@ def ch_area_cf(n: int, lam: float, t: float,
         density *= 2.0
         fine = rule(density)
         dif = abs(fine - coarse)
-        target = max(ctl.abs_tol, ctl.rel_tol * abs(fine))
+        target = max(ABS_TOL, REL_TOL * abs(fine))
         if dif <= 0.5 * target:
             return JointDensityValue(fine, dif + tails)
         coarse = fine

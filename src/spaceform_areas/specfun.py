@@ -1,8 +1,7 @@
-"""Special functions and the reference law used across the package.
+"""Special functions used across the package.
 
-Jacobi polynomials with real parameters (three-term recurrence), their
-endpoint bounds through log-gamma ratios, and the normal law of the CH^n
-Gaussian area limit.
+Jacobi polynomials with real parameters (three-term recurrence) and their
+endpoint bounds through log-gamma ratios.
 """
 
 from __future__ import annotations
@@ -29,25 +28,6 @@ class JacobiParams:
             raise ValueError(f"alpha must be > -1, got {self.alpha}")
         if not (self.beta > -1.0):
             raise ValueError(f"beta must be > -1, got {self.beta}")
-
-
-@dataclass(frozen=True)
-class NormalLaw:
-    """Normal law with given mean and variance."""
-
-    mean: float = 0.0
-    variance: float = 1.0
-
-    def __post_init__(self):
-        if self.variance < 0:
-            raise ValueError(f"variance must be >= 0, got {self.variance}")
-
-    def cdf(self, x) -> np.ndarray:
-        from scipy.special import ndtr
-
-        if self.variance == 0:
-            return (np.asarray(x, dtype=float) >= self.mean).astype(float)
-        return ndtr((np.asarray(x, dtype=float) - self.mean) / math.sqrt(self.variance))
 
 
 def _jacobi_table(m_max: int, a: float, b: float, x) -> list:

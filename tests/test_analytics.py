@@ -7,8 +7,6 @@ from scipy.integrate import quad
 from spaceform_areas import (
     Geometry,
     JacobiParams,
-    QuadratureControl,
-    SeriesControl,
     cf_conditional_cp,
     cf_marginal_cp,
     levy_cf,
@@ -16,17 +14,14 @@ from spaceform_areas import (
     winding_limit_cf,
 )
 
-SCTL = SeriesControl()
-QCTL = QuadratureControl()
-
 
 class TestCfConditional:
     def test_lambda_zero_is_one(self):
-        assert cf_conditional_cp(1, 0.0, 1.0, 0.7, SCTL) == 1.0
+        assert cf_conditional_cp(1, 0.0, 1.0, 0.7) == 1.0
 
     def test_in_unit_interval(self):
         for r in (0.2, 0.7, 1.2):
-            v = cf_conditional_cp(2, 1.0, 0.8, r, SCTL)
+            v = cf_conditional_cp(2, 1.0, 0.8, r)
             assert 0.0 < v <= 1.0
 
     def test_integrates_to_marginal(self):
@@ -34,35 +29,35 @@ class TestCfConditional:
         n, lam, t = 1, 1.0, 0.8
         p0 = JacobiParams(float(n - 1), 0.0)
         val, _ = quad(
-            lambda r: cf_conditional_cp(n, lam, t, r, SCTL)
-            * spherical_density(p0, t, 0.0, r, SCTL).value,
+            lambda r: cf_conditional_cp(n, lam, t, r)
+            * spherical_density(p0, t, 0.0, r).value,
             0.0, math.pi / 2.0 - 1e-9, epsabs=1e-12, epsrel=1e-10, limit=200)
         assert val == pytest.approx(
-            cf_marginal_cp(n, lam, t, SCTL, QCTL), rel=1e-8)
+            cf_marginal_cp(n, lam, t), rel=1e-8)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
-            cf_conditional_cp(1, -1.0, 1.0, 0.5, SCTL)
+            cf_conditional_cp(1, -1.0, 1.0, 0.5)
         with pytest.raises(ValueError):
-            cf_conditional_cp(1, 1.0, 1.0, 2.0, SCTL)
+            cf_conditional_cp(1, 1.0, 1.0, 2.0)
 
 
 class TestCfMarginalCp:
     def test_bounds_and_monotonicity_in_lambda(self):
-        vals = [cf_marginal_cp(1, lam, 1.0, SCTL, QCTL)
+        vals = [cf_marginal_cp(1, lam, 1.0)
                 for lam in (0.0, 0.5, 1.0, 2.0)]
         assert vals[0] == 1.0
         assert all(0.0 < v <= 1.0 for v in vals)
         assert vals[0] > vals[1] > vals[2] > vals[3]
 
     def test_even_in_lambda(self):
-        assert cf_marginal_cp(1, -1.0, 1.0, SCTL, QCTL) == pytest.approx(
-            cf_marginal_cp(1, 1.0, 1.0, SCTL, QCTL), rel=1e-12)
+        assert cf_marginal_cp(1, -1.0, 1.0) == pytest.approx(
+            cf_marginal_cp(1, 1.0, 1.0), rel=1e-12)
 
     def test_cauchy_limit(self):
         # t -> infinity: CF of theta(t)/t approaches e^{-n lam}
         for n in (1, 2):
-            v = cf_marginal_cp(n, 1.0 / 50.0, 50.0, SCTL, QCTL)
+            v = cf_marginal_cp(n, 1.0 / 50.0, 50.0)
             assert v == pytest.approx(math.exp(-n), abs=5e-3)
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from spaceform_areas import cli
+from spaceform_areas import cli, densities
 from spaceform_areas.cli import (
     EXPERIMENT_DEFAULTS,
     ConfigParseError,
@@ -16,7 +16,6 @@ from spaceform_areas.cli import (
     parse_config,
     run_experiment,
 )
-from spaceform_areas.densities import SeriesControl
 
 
 class TestParseConfig:
@@ -122,11 +121,16 @@ class TestParseConfig:
         ("berger-homogenisation", "n", 1.5),
         ("winding-ch1", "lambdas", ["1.0"]),
         ("winding-ch1", "r0s", [0.5, float("inf")]),
+        ("cp-area-cf", "lambdas", [0.5, 0.0]),
+        ("cp-area-cf", "lambdas", [-0.5]),
+        ("winding-ch1", "lambdas", [0.0]),
     ])
     def test_bad_sampler_param_named(self, name, key, value, tmp_path):
         # each used to reach the run: a failed `completed` check (exit 1),
         # a silently truncated n (int(2.5) == 2) or, for an empty list, a
-        # run with no CF check at all (exit 0)
+        # run with no CF check at all (exit 0); a zero lambda divided by a
+        # standard error of 0 and a negative one failed the Girsanov
+        # estimator (exit 1)
         text = json.dumps({"experiment": name, "params": {key: value}})
         with pytest.raises(ValueError, match=f"'{key}'"):
             parse_config(text)
@@ -201,6 +205,8 @@ class TestParseConfig:
         ("berger-homogenisation", "lam", None),
         ("berger-homogenisation", "lam", 0.0),
         ("berger-homogenisation", "lam", -1.0),
+        ("levy-baseline", "lam", 0.0),
+        ("winding-cp1", "lam", 0),
         ("ch1-loop-density", "theta_lo", float("nan")),
         ("ch1-loop-density", "theta_hi", float("inf")),
         ("ch1-loop-density", "theta_lo", 3.0),
@@ -215,8 +221,10 @@ class TestParseConfig:
     def test_bad_scalar_named(self, name, key, value, tmp_path):
         # each used to reach the run: t <= 0 failed its `completed` check,
         # a NaN lam or an inverted theta range failed a comparison, a
-        # tolerance <= 0 failed one that no value could pass, and a Berger
-        # stiffness <= 0 failed inside berger_kernel (exit 1)
+        # tolerance <= 0 failed one that no value could pass, a Berger
+        # stiffness <= 0 failed inside berger_kernel and a zero planar lam
+        # divided by a standard error of 0 (exit 1); a zero winding lam
+        # passed by comparing 1 with 1
         text = json.dumps({"experiment": name, "params": {key: value}})
         with pytest.raises(ValueError, match=f"'{key}'"):
             parse_config(text)
@@ -233,7 +241,8 @@ class TestParseConfig:
         ExperimentSpec("ch1-loop-density", {"t": 1e-9, "tol": 1e-300,
                                             "theta_lo": -1e-9,
                                             "theta_hi": 0.0})
-        ExperimentSpec("winding-cp1", {"lam": 0.0, "tol": 1e9})
+        ExperimentSpec("winding-cp1", {"lam": -1e-9, "tol": 1e9})
+        ExperimentSpec("cp-area-cf", {"lambdas": [1e-9]})
         ExperimentSpec("jacobi-selftest", {"oracle_tol": 1e-30})
 
     def test_quadrature_counts_accept_edges(self):
@@ -261,7 +270,7 @@ class TestParseConfig:
     ], ids=["berger-homogenisation", "cp-area-cf", "cp-cauchy-limit"])
     def test_series_time_below_min_time_named(self, name, params, tmp_path):
         # each used to fail its `completed` check with TimeTooSmallError
-        # (exit 1) once the spectral series met t < SeriesControl.min_time
+        # (exit 1) once the spectral series met t < densities.MIN_TIME
         text = json.dumps({"experiment": name, "params": params})
         with pytest.raises(ValueError, match="'t'"):
             parse_config(text)
@@ -274,9 +283,8 @@ class TestParseConfig:
         assert main(["--experiment", name, *overrides,
                      "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
-        min_time = SeriesControl().min_time
-        spec = ExperimentSpec(name, {**params, "t": min_time})
-        assert spec.resolved_params()["t"] == min_time
+        spec = ExperimentSpec(name, {**params, "t": densities.MIN_TIME})
+        assert spec.resolved_params()["t"] == densities.MIN_TIME
 
     def test_defaults_pass_sampler_checks(self):
         for name in EXPERIMENT_DEFAULTS:
@@ -430,6 +438,19 @@ class TestMain:
         assert main(["--experiment", "cp-area-cf", "--out", str(tmp_path),
                      "--override", override]) == 2
         assert f"'{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_exit_two_on_threads_below_one(self, threads, tmp_path, capsys):
+        # both used to run, exit 0 and record the count in the manifest
+        assert main(["--experiment", "jacobi-selftest", "--out",
+                     str(tmp_path), f"--threads={threads}"]) == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+        with pytest.raises(ValueError, match="threads"):
+            run_experiment(ExperimentSpec("jacobi-selftest",
+                                          output_dir=tmp_path),
+                           threads=threads)
         assert not (tmp_path / "manifest.json").exists()
 
     def test_config_plus_flag_overrides(self, tmp_path, capsys):

@@ -7,7 +7,6 @@ from scipy.integrate import quad
 
 from spaceform_areas import (
     JacobiParams,
-    SeriesControl,
     SeriesNotConvergedError,
     TimeTooSmallError,
     berger_kernel,
@@ -15,9 +14,8 @@ from spaceform_areas import (
     spherical_density,
     stationary_spherical_density,
 )
+from spaceform_areas import densities
 from spaceform_areas.densities import _fiber_series
-
-CTL = SeriesControl()
 
 
 class TestSphericalDensity:
@@ -26,7 +24,7 @@ class TestSphericalDensity:
     @pytest.mark.parametrize("t", [0.2, 0.5, 2.0])
     def test_normalization(self, a, b, t):
         p = JacobiParams(a, b)
-        total, _ = quad(lambda r: spherical_density(p, t, 0.0, r, CTL).value,
+        total, _ = quad(lambda r: spherical_density(p, t, 0.0, r).value,
                         0.0, math.pi / 2.0, epsabs=1e-12, epsrel=1e-11,
                         limit=200)
         assert abs(total - 1.0) <= 1e-8
@@ -34,16 +32,16 @@ class TestSphericalDensity:
     def test_positive_on_grid(self):
         p = JacobiParams(1.0, 0.5)
         for r in np.linspace(0.05, math.pi / 2 - 0.05, 15):
-            assert spherical_density(p, 0.5, 0.3, float(r), CTL).value > 0.0
+            assert spherical_density(p, 0.5, 0.3, float(r)).value > 0.0
 
     def test_chapman_kolmogorov(self):
         # q_{t+s}(0, r) = int q_t(0, u) q_s(u, r) du
         p = JacobiParams(1.0, 0.0)
         t, s, r = 0.4, 0.3, 0.9
-        lhs = spherical_density(p, t + s, 0.0, r, CTL).value
+        lhs = spherical_density(p, t + s, 0.0, r).value
         rhs, _ = quad(
-            lambda u: spherical_density(p, t, 0.0, u, CTL).value
-            * spherical_density(p, s, u, r, CTL).value,
+            lambda u: spherical_density(p, t, 0.0, u).value
+            * spherical_density(p, s, u, r).value,
             0.0, math.pi / 2.0, epsabs=1e-12, epsrel=1e-10, limit=200)
         assert rhs == pytest.approx(lhs, rel=1e-8)
 
@@ -53,23 +51,23 @@ class TestSphericalDensity:
         r0, r, t = 0.5, 1.1, 0.6
         pi0 = float(stationary_spherical_density(p, r0))
         pi1 = float(stationary_spherical_density(p, r))
-        q01 = spherical_density(p, t, r0, r, CTL).value
-        q10 = spherical_density(p, t, r, r0, CTL).value
+        q01 = spherical_density(p, t, r0, r).value
+        q10 = spherical_density(p, t, r, r0).value
         assert q01 / pi1 == pytest.approx(q10 / pi0, rel=1e-10)
 
     def test_long_time_limit_is_stationary(self):
         p = JacobiParams(1.0, 0.5)
         for r in (0.3, 0.8, 1.3):
-            q = spherical_density(p, 8.0, 0.2, r, CTL).value
+            q = spherical_density(p, 8.0, 0.2, r).value
             pi = float(stationary_spherical_density(p, r))
             assert q == pytest.approx(pi, rel=1e-6)
 
     def test_time_too_small_raises(self):
         with pytest.raises(TimeTooSmallError):
-            spherical_density(JacobiParams(0.0, 0.0), 1e-5, 0.0, 0.5, CTL)
+            spherical_density(JacobiParams(0.0, 0.0), 1e-5, 0.0, 0.5)
 
     def test_tail_estimate_reported(self):
-        v = spherical_density(JacobiParams(1.0, 0.0), 0.5, 0.0, 0.7, CTL)
+        v = spherical_density(JacobiParams(1.0, 0.0), 0.5, 0.0, 0.7)
         assert 0 <= v.truncation_bound < 1e-10
 
 
@@ -88,9 +86,9 @@ def _fiber_gap_bound(n, lam, t, r):
     pref = math.gamma(n) / (2.0 * math.pi ** (n + 1))
     x, c = math.cos(2.0 * r), abs(math.cos(r))
     total = 0.0
-    for k in range(1, CTL.max_terms + 1):
+    for k in range(1, densities.MAX_TERMS + 1):
         term = (2.0 * math.exp(-0.5 * k * k * lam * lam * t) * c ** k
-                * _fiber_series(n, k, t, x, CTL)[2])
+                * _fiber_series(n, k, t, x)[2])
         total += term
         if term <= 1e-17 * total:
             break
@@ -100,21 +98,21 @@ def _fiber_gap_bound(n, lam, t, r):
 class TestBergerKernel:
     def test_homogenisation_monotone_in_stiffness(self):
         # the fiber terms die off as the stiffness grows
-        lim = berger_limit_kernel(1, 0.5, 0.6, CTL).value
-        diffs = [abs(berger_kernel(1, lam, 0.5, 0.6, 1.1, CTL).value - lim)
+        lim = berger_limit_kernel(1, 0.5, 0.6).value
+        diffs = [abs(berger_kernel(1, lam, 0.5, 0.6, 1.1).value - lim)
                  for lam in (1.0, 4.0, 16.0)]
         assert diffs[0] > diffs[1] > diffs[2]
         assert diffs[2] < 1e-6
 
     def test_limit_at_large_stiffness(self):
         for r in (0.2, 0.7, 1.3):
-            lim = berger_limit_kernel(1, 0.5, r, CTL).value
-            v = berger_kernel(1, 50.0, 0.5, r, 2.0, CTL).value
+            lim = berger_limit_kernel(1, 0.5, r).value
+            v = berger_kernel(1, 50.0, 0.5, r, 2.0).value
             assert abs(v - lim) <= 1e-6
 
     def test_theta_periodicity(self):
-        v1 = berger_kernel(1, 2.0, 0.5, 0.6, 0.7, CTL).value
-        v2 = berger_kernel(1, 2.0, 0.5, 0.6, 0.7 + 2.0 * math.pi, CTL).value
+        v1 = berger_kernel(1, 2.0, 0.5, 0.6, 0.7).value
+        v2 = berger_kernel(1, 2.0, 0.5, 0.6, 0.7 + 2.0 * math.pi).value
         assert v1 == pytest.approx(v2, rel=1e-12)
 
     def test_normalization(self):
@@ -122,7 +120,7 @@ class TestBergerKernel:
         pref = 2.0 * math.pi ** n / math.gamma(n)
 
         def fiber_avg(r):
-            vals = [berger_kernel(n, lam, t, r, th, CTL).value
+            vals = [berger_kernel(n, lam, t, r, th).value
                     for th in np.linspace(0, 2 * math.pi, 32, endpoint=False)]
             return float(np.mean(vals))
 
@@ -140,10 +138,10 @@ class TestBergerKernel:
         n, t = 1, 0.5
         worst, worst_bound = 0.0, 0.0
         for r in np.linspace(0.12, 1.45, 5):
-            lim = berger_limit_kernel(n, t, float(r), CTL)
+            lim = berger_limit_kernel(n, t, float(r))
             bound = _fiber_gap_bound(n, lam, t, float(r))
             for th in np.linspace(-2.0, 2.0, 5):
-                v = berger_kernel(n, lam, t, float(r), float(th), CTL)
+                v = berger_kernel(n, lam, t, float(r), float(th))
                 gap = abs(v.value - lim.value)
                 assert gap <= (bound + v.truncation_bound
                                + lim.truncation_bound)
@@ -158,9 +156,9 @@ class TestBergerKernel:
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
-            berger_kernel(0, 1.0, 0.5, 0.3, 0.0, CTL)
+            berger_kernel(0, 1.0, 0.5, 0.3, 0.0)
         with pytest.raises(ValueError):
-            berger_kernel(1, -1.0, 0.5, 0.3, 0.0, CTL)
+            berger_kernel(1, -1.0, 0.5, 0.3, 0.0)
 
 
 def _mp_series(coeff, a, b, t_rate, xs):
@@ -208,7 +206,7 @@ class TestCertifiedTail:
         (3.0, 2.0, 5.0, 1.0, 0.2),
     ])
     def test_spherical_density(self, a, b, t, r0, r):
-        v = spherical_density(JacobiParams(a, b), t, r0, r, CTL)
+        v = spherical_density(JacobiParams(a, b), t, r0, r)
         ref = float(_mp_spherical(a, b, t, r0, r))
         assert ref > 0.0
         assert abs(v.value - ref) <= v.truncation_bound + 1e-15 * abs(ref)
@@ -221,28 +219,30 @@ class TestCertifiedTail:
         (1, 3.0, 0.1),
     ])
     def test_berger_limit_kernel(self, n, t, r):
-        v = berger_limit_kernel(n, t, r, CTL)
+        v = berger_limit_kernel(n, t, r)
         ref = float(_mp_berger_limit(n, t, r))
         assert ref > 0.0
         assert abs(v.value - ref) <= v.truncation_bound + 1e-15 * abs(ref)
 
 
 class TestSeriesNotConverged:
-    """Two terms cannot reach tail_tol at t = min_time: every series raises
+    """Two terms cannot reach TAIL_TOL at t = MIN_TIME: every series raises
     instead of returning a partial sum."""
 
-    SMALL = SeriesControl(max_terms=2)
-    T = SMALL.min_time
+    T = densities.MIN_TIME
+
+    @pytest.fixture(autouse=True)
+    def two_terms(self, monkeypatch):
+        monkeypatch.setattr(densities, "MAX_TERMS", 2)
 
     def test_spherical_density(self):
         with pytest.raises(SeriesNotConvergedError):
-            spherical_density(JacobiParams(1.0, 0.5), self.T, 0.2, 0.9,
-                              self.SMALL)
+            spherical_density(JacobiParams(1.0, 0.5), self.T, 0.2, 0.9)
 
     def test_berger_limit_kernel(self):
         with pytest.raises(SeriesNotConvergedError):
-            berger_limit_kernel(2, self.T, 0.5, self.SMALL)
+            berger_limit_kernel(2, self.T, 0.5)
 
     def test_berger_kernel(self):
         with pytest.raises(SeriesNotConvergedError):
-            berger_kernel(1, 2.0, self.T, 0.5, 0.3, self.SMALL)
+            berger_kernel(1, 2.0, self.T, 0.5, 0.3)

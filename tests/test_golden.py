@@ -15,7 +15,7 @@ import hashlib
 
 import pytest
 
-from spaceform_areas import QuadratureControl, SeriesControl, cf_marginal_cp
+from spaceform_areas import cf_marginal_cp
 from spaceform_areas.cli import ExperimentSpec, run_experiment
 
 GOLDEN_CSV = {
@@ -150,7 +150,7 @@ def test_spectral_csv_digests(name, tmp_path):
 
 @pytest.mark.parametrize("n,lam,t,golden", GOLDEN_CF_MARGINAL_CP)
 def test_cf_marginal_cp_bits(n, lam, t, golden):
-    v = cf_marginal_cp(n, lam, t, SeriesControl(), QuadratureControl())
+    v = cf_marginal_cp(n, lam, t)
     assert v.hex() == golden
 
 

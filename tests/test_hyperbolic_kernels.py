@@ -8,7 +8,6 @@ from scipy.integrate import IntegrationWarning, quad
 
 from spaceform_areas import (
     JointDensityValue,
-    QuadratureControl,
     QuadratureFailureError,
     WindowExhaustedError,
     ch1_joint_density,
@@ -19,23 +18,21 @@ from spaceform_areas import (
 from spaceform_areas import hyperbolic_kernels
 from spaceform_areas.hyperbolic_kernels import _gauss_panels, _kernel
 
-CTL = QuadratureControl()
-
 
 class TestCh1JointDensity:
     def test_loop_slice_matches_quadrature(self):
         for th in (-2.5, -1.0, 0.0, 0.7, 3.0):
-            q = ch1_joint_density(1.0, 0.0, th, CTL).value
+            q = ch1_joint_density(1.0, 0.0, th).value
             closed = float(ch1_loop_slice(1.0, th))
             assert q == pytest.approx(closed, rel=1e-8)
 
     def test_even_in_theta(self):
-        a = ch1_joint_density(0.8, 0.6, 1.3, CTL).value
-        b = ch1_joint_density(0.8, 0.6, -1.3, CTL).value
+        a = ch1_joint_density(0.8, 0.6, 1.3).value
+        b = ch1_joint_density(0.8, 0.6, -1.3).value
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_positive_and_decaying_in_theta(self):
-        vals = [ch1_joint_density(1.0, 0.5, th, CTL).value
+        vals = [ch1_joint_density(1.0, 0.5, th).value
                 for th in (0.0, 1.0, 2.0, 4.0)]
         assert all(v > 0 for v in vals)
         assert vals[0] > vals[1] > vals[2] > vals[3]
@@ -45,7 +42,7 @@ class TestCh1JointDensity:
         # in r (weighted by pi sinh 2r); spot-check the total mass over a
         # truncated (r, theta) box is slightly below 1
         def inner(r):
-            f = lambda th: ch1_joint_density(1.0, r, th, CTL).value
+            f = lambda th: ch1_joint_density(1.0, r, th).value
             v, _ = quad(f, 0.0, 10.0, limit=100)
             return 2.0 * v * math.pi * math.sinh(2.0 * r)
 
@@ -54,25 +51,24 @@ class TestCh1JointDensity:
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
-            ch1_joint_density(-1.0, 0.5, 0.0, CTL)
+            ch1_joint_density(-1.0, 0.5, 0.0)
         with pytest.raises(ValueError):
-            ch1_joint_density(1.0, -0.5, 0.0, CTL)
+            ch1_joint_density(1.0, -0.5, 0.0)
 
-    def test_window_exhaustion_raises(self):
-        tight = QuadratureControl(rel_tol=1e-9, abs_tol=1e-11,
-                                  max_window=1.0)
+    def test_window_exhaustion_raises(self, monkeypatch):
+        monkeypatch.setattr(hyperbolic_kernels, "MAX_WINDOW", 1.0)
         with pytest.raises(WindowExhaustedError):
-            ch1_joint_density(1.0, 0.5, 0.3, tight)
+            ch1_joint_density(1.0, 0.5, 0.3)
 
     @pytest.mark.parametrize("t", [0.1, 1.0, 4.0])
     def test_window_stops_near_first_sufficient(self, t):
         # at r = 0, theta = 0 the smallest window with tail bound below
         # 1e-12 is 32 to 35 for these t; doubling from 4 sqrt t jumped
         # past it to the cap of 60
-        target = CTL.abs_tol / 10.0
+        target = hyperbolic_kernels.ABS_TOL / 10.0
         bound = lambda W: hyperbolic_kernels._tail_bound(1, W, t, 0.0, 0.0)
         W = hyperbolic_kernels._grow(bound, max(4.0, 4.0 * math.sqrt(t)),
-                                     target, CTL)
+                                     target)
         assert W <= 40.0
         assert bound(W) <= target
         assert bound(W - 1.0) > target
@@ -108,18 +104,18 @@ def _ch1_tail_bound(W: float, t: float, r: float, theta: float) -> float:
     return 2.0 * gauss * 2.2 * (W + c + 1.0) * math.exp(-W) / math.cosh(r)
 
 
-def _ch1_window(t: float, r: float, theta: float, target: float,
-                ctl: QuadratureControl) -> float:
+def _ch1_window(t: float, r: float, theta: float, target: float) -> float:
     """y-window W of the n=1 integrand: grown by 1 from max(4, 4 sqrt t)
     until the tail bound beyond it is below target, capped at
-    ctl.max_window.  The bound falls at least like e^{-W}, so W stops
+    MAX_WINDOW.  The bound falls at least like e^{-W}, so W stops
     within 1 of the smallest window that meets the target."""
-    W = min(max(4.0, 4.0 * math.sqrt(t)), ctl.max_window)
+    cap = hyperbolic_kernels.MAX_WINDOW
+    W = min(max(4.0, 4.0 * math.sqrt(t)), cap)
     while _ch1_tail_bound(W, t, r, theta) > target:
-        if W == ctl.max_window:
+        if W == cap:
             raise WindowExhaustedError(
-                f"tail bound above {target} at window cap {ctl.max_window}")
-        W = min(W + 1.0, ctl.max_window)
+                f"tail bound above {target} at window cap {cap}")
+        W = min(W + 1.0, cap)
     return W
 
 
@@ -134,8 +130,8 @@ def _ch1_integrand(y, t: float, r: float, theta: float):
     return mag * np.cos(phase), -mag * np.sin(phase)
 
 
-def _ch1_joint_density_quad(t: float, r: float, theta: float,
-                            ctl: QuadratureControl = QuadratureControl()) -> JointDensityValue:
+def _ch1_joint_density_quad(t: float, r: float,
+                            theta: float) -> JointDensityValue:
     """ch1_joint_density by two adaptive scipy quad calls over the y-window,
     the kernel's earlier body kept as an independent reference."""
     if not (t > 0):
@@ -146,24 +142,25 @@ def _ch1_joint_density_quad(t: float, r: float, theta: float,
     # e^{-2 pi |theta| / t} times the central integrand scale, so the tail is
     # truncated relative to that scale rather than in absolute terms.
     scale = math.exp(-theta * theta / (2.0 * t))
-    W = _ch1_window(t, r, theta, max(ctl.abs_tol / 10.0, 1e-17 * scale), ctl)
+    abs_tol, rel_tol = hyperbolic_kernels.ABS_TOL, hyperbolic_kernels.REL_TOL
+    W = _ch1_window(t, r, theta, max(abs_tol / 10.0, 1e-17 * scale))
     epsabs = max(1e-300, 1e-14 * scale)
     with warnings.catch_warnings():
         # roundoff warnings are expected near machine precision; the final
         # error check below is authoritative
         warnings.simplefilter("ignore", IntegrationWarning)
         re, re_err = quad(lambda y: _ch1_integrand(y, t, r, theta)[0], -W, W,
-                          epsabs=epsabs, epsrel=ctl.rel_tol, limit=200)
+                          epsabs=epsabs, epsrel=rel_tol, limit=200)
         im, _ = quad(lambda y: _ch1_integrand(y, t, r, theta)[1], -W, W,
-                     epsabs=epsabs, epsrel=ctl.rel_tol, limit=200)
+                     epsabs=epsabs, epsrel=rel_tol, limit=200)
     pref = math.exp(-t / 2.0) / (2.0 * math.pi * t) ** 2
-    if abs(pref * im) > max(ctl.abs_tol, 10.0 * ctl.rel_tol * abs(pref * re)):
+    if abs(pref * im) > max(abs_tol, 10.0 * rel_tol * abs(pref * re)):
         raise QuadratureFailureError(
             f"imaginary residue {pref * im} above tolerance"
         )
     err = pref * (re_err + _ch1_tail_bound(W, t, r, theta))
     val = pref * re
-    if err > max(ctl.abs_tol, ctl.rel_tol * abs(val), 10.0 * epsabs * pref):
+    if err > max(abs_tol, rel_tol * abs(val), 10.0 * epsabs * pref):
         raise QuadratureFailureError(f"error estimate {err} above target")
     return JointDensityValue(val, err)
 
@@ -176,8 +173,8 @@ class TestCh1JointDensityOracle:
         # below the round-off of the oscillatory sum and both rules stop at
         # their noise floor
         for theta in (-3.0, -1.3, 0.0, 0.7, 3.0, 4.0):
-            new = ch1_joint_density(t, r, theta, CTL)
-            old = _ch1_joint_density_quad(t, r, theta, CTL)
+            new = ch1_joint_density(t, r, theta)
+            old = _ch1_joint_density_quad(t, r, theta)
             assert abs(new.value - old.value) <= new.est_error + old.est_error
 
 
@@ -186,26 +183,28 @@ class TestCh1AreaCf:
     def test_unit_mass(self, t):
         # a fixed r <= 8 window holds only 0.962 of the mass at t = 4 and
         # 0.719 at t = 6; the windows must grow with t
-        v = ch_area_cf(1, 0.0, t, CTL)
+        v = ch_area_cf(1, 0.0, t)
         assert v.value == pytest.approx(1.0, abs=1e-9)
         assert v.est_error <= 1e-9
 
-    def test_y_window_cap_raises(self):
+    def test_y_window_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(hyperbolic_kernels, "MAX_WINDOW", 2.0)
         with pytest.raises(WindowExhaustedError):
-            ch_area_cf(1, 0.5, 1.0, QuadratureControl(max_window=2.0))
+            ch_area_cf(1, 0.5, 1.0)
 
-    def test_box_cap_raises(self):
+    def test_box_cap_raises(self, monkeypatch):
         # the y-window fits under the cap, but r(25) ~ 25 + N(0, 25) does not
+        monkeypatch.setattr(hyperbolic_kernels, "MAX_WINDOW", 40.0)
         with pytest.raises(WindowExhaustedError):
-            ch_area_cf(1, 0.5, 25.0, QuadratureControl(max_window=40.0))
+            ch_area_cf(1, 0.5, 25.0)
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
-            ch_area_cf(1, 0.5, 0.0, CTL)
+            ch_area_cf(1, 0.5, 0.0)
         with pytest.raises(ValueError):
-            ch_area_cf(1, math.nan, 1.0, CTL)
+            ch_area_cf(1, math.nan, 1.0)
         with pytest.raises(ValueError):
-            ch_area_cf(0, 0.5, 1.0, CTL)
+            ch_area_cf(0, 0.5, 1.0)
 
 
 def _ch1_area_cf_oracle(lam, t):
@@ -234,7 +233,7 @@ class TestCh1AreaCfOracle:
     @pytest.mark.parametrize("lam,t", [(0.5, 1.0), (1.0, 1.0), (0.5, 4.0),
                                        (0.5, 6.0), (2.0, 0.5)])
     def test_matches_closed_form_theta_integral(self, lam, t):
-        v = ch_area_cf(1, lam, t, CTL)
+        v = ch_area_cf(1, lam, t)
         assert v.value == pytest.approx(_ch1_area_cf_oracle(lam, t), abs=1e-9)
         assert v.est_error <= 1e-9
 
@@ -242,17 +241,17 @@ class TestCh1AreaCfOracle:
 class TestChnJointDensity:
     def test_rejects_n_zero(self):
         with pytest.raises(ValueError):
-            chn_joint_density(0, 1.0, 0.5, 0.0, CTL)
+            chn_joint_density(0, 1.0, 0.5, 0.0)
 
     def test_positive_even_decaying(self):
-        v0 = chn_joint_density(2, 1.0, 0.5, 0.0, CTL).value
-        v1 = chn_joint_density(2, 1.0, 0.5, 1.5, CTL).value
-        v1m = chn_joint_density(2, 1.0, 0.5, -1.5, CTL).value
+        v0 = chn_joint_density(2, 1.0, 0.5, 0.0).value
+        v1 = chn_joint_density(2, 1.0, 0.5, 1.5).value
+        v1m = chn_joint_density(2, 1.0, 0.5, -1.5).value
         assert v0 > v1 > 0
         assert v1 == pytest.approx(v1m, rel=1e-10)
 
     def test_error_estimate_small(self):
-        v = chn_joint_density(2, 1.0, 0.8, 0.5, CTL)
+        v = chn_joint_density(2, 1.0, 0.8, 0.5)
         assert v.est_error < 1e-6 * max(abs(v.value), 1e-30)
 
 
@@ -342,7 +341,7 @@ def test_chn_joint_density_matches_mpmath(t, r, theta):
     # the earlier double quadrature missed (1, 0.5, 0.3), (2, 0.2, 1.5) and
     # (1, 0.8, 0.5) by 2.4e-10, 1.1e-13 and 3.6e-11 and raised at t <= 0.5,
     # where its prefactor e^{pi^2/2t} cancelled against the u-integral
-    v = chn_joint_density(2, t, r, theta, CTL)
+    v = chn_joint_density(2, t, r, theta)
     assert abs(v.value - _chn_joint_density_reference(2, t, r, theta)) <= (
         v.est_error)
 
@@ -350,6 +349,6 @@ def test_chn_joint_density_matches_mpmath(t, r, theta):
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("t", [0.25, 1.0, 4.0, 6.0])
 def test_area_cf_unit_mass(n, t):
-    v = ch_area_cf(n, 0.0, t, CTL)
+    v = ch_area_cf(n, 0.0, t)
     assert v.value == pytest.approx(1.0, abs=1e-9)
     assert v.est_error <= 1e-9

@@ -12,6 +12,8 @@ import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import spaceform_areas
 from spaceform_areas import cli
 from spaceform_areas.cli import parse_config
@@ -48,3 +50,22 @@ def test_workload_overrides_parse(monkeypatch):
                                         "params": overrides}))
         assert spec.params == overrides
 
+
+
+@pytest.mark.parametrize("workload",
+                         ["short-horizon", "ch-quadrature", "long-horizon"])
+def test_traced_pass_reaches_every_homed_metric(workload, monkeypatch,
+                                                tmp_path):
+    # the benchmark fails a run whose traced pass leaves a metric homed on
+    # its workload without a single call
+    tracer = _load("tracer", monkeypatch)
+    w = _load("workloads", monkeypatch).WORKLOADS[workload]
+    traced = tracer.Tracer()
+    with traced.installed(spaceform_areas):
+        bundles = [cli.run_experiment(
+            cli.ExperimentSpec(name=name, params=overrides,
+                               output_dir=tmp_path / name),
+            threads=w.threads) for name, overrides in w.experiments]
+    assert [b.manifest["experiment"] for b in bundles if not b.passed] == []
+    assert [m.name for m in tracer.LAYER_METRICS if workload in m.homes
+            and tracer.calls(traced.spans, m.source) == 0] == []

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spaceform_areas import JacobiParams, NormalLaw, jacobi_poly
+from spaceform_areas import JacobiParams, jacobi_poly
 from spaceform_areas.specfun import jacobi_poly_at_one, log_gamma_ratio
 
 
@@ -100,8 +100,3 @@ class TestLogGammaRatio:
         v = log_gamma_ratio(500.5, 2.0)
         assert math.isfinite(v)
 
-
-class TestReferenceCf:
-    def test_invalid_laws(self):
-        with pytest.raises(ValueError):
-            NormalLaw(0.0, -1.0)

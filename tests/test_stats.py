@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.special import ndtr
 
 from spaceform_areas import (
     CfEstimate,
-    NormalLaw,
     SampleSet,
     empirical_cf,
     ks_statistic,
@@ -69,14 +69,14 @@ class TestKsStatistic:
     def test_normal_samples_accepted(self):
         rng = np.random.default_rng(7)
         s = SampleSet(rng.standard_normal(5000))
-        d, p = ks_statistic(s, NormalLaw(0.0, 1.0).cdf)
+        d, p = ks_statistic(s, ndtr)
         assert p > 0.01
         assert 0.0 <= d <= 1.0
 
     def test_wrong_law_rejected(self):
         rng = np.random.default_rng(8)
         s = SampleSet(rng.standard_normal(5000) + 0.5)
-        d, p = ks_statistic(s, NormalLaw(0.0, 1.0).cdf)
+        d, p = ks_statistic(s, ndtr)
         assert p < 1e-6
 
     def test_rejects_invalid_cdf(self):
@@ -89,8 +89,7 @@ class TestKsStatistic:
     def test_invariant_under_monotone_shift(self, x):
         # applying the true CDF transform leaves D invariant: compare
         # against a shifted copy through a shifted CDF
-        law = NormalLaw(0.0, 4.0)
-        d1, _ = ks_statistic(SampleSet(x), law.cdf)
-        shifted = NormalLaw(1.0, 4.0)
-        d2, _ = ks_statistic(SampleSet(x + 1.0), shifted.cdf)
+        d1, _ = ks_statistic(SampleSet(x), lambda v: ndtr(v / 2.0))
+        d2, _ = ks_statistic(SampleSet(x + 1.0),
+                             lambda v: ndtr((v - 1.0) / 2.0))
         assert d1 == pytest.approx(d2, abs=1e-12)
