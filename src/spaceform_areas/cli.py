@@ -319,9 +319,10 @@ def _quad_cf_ch1(lam: float, t: float, n: int = 1) -> JointDensityValue:
     return ch_area_cf(n, lam, t)
 
 
-def _quad_cf_planar(lam: float, t: float, nodes: int = 64) -> float:
-    """E over the endpoint of levy_cf, by Gauss-Laguerre in |z|^2/t ~ Exp."""
-    x, w = np.polynomial.laguerre.laggauss(nodes)
+def _quad_cf_planar(lam: float, t: float) -> float:
+    """E over the endpoint of levy_cf, by 64-point Gauss-Laguerre in
+    |z|^2/t ~ Exp."""
+    x, w = np.polynomial.laguerre.laggauss(64)
     vals = np.array([levy_cf(lam, t, complex(math.sqrt(2.0 * t * s), 0.0))
                      for s in x])
     return float(np.sum(w * vals))

@@ -64,12 +64,13 @@ def empirical_cf(s: SampleSet, lam: float) -> CfEstimate:
     return CfEstimate(value, se, n)
 
 
-def _kolmogorov_sf(x: float, terms: int = 100) -> float:
-    """Survival function of the asymptotic Kolmogorov distribution."""
+def _kolmogorov_sf(x: float) -> float:
+    """Survival function of the asymptotic Kolmogorov distribution, summed
+    over its first 100 terms."""
     if x <= 0:
         return 1.0
     total = 0.0
-    for k in range(1, terms + 1):
+    for k in range(1, 101):
         total += (-1.0) ** (k - 1) * math.exp(-2.0 * k * k * x * x)
     return float(min(1.0, max(0.0, 2.0 * total)))
 
