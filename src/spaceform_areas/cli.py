@@ -32,6 +32,7 @@ from .hyperbolic_kernels import (
     ch_area_cf,
 )
 from .simulate import (
+    CP_STEP_LIMIT,
     Geometry,
     SimConfig,
     girsanov_cf_estimator,
@@ -92,6 +93,15 @@ class ExperimentSpec:
             raise ValueError(
                 f"'t' must be at least {densities.MIN_TIME} for {self.name}, "
                 f"got {params['t']!r}")
+        # the closed-form CP r-step needs (n - 1/2) dt and (lam + 1/2) dt
+        # below CP_STEP_LIMIT; the direct route runs at lam = 0
+        if self.name == "cp-area-cf":
+            n = params["n"]
+            _check_cp_step("dt_direct", params["dt_direct"], n)
+            _check_cp_step("dt_girsanov", params["dt_girsanov"], n,
+                           max(params["lambdas"]))
+        elif self.name == "cp-cauchy-limit":
+            _check_cp_step("dt", params["dt"], max(params["ns"]))
 
     def resolved_params(self) -> dict:
         out = dict(EXPERIMENT_DEFAULTS[self.name])
@@ -168,6 +178,19 @@ def _check_params(params: dict) -> None:
         if key in params and not all(v > 0 for v in params[key]):
             raise ValueError(
                 f"'{key}' must hold positive numbers, got {params[key]!r}")
+
+
+def _check_cp_step(key: str, dt, n, lam: float = 0.0) -> None:
+    """Raise ValueError naming `key` unless (n - 1/2) dt and (lam + 1/2) dt
+    are below CP_STEP_LIMIT."""
+    # n < limit + 1/2 compares an integer n of any size exactly
+    limit = CP_STEP_LIMIT / dt
+    if not (n < limit + 0.5 and lam < limit - 0.5):
+        tilt = f" and largest lambda {lam!r}" if lam else ""
+        raise ValueError(
+            f"'{key}' must keep (n - 1/2) {key} and (lam + 1/2) {key} below "
+            f"pi^2/8 = {CP_STEP_LIMIT:.6g} for the CP step, got {key} = "
+            f"{dt!r} with n = {n!r}{tilt}")
 
 
 @dataclass

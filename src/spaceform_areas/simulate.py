@@ -138,63 +138,51 @@ def _run_blocks(cfg: SimConfig, block_fn, threads: int = 1) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# implicit cot/tan solve of the r-mode CP^n area step (_cp_area_phi)
+# closed-form r-mode step of the CP^n area sampler (_cp_area_phi)
 
-_MAX_SOLVER_ITERS = 60
-_SOLVER_TOL = 1e-12
+# The step keeps its lanes inside (0, pi/2) while both coefficients are
+# below this: then Q(pi/4) < pi/2 (see _cot_tan_step).
+CP_STEP_LIMIT = math.pi ** 2 / 8.0
 
 
-def _implicit_cot_tan_solve(arg: np.ndarray, b1: float, b2: float) -> np.ndarray:
-    """Solve x = arg + b1*cot(x) - b2*tan(x) on (0, pi/2), b1, b2 > 0.
+def _cot_tan_map(y, a, p, p4, q):
+    """F(y) = Q(a - p g(y) - q tan y), with g(y) = 1/y - cot y and Q(c) =
+    (c + sqrt(c^2 + 4p))/2; p4 is 4p."""
+    t = np.tan(y)
+    c = p / t
+    c -= q * t
+    c -= p / y
+    c += a
+    y_new = np.sqrt(c * c + p4)
+    y_new += c
+    y_new *= 0.5
+    return y_new
 
-    The residual increases strictly from -inf to +inf on the interval, so
-    the interior root is unique.  Solved by safeguarded Newton in the
-    variable u = log tan x, where both singular terms become exponentials
-    and bisection fallback converges in relative terms near the endpoints.
-    A lane keeps its u once its residual is below _SOLVER_TOL: a further
-    Newton correction can be below one ulp, and the bracket safeguard would
-    then throw the lane off its root to the bracket midpoint.  Raises
-    RuntimeError if some lane is still unconverged after _MAX_SOLVER_ITERS
-    steps.
+
+def _cot_tan_step(arg: np.ndarray, b1, b2) -> np.ndarray:
+    """The implicit step x = arg + b1 cot x - b2 tan x, b1, b2 > 0, in
+    closed form on (0, pi/2).
+
+    It works in the variable nearer the singular end: y = x, p = b1,
+    q = b2 and a = arg when arg < pi/4, else y = pi/2 - x, p = b2, q = b1
+    and a = pi/2 - arg.  There the equation reads y = a + p/y - p g(y)
+    - q tan y, with g(y) = 1/y - cot y increasing and 0 <= g < 2/pi.  The
+    p/y part stays implicit through Q(c) = (c + sqrt(c^2 + 4p))/2, the
+    positive root of y = c + p/y, so the root y* is the fixed point of the
+    decreasing map F(y) = Q(a - p g(y) - q tan y).  From y_up = Q(a) >= y*
+    two evaluations give y1 = F(y_up) <= y* and y = F(y1), so y1 <= y* <=
+    y <= y_up and y - y* = O(b^3), b = max(b1, b2).  Since a <= pi/4,
+    y_up < pi/2 whenever p < CP_STEP_LIMIT, and x stays in (0, pi/2) with
+    no clamp.  Each lane depends only on its own inputs.
     """
-    u_cap = 28.0
-    lo = np.full_like(arg, -u_cap)
-    hi = np.full_like(arg, u_cap)
-    # start from the root of the model that keeps only the nearer singular
-    # term: x = arg + b1/x near 0, or y = (pi/2 - arg) + b2/y for
-    # y = pi/2 - x near pi/2
-    c = math.pi / 2.0 - arg
-    x0 = np.where(arg < math.pi / 4.0,
-                  0.5 * (arg + np.sqrt(arg * arg + 4.0 * b1)),
-                  math.pi / 2.0 - 0.5 * (c + np.sqrt(c * c + 4.0 * b2)))
-    np.minimum(np.maximum(x0, 1e-12, out=x0), math.pi / 2.0 - 1e-12, out=x0)
-    u = np.log(np.tan(x0, out=x0), out=x0)
-    np.minimum(np.maximum(u, -u_cap, out=u), u_cap, out=u)
-    for _ in range(_MAX_SOLVER_ITERS + 1):
-        # arctan(e), b1/e and b2 e serve both the residual and its derivative
-        e = np.exp(u)
-        at = np.arctan(e)
-        b1e = np.divide(1.0, e)
-        b1e *= b1
-        b2e = b2 * e
-        h = at - b1e + b2e - arg
-        live = np.abs(h) >= _SOLVER_TOL
-        if not np.count_nonzero(live):
-            return at
-        np.copyto(lo, u, where=h < 0)
-        np.copyto(hi, u, where=h > 0)
-        hp = e * e + 1.0
-        np.divide(e, hp, out=hp)
-        hp += b1e
-        hp += b2e
-        u_new = u - np.divide(h, hp, out=hp)
-        bad = (u_new <= lo) | (u_new >= hi)
-        if np.count_nonzero(bad):
-            u_new[bad] = 0.5 * (lo[bad] + hi[bad])
-        np.copyto(u, u_new, where=live)
-    raise RuntimeError(
-        f"implicit cot/tan solve not converged after {_MAX_SOLVER_ITERS} "
-        f"steps: largest residual {np.abs(h).max():.3g}")
+    near = arg < math.pi / 4.0
+    a = np.where(near, arg, math.pi / 2.0 - arg)
+    p = np.where(near, b1, b2)
+    q = np.where(near, b2, b1)
+    p4 = 4.0 * p
+    y_up = 0.5 * (a + np.sqrt(a * a + p4))
+    y = _cot_tan_map(_cot_tan_map(y_up, a, p, p4, q), a, p, p4, q)
+    return np.where(near, y, math.pi / 2.0 - y)
 
 
 # ---------------------------------------------------------------------------
@@ -376,9 +364,9 @@ def _clock_sweeps(cfg: SimConfig, rngs: list, tau: np.ndarray, normals,
     Before each yield, the slices of the blocks that still have a live lane
     are filled, in each array of normals in turn, from the block's own
     stream.  A finished block draws nothing more, so its stream ends where
-    its own sweeps leave it, however long other blocks run; and since the
-    implicit cot/tan solve freezes converged lanes, no lane's path depends
-    on the other lanes of the call.  The output is therefore the same as
+    its own sweeps leave it, however long other blocks run; and since each
+    lane's step depends only on its own inputs, no lane's path depends on
+    the other lanes of the call.  The output is therefore the same as
     stepping each block alone.  The caller advances tau in place.  Raises
     RuntimeError after _SWEEP_HEADROOM times the base count of sweeps,
     fine_sweeps + horizon/min(dt, _BULK_DT).
@@ -459,15 +447,23 @@ def _cp_area_phi(n: int, lam: float, cfg: SimConfig, rngs: list,
     """Projective radial/area paths, hybrid r- and psi-mode, every block of
     cfg in one sweep loop.
 
-    Near the pole the path is stepped implicitly in r; past r ~ pi/4 it
-    switches to psi = -log cos r stepped in clock time, where the area
-    clock is exact (clock increment = Phi-step) and boundary dives are
-    Brownian.  lam > 0 adds the measure-change drift -(lam) tan^2 r dt.
-    With euler_theta each block draws its theta normals right after its
-    radial ones.  Returns (r_end, clock, theta_or_None, cos_r_end).
+    Near the pole the path is stepped in r by the closed-form implicit
+    step _cot_tan_step; past r ~ pi/4 it switches to psi = -log cos r
+    stepped in clock time, where the area clock is exact (clock increment
+    = Phi-step) and boundary dives are Brownian.  lam > 0 adds the
+    measure-change drift -(lam) tan^2 r dt.  With euler_theta each block
+    draws its theta normals right after its radial ones.  Returns (r_end,
+    clock, theta_or_None, cos_r_end).  Raises ValueError unless
+    (n - 1/2) dt and (lam + 1/2) dt are below CP_STEP_LIMIT.
     """
     horizon, dt, lanes = cfg.horizon, cfg.dt, cfg.paths
     b1 = n - 0.5
+    limit = CP_STEP_LIMIT / dt
+    if not (n < limit + 0.5 and lam < limit - 0.5):
+        raise ValueError(
+            f"the CP r-step needs (n - 1/2) dt and (lam + 1/2) dt below "
+            f"pi^2/8 = {CP_STEP_LIMIT:.6g}, got n = {n}, lam = {lam} and "
+            f"dt = {dt}")
     t_fine = min(0.01 * horizon, 0.05)
     fine = min(dt, FINE_DT)
     r = np.full(lanes, EPS_START)
@@ -493,8 +489,8 @@ def _cp_area_phi(n: int, lam: float, cfg: SimConfig, rngs: list,
                                  horizon - ti)
                 sq = np.sqrt(dti)
                 r_old = r[idx]
-                r_new = _implicit_cot_tan_solve(r_old + sq * z[idx], b1 * dti,
-                                                (lam + 0.5) * dti)
+                r_new = _cot_tan_step(r_old + sq * z[idx], b1 * dti,
+                                      (lam + 0.5) * dti)
                 tan_old, tan_new = np.tan(r_old), np.tan(r_new)
                 clock[idx] += (0.5 * (tan_old * tan_old + tan_new * tan_new)
                                * dti)

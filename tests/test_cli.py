@@ -237,6 +237,27 @@ class TestParseConfig:
                      "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("name,key,params", [
+        ("cp-area-cf", "dt_direct", {"n": 3, "dt_direct": 0.5}),
+        ("cp-area-cf", "dt_girsanov", {"lambdas": [0.5, 2.0],
+                                       "dt_girsanov": 0.5}),
+        ("cp-cauchy-limit", "dt", {"ns": [1, 3], "dt": 0.5}),
+    ])
+    def test_cp_step_limit_named(self, name, key, params, tmp_path):
+        # the closed-form CP r-step needs (n - 1/2) dt and (lam + 1/2) dt
+        # below pi^2/8 = 1.2337; here one of them is 1.25 (n = 3 on the
+        # direct route and cp-cauchy-limit, lam = 2 on the Girsanov one)
+        text = json.dumps({"experiment": name, "params": params})
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            parse_config(text)
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(text)
+        assert main(["--config", str(cfgp),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+        # the same step with every coefficient below the limit is accepted
+        ExperimentSpec(name, {**params, key: 0.49})
+
     def test_scalars_accept_edges(self):
         ExperimentSpec("ch1-loop-density", {"t": 1e-9, "tol": 1e-300,
                                             "theta_lo": -1e-9,

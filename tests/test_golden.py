@@ -66,11 +66,11 @@ SAMPLER_PARAMS = {
 GOLDEN_SAMPLER_CSV = {
     "cp-area-cf": {
         "cp_area_cf.csv":
-            "7f44069abccb85a3c3dc77a8045de78500ffd76a2c1471a7d71a87a0cd68e06a",
+            "fc43c432817948ca38a3e378ea62892a3fef4a2e6d5d8f752c912830c1c2d7a7",
     },
     "cp-cauchy-limit": {
         "cp_cauchy_limit.csv":
-            "a199aabab38049c289130c517dc22e9c705296d540ec9a2efa85f01cd3a6493c",
+            "0fda608596b70330bb9a5a7231eb18b418db6e97531cb795df6d92cb8a786dc7",
     },
     "ch-area-cf": {
         "ch_area_cf.csv":
@@ -111,7 +111,7 @@ LONG_SAMPLER_PARAMS = {
 GOLDEN_LONG_SAMPLER_CSV = {
     "cp-cauchy-limit": {
         "cp_cauchy_limit.csv":
-            "feb337ae1913a6857923bb519fcd36fede398318e4042a90d8ca76033c1987c4",
+            "b7089ce78191148f5e45ccb74f14ee693c83c4e9aa0fac8b369a68a02da4fa9e",
     },
     "ch-gaussian-limit": {
         "ch_gaussian_limit.csv":
