@@ -35,6 +35,7 @@ from .simulate import (
     CP_STEP_LIMIT,
     Geometry,
     SimConfig,
+    cp_step_ok,
     girsanov_cf_estimator,
     sample_area,
     sample_planar_area,
@@ -93,8 +94,7 @@ class ExperimentSpec:
             raise ValueError(
                 f"'t' must be at least {densities.MIN_TIME} for {self.name}, "
                 f"got {params['t']!r}")
-        # the closed-form CP r-step needs (n - 1/2) dt and (lam + 1/2) dt
-        # below CP_STEP_LIMIT; the direct route runs at lam = 0
+        # the CP r-step limit (simulate.cp_step_ok); direct runs at lam = 0
         if self.name == "cp-area-cf":
             n = params["n"]
             _check_cp_step("dt_direct", params["dt_direct"], n)
@@ -181,11 +181,8 @@ def _check_params(params: dict) -> None:
 
 
 def _check_cp_step(key: str, dt, n, lam: float = 0.0) -> None:
-    """Raise ValueError naming `key` unless (n - 1/2) dt and (lam + 1/2) dt
-    are below CP_STEP_LIMIT."""
-    # n < limit + 1/2 compares an integer n of any size exactly
-    limit = CP_STEP_LIMIT / dt
-    if not (n < limit + 0.5 and lam < limit - 0.5):
+    """Raise ValueError naming `key` unless cp_step_ok(n, lam, dt)."""
+    if not cp_step_ok(n, lam, dt):
         tilt = f" and largest lambda {lam!r}" if lam else ""
         raise ValueError(
             f"'{key}' must keep (n - 1/2) {key} and (lam + 1/2) {key} below "
@@ -201,7 +198,8 @@ class Check:
     passed: bool
 
     def as_dict(self) -> dict:
-        return {"name": self.name, "value": self.value,
+        return {"name": self.name,
+                "value": self.value if math.isfinite(self.value) else None,
                 "threshold": self.threshold,
                 "verdict": "pass" if self.passed else "fail"}
 
@@ -406,32 +404,42 @@ def _exp_jacobi_selftest(params, seed, threads):
     return tables, checks
 
 
-def _exp_cp_area_cf(params, seed, threads):
-    t = params["t"]
-    lambdas = [float(v) for v in params["lambdas"]]
-    paths = int(params["paths"])
-    sigma = params["sigma"]
-    area = sample_area(
-        Geometry.cp(int(params["n"])),
-        SimConfig(t, params["dt_direct"], paths, seed), threads=threads)
+def _cf_triangle(geometry, params, seed, threads, dt_direct, dt_girsanov,
+                 reference, label):
+    """The area CF at each lambda by reference(lam) (its columns, the CF
+    first), Girsanov at dt_girsanov and one direct run at dt_direct: the
+    rows, and each pair's z-score checked against sigma."""
+    t, paths, sigma = params["t"], int(params["paths"]), params["sigma"]
+    area = sample_area(geometry, SimConfig(t, dt_direct, paths, seed),
+                       threads=threads)
     s = SampleSet(area.theta_end)
     rows, checks = [], []
-    for k, lam in enumerate(lambdas):
-        ana = cf_marginal_cp(int(params["n"]), lam, t)
+    for k, lam in enumerate(float(v) for v in params["lambdas"]):
+        ref = reference(lam)
         gir = girsanov_cf_estimator(
-            Geometry.cp(int(params["n"])), lam,
-            SimConfig(t, params["dt_girsanov"], paths, _sub_seed(seed, k)),
+            geometry, lam,
+            SimConfig(t, dt_girsanov, paths, _sub_seed(seed, k)),
             threads=threads)
         emp = empirical_cf(s, lam)
-        z_ga = (gir.value.real - ana) / gir.std_error
-        z_da = (emp.value.real - ana) / emp.std_error
+        z_gr = (gir.value.real - ref[0]) / gir.std_error
+        z_dr = (emp.value.real - ref[0]) / emp.std_error
         z_gd = (gir.value.real - emp.value.real) / math.hypot(
             gir.std_error, emp.std_error)
-        rows.append([lam, ana, gir.value.real, gir.std_error,
-                     emp.value.real, emp.std_error, z_ga, z_da, z_gd])
-        checks.append(_check_abs(f"z_girsanov_vs_analytic_lam{lam}", z_ga, sigma))
-        checks.append(_check_abs(f"z_direct_vs_analytic_lam{lam}", z_da, sigma))
-        checks.append(_check_abs(f"z_girsanov_vs_direct_lam{lam}", z_gd, sigma))
+        rows.append([lam, *ref, gir.value.real, gir.std_error,
+                     emp.value.real, emp.std_error, z_gr, z_dr, z_gd])
+        for routes, z in ((f"girsanov_vs_{label}", z_gr),
+                          (f"direct_vs_{label}", z_dr),
+                          ("girsanov_vs_direct", z_gd)):
+            checks.append(_check_abs(f"z_{routes}_lam{lam}", z, sigma))
+    return rows, checks
+
+
+def _exp_cp_area_cf(params, seed, threads):
+    n, t = int(params["n"]), params["t"]
+    rows, checks = _cf_triangle(
+        Geometry.cp(n), params, seed, threads, params["dt_direct"],
+        params["dt_girsanov"], lambda lam: [cf_marginal_cp(n, lam, t)],
+        "analytic")
     table = Table("cp_area_cf",
                   ["lambda", "analytic", "girsanov", "girsanov_se",
                    "direct", "direct_se", "z_gir_ana", "z_dir_ana",
@@ -471,40 +479,16 @@ def _exp_cp_cauchy_limit(params, seed, threads):
 
 
 def _exp_ch_area_cf(params, seed, threads):
-    t = params["t"]
-    lambdas = [float(v) for v in params["lambdas"]]
-    paths = int(params["paths"])
-    sigma = params["sigma"]
-    n = int(params["n"])
-    area = sample_area(Geometry.ch(n),
-                       SimConfig(t, params["dt"], paths, seed),
-                       threads=threads)
-    s = SampleSet(area.theta_end)
-    rows, checks = [], []
-    worst_err = 0.0
-    for k, lam in enumerate(lambdas):
+    n, t, dt = int(params["n"]), params["t"], params["dt"]
+
+    def quadrature(lam):
         q = _quad_cf_ch1(lam, t, n)
-        quad_cf = q.value
-        worst_err = max(worst_err, q.est_error)
-        gir = girsanov_cf_estimator(
-            Geometry.ch(n), lam,
-            SimConfig(t, params["dt"], paths, _sub_seed(seed, k)),
-            threads=threads)
-        emp = empirical_cf(s, lam)
-        z_gq = (gir.value.real - quad_cf) / gir.std_error
-        z_dq = (emp.value.real - quad_cf) / emp.std_error
-        z_gd = (gir.value.real - emp.value.real) / math.hypot(
-            gir.std_error, emp.std_error)
-        rows.append([lam, quad_cf, q.est_error, gir.value.real,
-                     gir.std_error, emp.value.real, emp.std_error, z_gq, z_dq,
-                     z_gd])
-        checks.append(_check_abs(f"z_girsanov_vs_quadrature_lam{lam}", z_gq,
-                                 sigma))
-        checks.append(_check_abs(f"z_direct_vs_quadrature_lam{lam}", z_dq,
-                                 sigma))
-        checks.append(_check_abs(f"z_girsanov_vs_direct_lam{lam}", z_gd,
-                                 sigma))
-    checks.append(_check_le("quadrature_est_error", worst_err, 1e-8))
+        return [q.value, q.est_error]
+
+    rows, checks = _cf_triangle(Geometry.ch(n), params, seed, threads, dt,
+                                dt, quadrature, "quadrature")
+    checks.append(_check_le("quadrature_est_error",
+                            max(row[2] for row in rows), 1e-8))
     table = Table("ch_area_cf",
                   ["lambda", "quadrature", "quadrature_err", "girsanov",
                    "girsanov_se", "direct", "direct_se", "z_gir_quad",
@@ -772,7 +756,7 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ReportBundle:
         _write_csv(out_dir / f"{table.name}.csv", table)
     with open(out_dir / "manifest.json", "w", encoding="utf-8",
               newline="\n") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
+        json.dump(manifest, f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
     return ReportBundle(manifest=manifest, tables=tables)
 
@@ -826,8 +810,9 @@ def main(argv=None) -> int:
 
     bundle = run_experiment(spec, threads=args.threads)
     for c in bundle.manifest["checks"]:
+        value = math.nan if c["value"] is None else c["value"]
         print(f"[{c['verdict'].upper()}] {spec.name}: {c['name']} = "
-              f"{c['value']:.6g} (threshold {c['threshold']:.6g})")
+              f"{value:.6g} (threshold {c['threshold']:.6g})")
     print(f"{spec.name}: wall {bundle.manifest['wall_time_s']:.2f}s, "
           f"artifacts in {spec.output_dir}")
     return 0 if bundle.passed else 1

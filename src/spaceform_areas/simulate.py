@@ -145,6 +145,13 @@ def _run_blocks(cfg: SimConfig, block_fn, threads: int = 1) -> tuple:
 CP_STEP_LIMIT = math.pi ** 2 / 8.0
 
 
+def cp_step_ok(n, lam, dt) -> bool:
+    """True when (n - 1/2) dt and (lam + 1/2) dt are below CP_STEP_LIMIT."""
+    # n < limit + 1/2 compares an integer n of any size exactly
+    limit = CP_STEP_LIMIT / dt
+    return n < limit + 0.5 and lam < limit - 0.5
+
+
 def _cot_tan_map(y, a, p, p4, q):
     """F(y) = Q(a - p g(y) - q tan y), with g(y) = 1/y - cot y and Q(c) =
     (c + sqrt(c^2 + 4p))/2; p4 is 4p."""
@@ -458,8 +465,7 @@ def _cp_area_phi(n: int, lam: float, cfg: SimConfig, rngs: list,
     """
     horizon, dt, lanes = cfg.horizon, cfg.dt, cfg.paths
     b1 = n - 0.5
-    limit = CP_STEP_LIMIT / dt
-    if not (n < limit + 0.5 and lam < limit - 0.5):
+    if not cp_step_ok(n, lam, dt):
         raise ValueError(
             f"the CP r-step needs (n - 1/2) dt and (lam + 1/2) dt below "
             f"pi^2/8 = {CP_STEP_LIMIT:.6g}, got n = {n}, lam = {lam} and "

@@ -373,9 +373,17 @@ class TestRunExperiment:
                               master_seed=1)
         bundle = run_experiment(spec)
         assert not bundle.passed
-        man = json.loads((tmp_path / "manifest.json").read_text())
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        # strict JSON: the NaN value of the 'completed' check is null
+        man = json.loads((tmp_path / "manifest.json").read_text(),
+                         parse_constant=reject)
         assert "error" in man
         assert man["passed"] is False
+        assert man["checks"] == [{"name": "completed", "value": None,
+                                  "threshold": 0.0, "verdict": "fail"}]
 
     def test_ch_area_cf_reports_quadrature_error(self, tmp_path):
         spec = ExperimentSpec(

@@ -6,12 +6,16 @@ experiments at default parameters, and of the seven sampler experiments
 (ch-area-cf at n = 1 and 2) at small sizes and one seed, and of the four
 long-horizon sampler experiments at one seed; the hex floats pin the
 marginal CP area CF that feeds the `analytic` columns of cp-area-cf and
-cp-cauchy-limit.  A refactor of the Jacobi series or of the samplers must
-leave all of them unchanged; an intended output change must update them
-and say why.
+cp-cauchy-limit.  Each run's manifest is pinned too, as the digest of its
+canonical JSON without `wall_time_s`, so a renamed, reordered or
+re-thresholded check shows; the manifest records `library_version`, so a
+version bump moves these digests as well.  A refactor of the Jacobi
+series, of the samplers or of the runner must leave all of them
+unchanged; an intended output change must update them and say why.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -33,6 +37,13 @@ GOLDEN_CSV = {
         "berger_normalization.csv":
             "b2df788ddd89be3895e81d4943a58fdd9446aa5a5cdf051e68a16374bc48bcb5",
     },
+}
+
+GOLDEN_MANIFEST = {
+    "berger-homogenisation":
+        "95153ec58a5c2f90f242767f0b0cb9ccae1265cf456226a0cbecfb41b9c1ac4a",
+    "jacobi-selftest":
+        "595b3bbf94fdc0c5485367b92dda63235c619b099fdd169cef8bb81f9658333e",
 }
 
 GOLDEN_CF_MARGINAL_CP = [
@@ -98,6 +109,25 @@ GOLDEN_SAMPLER_CSV = {
     },
 }
 
+GOLDEN_SAMPLER_MANIFEST = {
+    "cp-area-cf":
+        "e9a12b8aeef00181e138f38214ba006902b87d33a53bad593be599b4e887e35b",
+    "cp-cauchy-limit":
+        "c2728a9e3d41b9721ce091b1ec5301d088c9288f735d4bfaaffffabba2abfa40",
+    "ch-area-cf":
+        "c9f216f8b8450b1f801a91c6d47470f07a6c739f9f867147a1309f7080fc7d96",
+    "ch-area-cf/n2":
+        "5718d44a327b469f6443f392133b3fa94811698a4388857c2360782978c88a2e",
+    "ch-gaussian-limit":
+        "b03eb11dcbaca72f2edcac96cfa90a36898dda6a719cf944e4c2955628a0b237",
+    "winding-cp1":
+        "6596e051b8f605787b6236ac4cc65afb088aaaab9856b9260701268bed301160",
+    "winding-ch1":
+        "d4b820a15a3d21bead5ffbcdb6219bb916a5c412e76a6daa3d802aae09e2e66e",
+    "levy-baseline":
+        "0ed052791a8e9870dfdc57d3715f6ccc635e0cd12ab6de8ec6ad7cbd1412e03e",
+}
+
 # The long-time regime, one block each: the CH samplers finish their far
 # lanes in closed form past _R_FAR, winding-ch1 retires its lanes at
 # _M_FLOOR_CH, and the CP samplers take thousands of psi-mode dives.
@@ -127,6 +157,29 @@ GOLDEN_LONG_SAMPLER_CSV = {
     },
 }
 
+GOLDEN_LONG_SAMPLER_MANIFEST = {
+    "cp-cauchy-limit":
+        "1a9472e21aadd480b8e21bfe32ef499e7ec25202c77693f2af6578d9c5602f33",
+    "ch-gaussian-limit":
+        "a40be548e65f7bb915af61036798a2658df661c6131bae75da5825f71ec26b3b",
+    "winding-cp1":
+        "8bb79dff3bb9f6369614740d5ac9338abd607e4fe0920a4aeb9bdcf1963d9957",
+    "winding-ch1":
+        "2a4da5e380aa060653630815c8beb5d99a877903aa4802d17b59a6ea02d0f8d2",
+}
+
+
+def _csv_digests(tmp_path):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(tmp_path.glob("*.csv"))}
+
+
+def _manifest_digest(tmp_path):
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    del manifest["wall_time_s"]
+    return hashlib.sha256(
+        json.dumps(manifest, sort_keys=True).encode()).hexdigest()
+
 
 def _sampler_digests(name, params, tmp_path):
     bundle = run_experiment(
@@ -134,8 +187,7 @@ def _sampler_digests(name, params, tmp_path):
                        master_seed=20240601),
         threads=2)
     assert "error" not in bundle.manifest
-    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(tmp_path.glob("*.csv"))}
+    return _csv_digests(tmp_path), _manifest_digest(tmp_path)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CSV))
@@ -143,9 +195,8 @@ def test_spectral_csv_digests(name, tmp_path):
     bundle = run_experiment(ExperimentSpec(name=name, output_dir=tmp_path,
                                            master_seed=20240601))
     assert bundle.manifest["passed"]
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in sorted(tmp_path.glob("*.csv"))}
-    assert digests == GOLDEN_CSV[name]
+    assert _csv_digests(tmp_path) == GOLDEN_CSV[name]
+    assert _manifest_digest(tmp_path) == GOLDEN_MANIFEST[name]
 
 
 @pytest.mark.parametrize("n,lam,t,golden", GOLDEN_CF_MARGINAL_CP)
@@ -158,10 +209,11 @@ def test_cf_marginal_cp_bits(n, lam, t, golden):
 def test_sampler_csv_digests(name, tmp_path):
     experiment = name.partition("/")[0]
     assert (_sampler_digests(experiment, SAMPLER_PARAMS[name], tmp_path)
-            == GOLDEN_SAMPLER_CSV[name])
+            == (GOLDEN_SAMPLER_CSV[name], GOLDEN_SAMPLER_MANIFEST[name]))
 
 
 @pytest.mark.parametrize("name", sorted(LONG_SAMPLER_PARAMS))
 def test_long_horizon_sampler_csv_digests(name, tmp_path):
     assert (_sampler_digests(name, LONG_SAMPLER_PARAMS[name], tmp_path)
-            == GOLDEN_LONG_SAMPLER_CSV[name])
+            == (GOLDEN_LONG_SAMPLER_CSV[name],
+                GOLDEN_LONG_SAMPLER_MANIFEST[name]))

@@ -59,6 +59,21 @@ class TestDeterminism:
             assert np.array_equal(a1.theta_end, a3.theta_end)
             assert np.array_equal(a1.time_change, a3.time_change)
 
+    def test_ch_girsanov_byte_identical_across_threads(self):
+        # girsanov_cf_estimator on CH^n steps three blocks of the tilted
+        # radial sampler, on the pool at 3 threads; its mean barely sees
+        # the block order, so the tilted endpoints are compared as well
+        cfg = SimConfig(1.0, 1e-2, 2 * simulate.BLOCK_SIZE + 300, 99)
+        g1, g3 = (girsanov_cf_estimator(Geometry.ch(1), 2.0, cfg,
+                                        threads=threads)
+                  for threads in (1, 3))
+        assert g1.value.real.hex() == g3.value.real.hex()
+        assert g1.std_error.hex() == g3.std_error.hex()
+        r1, r3 = (sample_radial_hyperbolic(1, 2.0, 0.0, cfg,
+                                           threads=threads).r_end
+                  for threads in (1, 3))
+        assert np.array_equal(r1, r3)
+
     def test_winding_byte_identical_across_threads(self):
         cfg = SimConfig(1.0, 5e-3, 9000, 7)
         w1 = sample_winding(Geometry.ch(1), 0.8, cfg, threads=1)
