@@ -12,6 +12,7 @@ count.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -34,14 +35,20 @@ class SimConfig:
     master_seed: int
 
     def __post_init__(self):
-        if not (self.horizon > 0):
-            raise ValueError("horizon must be positive")
+        if not (0 < self.horizon < math.inf):
+            raise ValueError("horizon must be positive and finite")
         if not (0 < self.dt <= self.horizon):
             raise ValueError("dt must be in (0, horizon]")
         if self.paths < 1:
             raise ValueError("paths must be >= 1")
         if not (0 <= self.master_seed < 2 ** 64):
             raise ValueError("master_seed must fit in 64 bits")
+
+
+def _is_positive_int(n) -> bool:
+    """True for an integer n >= 1 of any integral type but bool."""
+    return (isinstance(n, numbers.Integral) and not isinstance(n, bool)
+            and n >= 1)
 
 
 @dataclass(frozen=True)
@@ -54,8 +61,8 @@ class Geometry:
     def __post_init__(self):
         if self.kind not in ("cp", "ch"):
             raise ValueError("kind must be 'cp' or 'ch'")
-        if self.n < 1:
-            raise ValueError("n must be a positive integer")
+        if not _is_positive_int(self.n):
+            raise ValueError(f"n must be a positive integer, got {self.n!r}")
 
     @classmethod
     def cp(cls, n: int) -> "Geometry":
@@ -287,12 +294,12 @@ def sample_radial_hyperbolic(n: int, girsanov_lambda: float, r0: float,
     whose lanes are all past _R_FAR finishes in one closed-form draw (see
     _hyperbolic_block).
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    if girsanov_lambda < 0:
-        raise ValueError("girsanov_lambda must be nonnegative")
-    if r0 < 0:
-        raise ValueError("r0 must be nonnegative")
+    if not _is_positive_int(n):
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    if not (0 <= girsanov_lambda < math.inf):
+        raise ValueError("girsanov_lambda must be nonnegative and finite")
+    if not (0 <= r0 < math.inf):
+        raise ValueError("r0 must be nonnegative and finite")
     eps_started = r0 == 0.0
     r0_eff = EPS_START if eps_started else r0
     dts = _time_grid(cfg, refine_start=eps_started)
@@ -363,20 +370,20 @@ def _fill_normals(rngs: list, blocks, out: np.ndarray) -> None:
         rngs[i].standard_normal(out=out[i * BLOCK_SIZE:(i + 1) * BLOCK_SIZE])
 
 
-def _clock_sweeps(cfg: SimConfig, rngs: list, tau: np.ndarray, normals,
-                  fine_sweeps: float = 0.0):
+def _clock_sweeps(cfg: SimConfig, rngs: list, tau: np.ndarray,
+                  z: np.ndarray, fine_sweeps: float = 0.0):
     """Yield the live mask tau < cfg.horizon of each sweep over every path
     of a clock-time call, until no lane is live.
 
-    Before each yield, the slices of the blocks that still have a live lane
-    are filled, in each array of normals in turn, from the block's own
-    stream.  A finished block draws nothing more, so its stream ends where
-    its own sweeps leave it, however long other blocks run; and since each
-    lane's step depends only on its own inputs, no lane's path depends on
-    the other lanes of the call.  The output is therefore the same as
-    stepping each block alone.  The caller advances tau in place.  Raises
-    RuntimeError after _SWEEP_HEADROOM times the base count of sweeps,
-    fine_sweeps + horizon/min(dt, _BULK_DT).
+    Before each yield, the slices of z of the blocks that still have a
+    live lane are filled from the block's own stream.  A finished block
+    draws nothing more, so its stream ends where its own sweeps leave it,
+    however long other blocks run; and since each lane's step depends only
+    on its own inputs, no lane's path depends on the other lanes of the
+    call.  The output is therefore the same as stepping each block alone.
+    The caller advances tau in place.  Raises RuntimeError after
+    _SWEEP_HEADROOM times the base count of sweeps, fine_sweeps +
+    horizon/min(dt, _BULK_DT).
     """
     starts = np.arange(0, cfg.paths, BLOCK_SIZE)
     min_sweeps = fine_sweeps + cfg.horizon / min(cfg.dt, _BULK_DT)
@@ -386,8 +393,7 @@ def _clock_sweeps(cfg: SimConfig, rngs: list, tau: np.ndarray, normals,
         live = np.flatnonzero(np.logical_or.reduceat(active, starts))
         if not live.size:
             return
-        for z in normals:
-            _fill_normals(rngs, live, z)
+        _fill_normals(rngs, live, z)
         yield active
     raise RuntimeError(
         f"clock-time sampler failed to reach horizon {cfg.horizon} in "
@@ -416,7 +422,7 @@ def _winding_phi(kind: str, r0: float, cfg: SimConfig, rngs: list):
     if not cp and m0 > -_M_FLOOR_CH:
         tau[:] = horizon
     with np.errstate(over="ignore"):
-        for active in _clock_sweeps(cfg, rngs, tau, (z,)):
+        for active in _clock_sweeps(cfg, rngs, tau, z):
             idx = np.flatnonzero(active)
             m, t = mm[idx], tau[idx]
             t_rem = horizon - t  # > 0, since a live lane has tau < horizon
@@ -449,8 +455,7 @@ def _winding_phi(kind: str, r0: float, cfg: SimConfig, rngs: list):
     return clock
 
 
-def _cp_area_phi(n: int, lam: float, cfg: SimConfig, rngs: list,
-                 euler_theta: bool = False):
+def _cp_area_phi(n: int, lam: float, cfg: SimConfig, rngs: list):
     """Projective radial/area paths, hybrid r- and psi-mode, every block of
     cfg in one sweep loop.
 
@@ -458,9 +463,8 @@ def _cp_area_phi(n: int, lam: float, cfg: SimConfig, rngs: list,
     step _cot_tan_step; past r ~ pi/4 it switches to psi = -log cos r
     stepped in clock time, where the area clock is exact (clock increment
     = Phi-step) and boundary dives are Brownian.  lam > 0 adds the
-    measure-change drift -(lam) tan^2 r dt.  With euler_theta each block
-    draws its theta normals right after its radial ones.  Returns (r_end,
-    clock, theta_or_None, cos_r_end).  Raises ValueError unless
+    measure-change drift -(lam) tan^2 r dt.  Returns (r_end, clock,
+    cos_r_end), the clock being int tan^2 r ds.  Raises ValueError unless
     (n - 1/2) dt and (lam + 1/2) dt are below CP_STEP_LIMIT.
     """
     horizon, dt, lanes = cfg.horizon, cfg.dt, cfg.paths
@@ -477,12 +481,9 @@ def _cp_area_phi(n: int, lam: float, cfg: SimConfig, rngs: list,
     in_psi = np.zeros(lanes, dtype=bool)
     tau = np.zeros(lanes)
     clock = np.zeros(lanes)
-    theta = np.zeros(lanes) if euler_theta else None
     z = np.zeros(lanes)
-    z2 = np.zeros(lanes) if euler_theta else None
-    normals = (z, z2) if euler_theta else (z,)
     with np.errstate(over="ignore"):
-        for active in _clock_sweeps(cfg, rngs, tau, normals, t_fine / fine):
+        for active in _clock_sweeps(cfg, rngs, tau, z, t_fine / fine):
             # lanes promoted from r-mode below are stepped in psi-mode from
             # the next sweep on, so no lane moves (or consumes its Gaussian)
             # twice per sweep
@@ -500,8 +501,6 @@ def _cp_area_phi(n: int, lam: float, cfg: SimConfig, rngs: list,
                 tan_old, tan_new = np.tan(r_old), np.tan(r_new)
                 clock[idx] += (0.5 * (tan_old * tan_old + tan_new * tan_new)
                                * dti)
-                if euler_theta:
-                    theta[idx] += tan_old * sq * z2[idx]
                 tau[idx] = ti + dti
                 r[idx] = r_new
                 up = r_new > _R_UP
@@ -531,8 +530,6 @@ def _cp_area_phi(n: int, lam: float, cfg: SimConfig, rngs: list,
                 if np.count_nonzero(last):
                     h[last] *= t_rem[last] / np.maximum(dtau[last], 1e-300)
                 clock[jdx] += h
-                if euler_theta:
-                    theta[jdx] += np.sqrt(h) * z2[jdx]
                 tau[jdx] = tj + dtau
                 psi[jdx] = p_new
                 down = p_new < _PSI_SWITCH
@@ -542,60 +539,35 @@ def _cp_area_phi(n: int, lam: float, cfg: SimConfig, rngs: list,
                     in_psi[k] = False
     cos_r = np.where(in_psi, np.exp(-psi), np.cos(r))
     r_end = np.where(in_psi, np.arccos(np.minimum(np.exp(-psi), 1.0)), r)
-    return r_end, clock, theta, cos_r
+    return r_end, clock, cos_r
 
 
 # ---------------------------------------------------------------------------
 # stochastic area and winding samplers
 
-def sample_area(geometry: Geometry, cfg: SimConfig, threads: int = 1,
-                theta_coupling: str = "conditional") -> AreaSamples:
+def sample_area(geometry: Geometry, cfg: SimConfig,
+                threads: int = 1) -> AreaSamples:
     """Samples of (r(t), theta(t)) for the area process started at the pole.
 
-    The area coordinate is exactly Gaussian given the radial time change
-    A_t (integral of tan^2 r or tanh^2 r), so by default theta is drawn as
-    sqrt(A_t) * Z.  theta_coupling='euler' instead couples d theta =
-    tan r dB step by step along the same radial dynamics; kept for
-    consistency checks.  `threads` schedules the blocks of CH^n only; on
-    CP^n all blocks are stepped in one sweep loop.
+    Given the radial path, theta is a Brownian motion run at the clock A_t
+    (the integral of tan^2 r or tanh^2 r), so it is drawn exactly as
+    sqrt(A_t) * Z.  `threads` schedules the blocks of CH^n only; on CP^n
+    all blocks are stepped in one sweep loop.
     """
-    if theta_coupling not in ("conditional", "euler"):
-        raise ValueError("theta_coupling must be 'conditional' or 'euler'")
-    euler = theta_coupling == "euler"
     if geometry.kind == "cp":
         rngs = _block_rngs(cfg)
-        r_end, clock, theta, _ = _cp_area_phi(geometry.n, 0.0, cfg, rngs,
-                                              euler_theta=euler)
-        if not euler:
-            z = np.empty(cfg.paths)
-            _fill_normals(rngs, range(len(rngs)), z)
-            theta = np.sqrt(clock) * z
-        return AreaSamples(r_end, theta, clock)
+        r_end, clock, _ = _cp_area_phi(geometry.n, 0.0, cfg, rngs)
+        z = np.empty(cfg.paths)
+        _fill_normals(rngs, range(len(rngs)), z)
+        return AreaSamples(r_end, np.sqrt(clock) * z, clock)
     dts = _time_grid(cfg, refine_start=True)
 
     def block(i, m, rng):
-        if euler:
-            return _ch_area_euler_block(geometry.n, dts, rng, m)
         r_end, clock, _ = _hyperbolic_block(
             geometry.n, 0.0, EPS_START, dts, rng, m, True, False)
         return r_end, np.sqrt(clock) * rng.standard_normal(m), clock
 
     return AreaSamples(*_run_blocks(cfg, block, threads))
-
-
-def _ch_area_euler_block(n: int, dts, rng, m):
-    r = np.full(m, EPS_START)
-    theta = np.zeros(m)
-    clock = np.zeros(m)
-    for dt in dts:
-        dw = rng.standard_normal(m) * math.sqrt(dt)
-        db = rng.standard_normal(m) * math.sqrt(dt)
-        th = np.tanh(r)
-        theta += th * db
-        clock += th * th * dt
-        arg = r + 0.5 * th * dt + dw
-        r = _coth_step(arg, 0.5 * (2.0 * n - 1.0) * dt)
-    return r, theta, clock
 
 
 def girsanov_cf_estimator(geometry: Geometry, lam: float, cfg: SimConfig,
@@ -608,14 +580,14 @@ def girsanov_cf_estimator(geometry: Geometry, lam: float, cfg: SimConfig,
     `threads` schedules the blocks of CH^n only; on CP^n all blocks are
     stepped in one sweep loop.
     """
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    if not (0 <= lam < math.inf):
+        raise ValueError(f"lam must be nonnegative and finite, got {lam!r}")
     n = geometry.n
     t = cfg.horizon
     if lam == 0.0:
         return CfEstimate(complex(1.0), 0.0, cfg.paths)
     if geometry.kind == "cp":
-        cos_r = _cp_area_phi(n, lam, cfg, _block_rngs(cfg))[3]
+        cos_r = _cp_area_phi(n, lam, cfg, _block_rngs(cfg))[2]
         w = cos_r ** (-lam)
         pref = math.exp(-n * lam * t)
     else:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.stats import ks_2samp, kstest
+from scipy.stats import kstest
 
 from spaceform_areas import (
     Geometry,
@@ -38,6 +38,22 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             Geometry.cp(0)
         assert Geometry.ch(2).kind == "ch"
+        assert Geometry.cp(np.int64(2)).n == 2
+        assert Geometry.ch(np.uint8(1)).n == 1
+
+    def test_sim_config_rejects_infinite_horizon(self):
+        # an infinite horizon has no step count, so it fails here rather
+        # than in every sampler
+        for horizon in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="horizon"):
+                SimConfig(horizon, 1e-2, 8, 1)
+
+    @pytest.mark.parametrize("n", [1.5, 2.0, True, np.float64(1.0), "1"],
+                             ids=["1.5", "2.0", "True", "float64", "str"])
+    def test_geometry_rejects_non_integer_n(self, n):
+        for kind in ("cp", "ch"):
+            with pytest.raises(ValueError, match="n must be a positive int"):
+                Geometry(kind, n)
 
     def test_winding_domain(self):
         cfg = SimConfig(1.0, 1e-2, 16, 3)
@@ -94,14 +110,14 @@ def _cp_area(cfg):
     return a.r_end, a.theta_end, a.time_change
 
 
-def _cp_area_euler(cfg):
-    a = sample_area(Geometry.cp(2), cfg, theta_coupling="euler")
+def _cp2_area(cfg):
+    a = sample_area(Geometry.cp(2), cfg)
     return a.r_end, a.theta_end, a.time_change
 
 
 def _cp_girsanov_cos_r(cfg):
     # the cos r_t whose (cos r_t)^{-lam} girsanov_cf_estimator averages
-    return (simulate._cp_area_phi(1, 2.0, cfg, simulate._block_rngs(cfg))[3],)
+    return (simulate._cp_area_phi(1, 2.0, cfg, simulate._block_rngs(cfg))[2],)
 
 
 def _winding(geom, r0):
@@ -117,9 +133,9 @@ class TestStreamDiscipline:
     each block's lanes are those of the block stepped alone."""
 
     @pytest.mark.parametrize("run", [
-        _cp_area, _cp_area_euler, _cp_girsanov_cos_r,
+        _cp_area, _cp2_area, _cp_girsanov_cos_r,
         _winding(Geometry.cp(1), 0.7), _winding(Geometry.ch(1), 0.9),
-    ], ids=["area", "area-euler", "girsanov-cos-r", "winding-cp1",
+    ], ids=["area", "area-cp2", "girsanov-cos-r", "winding-cp1",
             "winding-ch1"])
     def test_blocks_match_blocks_run_alone(self, run):
         m, extra, seed = simulate.BLOCK_SIZE, 300, 2718
@@ -386,6 +402,20 @@ class TestRadialHyperbolic:
         se = c.std(ddof=1) / math.sqrt(c.size)
         assert abs(c.mean() - exact) <= 3.0 * se
 
+    @pytest.mark.parametrize("field,args", [
+        ("n", (1.5, 0.0, 0.0)),
+        ("n", (True, 0.0, 0.0)),
+        ("girsanov_lambda", (1, math.inf, 0.0)),
+        ("girsanov_lambda", (1, math.nan, 0.0)),
+        ("r0", (1, 0.0, math.inf)),
+        ("r0", (1, 0.0, math.nan)),
+    ], ids=["n-1.5", "n-True", "lam-inf", "lam-nan", "r0-inf", "r0-nan"])
+    def test_rejects_non_finite_or_non_integer_input(self, field, args):
+        # a non-finite start or tilt gives all-inf or NaN radii, and a
+        # fractional n is no dimension
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            sample_radial_hyperbolic(*args, SimConfig(0.1, 1e-2, 8, 1))
+
     def test_girsanov_tilt_pushes_outward(self):
         cfg = SimConfig(1.0, 1e-3, 4000, 11)
         r_plain = sample_radial_hyperbolic(1, 0.0, 0.0, cfg).r_end
@@ -450,17 +480,6 @@ class TestAreaSamplers:
         se = res.theta_end.std(ddof=1) / math.sqrt(len(res.theta_end))
         assert abs(res.theta_end.mean()) < 4 * se
 
-    @pytest.mark.parametrize("geom", [Geometry.cp(1), Geometry.ch(1)])
-    def test_conditional_vs_euler_coupling(self, geom):
-        # the exact-Gaussian theta draw and the stepwise Euler coupling
-        # must produce the same law
-        cfg_a = SimConfig(1.0, 1e-3, 20000, 23)
-        cfg_b = SimConfig(1.0, 1e-3, 20000, 24)
-        a = sample_area(geom, cfg_a, theta_coupling="conditional")
-        b = sample_area(geom, cfg_b, theta_coupling="euler")
-        assert ks_2samp(a.theta_end, b.theta_end).pvalue > 0.01
-        assert ks_2samp(a.r_end, b.r_end).pvalue > 0.01
-
     @pytest.mark.parametrize("n", [1, 2])
     def test_cos_moment_from_the_pole(self, n):
         # L cos 2r = -(2n + 2) cos 2r - 2n + 2 at lam = 0, so from the pole
@@ -485,11 +504,6 @@ class TestAreaSamplers:
                                   SimConfig(1.0, 0.5, 8, 1))
         sample_area(Geometry.cp(2), SimConfig(1.0, 0.8, 8, 1))
 
-    def test_rejects_bad_coupling(self):
-        with pytest.raises(ValueError):
-            sample_area(Geometry.cp(1), SimConfig(1.0, 1e-2, 8, 1),
-                        theta_coupling="exact")
-
 
 class TestGirsanov:
     def test_lambda_zero_exact(self):
@@ -508,6 +522,16 @@ class TestGirsanov:
         with pytest.raises(ValueError):
             girsanov_cf_estimator(Geometry.cp(1), -1.0,
                                   SimConfig(1.0, 1e-2, 8, 1))
+
+    @pytest.mark.parametrize("geom", [Geometry.cp(1), Geometry.ch(1)],
+                             ids=["cp1", "ch1"])
+    @pytest.mark.parametrize("lam", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_rejects_non_finite_lambda(self, geom, lam):
+        # at lam = inf every CH weight is 0 and e^{inf} * 0 is NaN, which
+        # the weight check does not see; raise before any sampling
+        with pytest.raises(ValueError, match="lam must be nonnegative and "
+                                             "finite"):
+            girsanov_cf_estimator(geom, lam, SimConfig(0.1, 1e-2, 8, 1))
 
     def test_ch_nan_weight_raises(self, monkeypatch):
         # a raised error, not an assert, so that python -O keeps the check
