@@ -35,6 +35,7 @@ from .simulate import (
     CP_STEP_LIMIT,
     Geometry,
     SimConfig,
+    _is_int_in,
     cp_step_ok,
     girsanov_cf_estimator,
     sample_area,
@@ -65,8 +66,9 @@ class ExperimentSpec:
             raise UnknownKeyError(
                 f"unknown experiment {self.name!r}; known: "
                 f"{sorted(EXPERIMENT_DEFAULTS)}")
-        if not (0 <= self.master_seed < 2 ** 64):
-            raise ValueError("master_seed must fit in 64 bits")
+        if not _is_int_in(self.master_seed, 0, 2 ** 64):
+            raise ValueError("master_seed must be an integer in "
+                             f"[0, 2**64), got {self.master_seed!r}")
         defaults = EXPERIMENT_DEFAULTS[self.name]
         bad = sorted(set(self.params) - set(defaults))
         if bad:
@@ -299,15 +301,23 @@ def _sub_seed(master_seed: int, k: int) -> int:
 
 
 def _rodrigues_jacobi(m: int, alpha: float, beta: float, x: float) -> float:
-    """High-precision Rodrigues-formula oracle for Jacobi polynomials."""
+    """Rodrigues-formula oracle for Jacobi polynomials, exact at 40 digits.
+
+    P_m(x) = (-1)^m / (2^m m!) (1-x)^-a (1+x)^-b D^m[(1-x)^(a+m) (1+x)^(b+m)]
+    with D^m by the Leibniz rule (Szego, 4.3): the sum over k of C(m, k)
+    (-1)^k (a+m)_k (b+m)_(m-k) (1-x)^(m-k) (1+x)^k, (c)_k falling factorials.
+    """
     import mpmath as mp
     with mp.workdps(40):
         a, b, xx = mp.mpf(alpha), mp.mpf(beta), mp.mpf(x)
-        f = lambda s: (1 - s) ** (a + m) * (1 + s) ** (b + m)
-        d = mp.diff(f, xx, m)
-        val = (-1) ** m / (mp.mpf(2) ** m * mp.factorial(m)) \
-            * (1 - xx) ** (-a) * (1 + xx) ** (-b) * d
-        return float(val)
+        fa, fb = [mp.mpf(1)], [mp.mpf(1)]  # (a+m)_k and (b+m)_k
+        for i in range(m):
+            fa.append(fa[-1] * (a + m - i))
+            fb.append(fb[-1] * (b + m - i))
+        d = mp.fsum(math.comb(m, k) * (-1) ** k * fa[k] * fb[m - k]
+                    * (1 - xx) ** (m - k) * (1 + xx) ** k
+                    for k in range(m + 1))
+        return float((-1) ** m * d / (2 ** m * math.factorial(m)))
 
 
 def _eigen_residual(m: int, p: JacobiParams, x: float) -> float:

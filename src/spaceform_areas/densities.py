@@ -7,6 +7,7 @@ the fiber-rescaled sphere together with its large-rescaling limit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -54,15 +55,17 @@ def _log_coeff(m: int, a: float, b: float) -> float:
     )
 
 
-def _jacobi_series(a: float, b: float, log_w,
-                   xs: tuple[float, ...]) -> tuple[float, float, float]:
-    """Certified sum over m of w_m prod_i P_m^{a,b}(x_i), w_m = exp(log_w(m)).
+def _series_weights(a: float, b: float, log_w, nx: int, max_terms: int,
+                    tail_tol: float) -> tuple[tuple[float, ...], float, float]:
+    """Certified weights of a Jacobi series in nx points, and where it stops.
 
-    For a, b >= -1/2 the endpoint value e_m bounds |P_m| on [-1, 1], so
-    b_m = w_m e_m^len(xs) bounds the m-th term.  The sum stops at the first
-    m whose geometric tail b_{m+1} / (1 - b_{m+2}/b_{m+1}) is at most
-    TAIL_TOL.  Returns (sum, tail, abs_bound), where abs_bound =
-    b_0 + ... + b_m + tail bounds the series of absolute values.
+    The series is sum_m w_m prod_i P_m^{a,b}(x_i), w_m = exp(log_w(m)).  For
+    a, b >= -1/2 the endpoint value e_m bounds |P_m| on [-1, 1], so b_m =
+    w_m e_m^nx bounds the m-th term wherever the points lie.  The series
+    stops at the first m whose geometric tail b_{m+1} / (1 - b_{m+2}/b_{m+1})
+    is at most tail_tol, and raises after max_terms terms.  Returns ((w_0,
+    ..., w_m), tail, abs_bound); abs_bound = b_0 + ... + b_m + tail bounds
+    the series of absolute values.
     """
     w: list[float] = []
     bnd: list[float] = []
@@ -72,13 +75,13 @@ def _jacobi_series(a: float, b: float, log_w,
         w.append(math.exp(log_w(m)))
         e = jacobi_endpoint_bound(m, a, b)
         bm = w[m]
-        for _ in xs:
+        for _ in range(nx):
             bm = bm * e
         bnd.append(bm)
 
     extend()
     extend()
-    for m in range(MAX_TERMS + 1):
+    for m in range(max_terms + 1):
         extend()
         b1, b2 = bnd[m + 1], bnd[m + 2]
         if b1 <= 0.0:
@@ -87,20 +90,39 @@ def _jacobi_series(a: float, b: float, log_w,
         ratio = b2 / b1
         if ratio < 1.0:
             tail = b1 / (1.0 - ratio)
-            if tail <= TAIL_TOL:
+            if tail <= tail_tol:
                 break
     else:
         raise SeriesNotConvergedError(
-            f"tail bound not below {TAIL_TOL} within {MAX_TERMS} "
-            f"terms (a={a}, b={b}, x={xs})")
-    tables = [_jacobi_table(m, a, b, x) for x in xs]
+            f"tail bound not below {tail_tol} within {max_terms} "
+            f"terms (a={a}, b={b})")
+    return tuple(w[:m + 1]), tail, sum(bnd[:m + 1]) + tail
+
+
+def _jacobi_series(a: float, b: float, weights, xs: tuple[float, ...]
+                   ) -> tuple[float, float, float]:
+    """The certified series of `_series_weights` at the points xs: (sum,
+    tail, abs_bound)."""
+    w, tail, abs_bound = weights
+    tables = [_jacobi_table(len(w) - 1, a, b, x) for x in xs]
     total = 0.0
-    for j in range(m + 1):
-        term = w[j]
+    for j, wj in enumerate(w):
+        term = wj
         for table in tables:
             term = term * table[j]
         total += term
-    return total, tail, sum(bnd[:m + 1]) + tail
+    return total, tail, abs_bound
+
+
+@functools.lru_cache(maxsize=1)
+def _density_weights(a: float, b: float, t: float, max_terms: int,
+                     tail_tol: float):
+    """`_series_weights` of spherical_density at (a, b, t) and the policy.
+    quad evaluates one (a, b, t) at every node, so the latest set is kept;
+    with one entry no later integral reuses an earlier one's work."""
+    return _series_weights(
+        a, b, lambda m: _log_coeff(m, a, b) - 2.0 * m * (m + a + b + 1.0) * t,
+        2, max_terms, tail_tol)
 
 
 def _clip(raw: float, tail: float) -> DensityValue:
@@ -125,7 +147,7 @@ def spherical_density(p: JacobiParams, t: float, r0: float,
     a, b = p.alpha, p.beta
     front = 2.0 * math.cos(r) ** (2 * b + 1) * math.sin(r) ** (2 * a + 1)
     s, tail, _ = _jacobi_series(
-        a, b, lambda m: _log_coeff(m, a, b) - 2.0 * m * (m + a + b + 1.0) * t,
+        a, b, _density_weights(a, b, t, MAX_TERMS, TAIL_TOL),
         (math.cos(2 * r0), math.cos(2 * r)))
     return _clip(front * s, front * tail)
 
@@ -158,7 +180,9 @@ def _fiber_series(n: int, k: int, t: float,
                 + gammaln(m + k + n) - gammaln(m + k + 1.0) - gammaln(float(n))
                 - 0.5 * (4.0 * m * (m + k + n) + 2.0 * k * n) * t)
 
-    return _jacobi_series(float(n - 1), float(k), log_w, (x,))
+    a, b = float(n - 1), float(k)
+    return _jacobi_series(
+        a, b, _series_weights(a, b, log_w, 1, MAX_TERMS, TAIL_TOL), (x,))
 
 
 def berger_kernel(n: int, lam: float, t: float, r: float,

@@ -39,16 +39,18 @@ class SimConfig:
             raise ValueError("horizon must be positive and finite")
         if not (0 < self.dt <= self.horizon):
             raise ValueError("dt must be in (0, horizon]")
-        if self.paths < 1:
-            raise ValueError("paths must be >= 1")
-        if not (0 <= self.master_seed < 2 ** 64):
-            raise ValueError("master_seed must fit in 64 bits")
+        if not _is_int_in(self.paths, 1):
+            raise ValueError(
+                f"paths must be a positive integer, got {self.paths!r}")
+        if not _is_int_in(self.master_seed, 0, 2 ** 64):
+            raise ValueError("master_seed must be an integer in "
+                             f"[0, 2**64), got {self.master_seed!r}")
 
 
-def _is_positive_int(n) -> bool:
-    """True for an integer n >= 1 of any integral type but bool."""
-    return (isinstance(n, numbers.Integral) and not isinstance(n, bool)
-            and n >= 1)
+def _is_int_in(v, lo, hi=math.inf) -> bool:
+    """True for an integer lo <= v < hi of any integral type but bool."""
+    return (isinstance(v, numbers.Integral) and not isinstance(v, bool)
+            and lo <= v < hi)
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,7 @@ class Geometry:
     def __post_init__(self):
         if self.kind not in ("cp", "ch"):
             raise ValueError("kind must be 'cp' or 'ch'")
-        if not _is_positive_int(self.n):
+        if not _is_int_in(self.n, 1):
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
 
     @classmethod
@@ -211,18 +213,28 @@ def _coth_step(arg: np.ndarray, b: float) -> np.ndarray:
     the upper predictor x_up = Q(arg + b), so x = Q(arg + b g(x_up)).
     Since 0 < Q' < 1, the exact root x* satisfies x* <= x <= x_up and
     x - x* <= b^2/3, and x >= arg + b as for x*.  Each lane depends only
-    on its own arg.
+    on its own arg, which is left as it is: the two Q evaluations run in
+    place (_q_into) in two new arrays.
     """
     a = arg + b
-    x_up = np.maximum(0.5 * (a + np.sqrt(a * a + 4.0 * b)), 1e-12)
-    # a = arg + b g(x_up), in place
-    a = np.tanh(x_up)
-    np.subtract(np.divide(1.0, a, out=a), np.divide(1.0, x_up, out=x_up),
-                out=a)
+    x = _q_into(a, 4.0 * b, np.empty_like(a))  # x_up
+    # a = arg + b g(x_up) = arg + b (coth x_up - 1/x_up)
+    np.divide(1.0, np.tanh(x, out=a), out=a)
+    a -= np.divide(1.0, x, out=x)
     a *= b
     a += arg
-    x = 0.5 * (a + np.sqrt(a * a + 4.0 * b))
-    return np.maximum(x, 1e-12, out=x)
+    return _q_into(a, 4.0 * b, x)
+
+
+def _q_into(a: np.ndarray, b4: float, out: np.ndarray) -> np.ndarray:
+    """max(Q(a), 1e-12) into out, Q(a) = (a + sqrt(a^2 + b4))/2, by the
+    same IEEE operations as that expression, up to commuting + and *."""
+    np.multiply(a, a, out=out)
+    out += b4
+    np.sqrt(out, out=out)
+    out += a
+    out *= 0.5
+    return np.maximum(out, 1e-12, out=out)
 
 
 # Past this radius np.tanh(r) == 1.0 in double precision (1 - tanh r is
@@ -259,6 +271,9 @@ def _hyperbolic_block(n: int, lam: float, r0: float, dts: np.ndarray,
     t_acc = 0.0
     b_coth = 0.5 * (2.0 * n - 1.0)
     b_tanh = 0.5 * (2.0 * lam + 1.0)
+    # reused per step: the normals, the step argument, the new clock rate
+    dw, arg = np.empty(m), np.empty(m)
+    f_new = np.empty(m) if record_clock else None
     for k, dt in enumerate(dts):
         if r.min() > _R_FAR:
             t_left = float(dts[k:].sum())
@@ -267,18 +282,28 @@ def _hyperbolic_block(n: int, lam: float, r0: float, dts: np.ndarray,
             if record_clock:
                 clock += t_left
             break
-        dw = rng.standard_normal(m) * math.sqrt(dt)
-        # th is tanh(r), computed once per step
-        r = _coth_step(r + b_tanh * th * dt + dw, b_coth * dt)
+        rng.standard_normal(out=dw)
+        dw *= math.sqrt(dt)
+        # arg = r + b_tanh tanh(r) dt + dw; th is tanh(r), once per step
+        np.multiply(th, b_tanh, out=arg)
+        arg *= dt
+        arg += r
+        arg += dw
+        r = _coth_step(arg, b_coth * dt)
         if track_bound:
             gamma += dw
             t_acc += dt
-            np.minimum(slack, r - ((n - 0.5) * t_acc + gamma), out=slack)
-        th = np.tanh(r)
+            np.add(gamma, (n - 0.5) * t_acc, out=arg)
+            np.minimum(slack, np.subtract(r, arg, out=arg), out=slack)
+        np.tanh(r, out=th)
         if record_clock:
-            f_new = th * th
-            clock += 0.5 * (f + f_new) * dt
-            f = f_new
+            # clock += (f + f_new) / 2 dt by the trapezoid rule
+            np.multiply(th, th, out=f_new)
+            f += f_new
+            f *= 0.5
+            f *= dt
+            clock += f
+            f, f_new = f_new, f
     return r, clock, slack
 
 
@@ -294,7 +319,7 @@ def sample_radial_hyperbolic(n: int, girsanov_lambda: float, r0: float,
     whose lanes are all past _R_FAR finishes in one closed-form draw (see
     _hyperbolic_block).
     """
-    if not _is_positive_int(n):
+    if not _is_int_in(n, 1):
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if not (0 <= girsanov_lambda < math.inf):
         raise ValueError("girsanov_lambda must be nonnegative and finite")

@@ -3,6 +3,8 @@ import math
 import time
 from pathlib import Path
 
+import mpmath as mp
+import numpy as np
 import pytest
 
 from spaceform_areas import cli, densities
@@ -311,6 +313,19 @@ class TestParseConfig:
         for name in EXPERIMENT_DEFAULTS:
             ExperimentSpec(name)
 
+    @pytest.mark.parametrize("seed", [1.5, 7.0, True, "7", -1, 2 ** 64],
+                             ids=["1.5", "7.0", "True", "str", "negative",
+                                  "2**64"])
+    def test_spec_rejects_bad_master_seed(self, seed):
+        # 1.5 used to construct and then fail the run's `completed` check
+        # with a TypeError from the block streams
+        with pytest.raises(ValueError, match="master_seed"):
+            ExperimentSpec("levy-baseline", master_seed=seed)
+
+    def test_spec_accepts_numpy_master_seed(self):
+        assert ExperimentSpec("levy-baseline",
+                              master_seed=np.uint64(2 ** 64 - 1)).master_seed
+
     def test_integral_float_master_seed(self):
         spec = parse_config(
             '{"experiment": "levy-baseline", "master_seed": 7.0}')
@@ -362,6 +377,18 @@ class TestRunExperiment:
         for cell in lines[1].split(","):
             if "." in cell or "e" in cell:
                 assert float(cell) == float(format(float(cell), ".17g"))
+
+    def test_jacobi_selftest_reuses_no_weights_across_runs(self, tmp_path):
+        # each of the 12 normalisation integrals computes its density-series
+        # weights once, in every run, however many runs came before
+        memo = densities._density_weights
+        misses = []
+        for k in range(2):
+            before = memo.cache_info().misses
+            run_experiment(ExperimentSpec("jacobi-selftest",
+                                          output_dir=tmp_path / str(k)))
+            misses.append(memo.cache_info().misses - before)
+        assert misses == [12, 12]
 
     def test_failure_recorded_not_raised(self, tmp_path, monkeypatch):
         def runner(params, seed, threads):
@@ -496,3 +523,17 @@ class TestMain:
         assert man["master_seed"] == 11
         assert man["config"]["lam"] == 0.5
         assert man["config"]["paths"] == 4096
+
+
+class TestRodriguesOracle:
+    @pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (1.0, 0.5),
+                                            (0.7, 2.1), (2.0, 1.3),
+                                            (0.25, 3.5)])
+    def test_equals_mpmath_jacobi(self, alpha, beta):
+        # the Leibniz-rule derivative against mpmath's hypergeometric
+        # Jacobi polynomial, both at 40 digits: equal after rounding
+        for m in range(13):
+            for x in (-0.95, -0.4, 0.1, 0.35, 0.9):
+                with mp.workdps(40):
+                    want = float(mp.jacobi(m, alpha, beta, x))
+                assert cli._rodrigues_jacobi(m, alpha, beta, x) == want

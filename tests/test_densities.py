@@ -11,6 +11,7 @@ from spaceform_areas import (
     TimeTooSmallError,
     berger_kernel,
     berger_limit_kernel,
+    cf_marginal_cp,
     spherical_density,
     stationary_spherical_density,
 )
@@ -246,3 +247,44 @@ class TestSeriesNotConverged:
     def test_berger_kernel(self):
         with pytest.raises(SeriesNotConvergedError):
             berger_kernel(1, 2.0, self.T, 0.5, 0.3)
+
+
+class TestDensityWeightMemo:
+    """spherical_density keeps the series weights of its latest (alpha,
+    beta, t) only, keyed on the truncation policy read at call time."""
+
+    P, T = JacobiParams(1.0, 0.5), densities.MIN_TIME
+
+    @pytest.mark.parametrize("name,value", [("MAX_TERMS", 2),
+                                            ("TAIL_TOL", 0.0)])
+    def test_policy_read_at_call_time(self, name, value, monkeypatch):
+        # the defaults converge; a memo keyed on (alpha, beta, t) alone
+        # would return their weights after the patch and raise nothing
+        spherical_density(self.P, self.T, 0.2, 0.9)
+        monkeypatch.setattr(densities, name, value)
+        with pytest.raises(SeriesNotConvergedError):
+            spherical_density(self.P, self.T, 0.2, 0.9)
+
+    def test_interleaved_keys_match_fresh_values(self):
+        points = [(JacobiParams(1.0, 0.5), 0.3), (JacobiParams(1.0, 0.7), 0.3),
+                  (JacobiParams(0.7, 0.5), 0.3), (JacobiParams(1.0, 0.5), 0.4)]
+        fresh = []
+        for p, t in points:
+            densities._density_weights.cache_clear()
+            fresh.append(spherical_density(p, t, 0.2, 0.9))
+        for _ in range(2):
+            for (p, t), want in zip(points, fresh):
+                assert spherical_density(p, t, 0.2, 0.9) == want
+
+    def test_no_reuse_across_cf_marginal_cp_sequences(self):
+        # one entry: a repeated sequence of integrals recomputes the weights
+        # of each, so a benchmark pass does not gain from an earlier pass
+        densities._density_weights.cache_clear()
+        misses = []
+        for _ in range(2):
+            before = densities._density_weights.cache_info().misses
+            for n, lam, t in ((1, 0.5, 1.0), (1, 2.0, 1.0), (2, 0.5, 0.5)):
+                cf_marginal_cp(n, lam, t)
+            misses.append(densities._density_weights.cache_info().misses
+                          - before)
+        assert misses == [3, 3]

@@ -32,6 +32,28 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimConfig(1.0, 1e-3, 10, -1)
 
+    @pytest.mark.parametrize("field,args", [
+        ("paths", (0.1, 1e-2, 8.5, 1)),
+        ("paths", (0.1, 1e-2, 8.0, 1)),
+        ("paths", (0.1, 1e-2, True, 1)),
+        ("master_seed", (0.1, 1e-2, 8, 1.5)),
+        ("master_seed", (0.1, 1e-2, 8, 1.0)),
+        ("master_seed", (0.1, 1e-2, 8, True)),
+        ("master_seed", (0.1, 1e-2, 8, "1")),
+    ], ids=["paths-8.5", "paths-8.0", "paths-True", "seed-1.5", "seed-1.0",
+            "seed-True", "seed-str"])
+    def test_sim_config_rejects_non_integer_counts(self, field, args):
+        # a float count used to construct and then fail every sampler with
+        # a TypeError; True used to sample as 1
+        with pytest.raises(ValueError, match=field):
+            SimConfig(*args)
+
+    def test_sim_config_accepts_numpy_integers(self):
+        cfg = SimConfig(0.1, 1e-2, np.int64(8), np.uint64(3))
+        ref = sample_area(Geometry.cp(1), SimConfig(0.1, 1e-2, 8, 3))
+        got = sample_area(Geometry.cp(1), cfg)
+        assert np.array_equal(got.theta_end, ref.theta_end)
+
     def test_geometry(self):
         with pytest.raises(ValueError):
             Geometry("sphere", 1)
