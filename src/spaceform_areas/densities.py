@@ -147,7 +147,7 @@ def spherical_density(p: JacobiParams, t: float, r0: float,
     a, b = p.alpha, p.beta
     front = 2.0 * math.cos(r) ** (2 * b + 1) * math.sin(r) ** (2 * a + 1)
     s, tail, _ = _jacobi_series(
-        a, b, _density_weights(a, b, t, MAX_TERMS, TAIL_TOL),
+        a, b, _density_weights(a, b, float(t), MAX_TERMS, TAIL_TOL),
         (math.cos(2 * r0), math.cos(2 * r)))
     return _clip(front * s, front * tail)
 

@@ -260,7 +260,9 @@ def _hyperbolic_block(n: int, lam: float, r0: float, dts: np.ndarray,
     rate differ from n + lam and 1 by 2|n - lam - 1| exp(-2r) and
     4 exp(-2r) to leading order; since n + lam >= 1, E[exp(-2 r_s)] stays
     at most exp(-2 _R_FAR) after the finish, so the expected clock it
-    misses is below 1.1e-16 (T - tau).
+    misses is below 1.1e-16 (T - tau).  The steps run in place in three
+    arrays allocated once per block: the normals, the step argument and
+    the new clock rate.
     """
     r = np.full(m, r0)
     th = np.tanh(r)
@@ -271,7 +273,6 @@ def _hyperbolic_block(n: int, lam: float, r0: float, dts: np.ndarray,
     t_acc = 0.0
     b_coth = 0.5 * (2.0 * n - 1.0)
     b_tanh = 0.5 * (2.0 * lam + 1.0)
-    # reused per step: the normals, the step argument, the new clock rate
     dw, arg = np.empty(m), np.empty(m)
     f_new = np.empty(m) if record_clock else None
     for k, dt in enumerate(dts):

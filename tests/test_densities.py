@@ -276,6 +276,11 @@ class TestDensityWeightMemo:
             for (p, t), want in zip(points, fresh):
                 assert spherical_density(p, t, 0.2, 0.9) == want
 
+    def test_numpy_time_keys_like_float(self):
+        want = spherical_density(self.P, 0.5, 0.0, 0.3)
+        for t in (np.float64(0.5), np.array(0.5)):
+            assert spherical_density(self.P, t, 0.0, 0.3) == want
+
     def test_no_reuse_across_cf_marginal_cp_sequences(self):
         # one entry: a repeated sequence of integrals recomputes the weights
         # of each, so a benchmark pass does not gain from an earlier pass
