@@ -781,10 +781,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, help="master seed override")
     ap.add_argument("--out", help="output directory override")
     ap.add_argument("--threads", type=int, default=1,
-                    help="worker threads for the blocks of the CH^n and "
-                         "planar samplers; the clock-time CP area, Girsanov "
-                         "and winding samplers step all blocks in one loop "
-                         "(results do not depend on it)")
+                    help="threads, each stepping a contiguous group of "
+                         "sampler blocks (results do not depend on it)")
     ap.add_argument("--override", action="append", default=[],
                     metavar="KEY=VALUE",
                     help="parameter override (repeatable)")

@@ -2,11 +2,11 @@
 
 All samplers draw from counter-based (Philox) substreams keyed by
 (master_seed, block index), with paths partitioned into fixed-size blocks.
-The fixed-grid samplers run their blocks through _run_blocks, serially or
-on a thread pool; the clock-time samplers step all blocks of a call in one
-sweep loop (_clock_sweeps).  Either way each path depends only on its
-block's stream, so results are bit-identical regardless of the thread
-count.
+_run_blocks runs the blocks of a call in at most `threads` contiguous
+groups, one thread each: a clock-time sampler steps a group in one sweep
+loop (_clock_sweeps), a fixed-grid one block by block.  Either way each
+path depends only on its block's stream, so results are bit-identical
+regardless of the thread count.
 """
 
 from __future__ import annotations
@@ -99,50 +99,59 @@ class WindingSamples:
 
 
 def _block_rng(master_seed: int, block_index: int) -> np.random.Generator:
+    # int(): a numpy integer would shift and or in a fixed-width type
     return np.random.Generator(
-        np.random.Philox(key=(block_index << 64) | master_seed)
-    )
+        np.random.Philox(key=(int(block_index) << 64) | int(master_seed)))
+
+
+def _block_rngs(cfg: SimConfig, offset: int = 0) -> list:
+    """The Philox stream of every block of cfg.paths, keyed by offset plus
+    the block index."""
+    return [_block_rng(cfg.master_seed, offset + i)
+            for i in range(-(-cfg.paths // BLOCK_SIZE))]
 
 
 def _time_grid(cfg: SimConfig, refine_start: bool) -> np.ndarray:
     """Step sizes covering [0, horizon]; with refine_start, the first
     min(1% of the horizon, 0.05) is stepped at FINE_DT or finer, the fine
     stretch of _cp_area_phi."""
-    if not refine_start or cfg.dt <= FINE_DT:
-        n_full = int(cfg.horizon / cfg.dt)
-        rem = cfg.horizon - n_full * cfg.dt
-        steps = [cfg.dt] * n_full
-        if rem > 1e-12 * cfg.horizon:
-            steps.append(rem)
-        return np.asarray(steps)
-    t_fine = min(0.01 * cfg.horizon, 0.05)
+    refine = refine_start and cfg.dt > FINE_DT
+    t_fine = min(0.01 * cfg.horizon, 0.05) if refine else 0.0
     n_fine = int(math.ceil(t_fine / FINE_DT))
-    fine = t_fine / n_fine
     rest = cfg.horizon - t_fine
     n_full = int(rest / cfg.dt)
     rem = rest - n_full * cfg.dt
-    steps = [fine] * n_fine + [cfg.dt] * n_full
+    steps = [t_fine / max(n_fine, 1)] * n_fine + [cfg.dt] * n_full
     if rem > 1e-12 * cfg.horizon:
         steps.append(rem)
     return np.asarray(steps)
 
 
-def _run_blocks(cfg: SimConfig, block_fn, threads: int = 1) -> tuple:
-    """Run block_fn(block_index, block_size, rng) on every block of
-    cfg.paths, rng being the block's Philox stream, and concatenate each
-    value it returns across the blocks, in block order."""
-    jobs = [(i, min(BLOCK_SIZE, cfg.paths - start))
-            for i, start in enumerate(range(0, cfg.paths, BLOCK_SIZE))]
+def _run_blocks(cfg: SimConfig, step, threads: int, sweep=False) -> tuple:
+    """Concatenate, in block order, each value that step(sub, rngs)
+    returns over the blocks of cfg.paths, sub being the SimConfig of the
+    lanes stepped and rngs their blocks' Philox streams.
 
-    def run(job):
-        i, m = job
-        return block_fn(i, m, _block_rng(cfg.master_seed, i))
+    The blocks run in at most `threads` contiguous groups, the first on
+    the calling thread and the others on a pool.  Without sweep, step runs
+    on one block at a time; with sweep, once per group (a clock-time sweep
+    loop) of at least 4 blocks, as on fewer lanes a sweep's numpy calls
+    mostly wait for the GIL.  Each path depends only on its block's stream.
+    """
+    n_blocks = -(-cfg.paths // BLOCK_SIZE)
+    n_groups = max(1, min(threads, n_blocks // (4 if sweep else 1)))
+    cuts = [n_blocks * g // n_groups for g in range(n_groups + 1)]
 
-    if threads <= 1 or len(jobs) == 1:
-        parts = [run(job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(run, jobs))
+    def run(lo, hi):
+        if not sweep and hi > lo + 1:  # a fixed-grid group, block by block
+            return [part for i in range(lo, hi) for part in run(i, i + 1)]
+        m = min(cfg.paths, hi * BLOCK_SIZE) - lo * BLOCK_SIZE
+        sub = SimConfig(cfg.horizon, cfg.dt, m, cfg.master_seed)
+        return [step(sub, _block_rngs(sub, lo))]
+
+    with ThreadPoolExecutor(max_workers=max(1, n_groups - 1)) as ex:
+        others = ex.map(run, cuts[1:-1], cuts[2:])
+        parts = run(cuts[0], cuts[1]) + sum(others, [])
     return tuple(np.concatenate(values) for values in zip(*parts))
 
 
@@ -330,9 +339,9 @@ def sample_radial_hyperbolic(n: int, girsanov_lambda: float, r0: float,
     r0_eff = EPS_START if eps_started else r0
     dts = _time_grid(cfg, refine_start=eps_started)
 
-    def block(i, m, rng):
-        r, _, slack = _hyperbolic_block(n, girsanov_lambda, r0_eff, dts, rng,
-                                        m, False, track_bound)
+    def block(sub, rngs):
+        r, _, slack = _hyperbolic_block(n, girsanov_lambda, r0_eff, dts,
+                                        rngs[0], sub.paths, False, track_bound)
         return r, slack
 
     r_end, slack = _run_blocks(cfg, block, threads)
@@ -370,7 +379,7 @@ _PSI_SWITCH = 0.30       # psi-mode -> r-mode handoff level (below -log cos
 #                          of _R_UP, giving hysteresis so lanes near the
 #                          boundary do not flip modes every sweep)
 _T2_SWITCH = math.expm1(2.0 * _PSI_SWITCH)  # tan^2 r at the down-handoff
-# A clock-time call raises once its sweeps exceed _SWEEP_HEADROOM times a
+# A clock-time group raises once its sweeps exceed _SWEEP_HEADROOM times a
 # base count: (fine stretch)/(fine step) + horizon/min(dt, _BULK_DT).
 # Whatever dt is, a bulk step of the CP^1 winding covers at most about
 # _BULK_DT of real time: _H_FLOOR of clock at the least rate 4 cosh^2 0.
@@ -383,13 +392,6 @@ _BULK_DT = _H_FLOOR / 4.0
 _SWEEP_HEADROOM = 64.0
 
 
-def _block_rngs(cfg: SimConfig, offset: int = 0) -> list:
-    """The Philox stream of every block of cfg.paths, keyed by offset plus
-    the block index."""
-    return [_block_rng(cfg.master_seed, offset + i)
-            for i in range(-(-cfg.paths // BLOCK_SIZE))]
-
-
 def _fill_normals(rngs: list, blocks, out: np.ndarray) -> None:
     """Fill each listed block's slice of out from that block's stream."""
     for i in blocks:
@@ -399,14 +401,14 @@ def _fill_normals(rngs: list, blocks, out: np.ndarray) -> None:
 def _clock_sweeps(cfg: SimConfig, rngs: list, tau: np.ndarray,
                   z: np.ndarray, fine_sweeps: float = 0.0):
     """Yield the live mask tau < cfg.horizon of each sweep over every path
-    of a clock-time call, until no lane is live.
+    of a clock-time group, until no lane is live.
 
     Before each yield, the slices of z of the blocks that still have a
     live lane are filled from the block's own stream.  A finished block
     draws nothing more, so its stream ends where its own sweeps leave it,
     however long other blocks run; and since each lane's step depends only
     on its own inputs, no lane's path depends on the other lanes of the
-    call.  The output is therefore the same as stepping each block alone.
+    group.  The output is therefore the same as stepping each block alone.
     The caller advances tau in place.  Raises RuntimeError after
     _SWEEP_HEADROOM times the base count of sweeps, fine_sweeps +
     horizon/min(dt, _BULK_DT).
@@ -577,23 +579,23 @@ def sample_area(geometry: Geometry, cfg: SimConfig,
 
     Given the radial path, theta is a Brownian motion run at the clock A_t
     (the integral of tan^2 r or tanh^2 r), so it is drawn exactly as
-    sqrt(A_t) * Z.  `threads` schedules the blocks of CH^n only; on CP^n
-    all blocks are stepped in one sweep loop.
+    sqrt(A_t) * Z, Z drawn from the block's stream after its radial path.
     """
-    if geometry.kind == "cp":
-        rngs = _block_rngs(cfg)
-        r_end, clock, _ = _cp_area_phi(geometry.n, 0.0, cfg, rngs)
-        z = np.empty(cfg.paths)
+    cp = geometry.kind == "cp"
+    dts = None if cp else _time_grid(cfg, refine_start=True)
+
+    def step(sub, rngs):
+        if cp:
+            r_end, clock, _ = _cp_area_phi(geometry.n, 0.0, sub, rngs)
+        else:
+            r_end, clock, _ = _hyperbolic_block(
+                geometry.n, 0.0, EPS_START, dts, rngs[0], sub.paths, True,
+                False)
+        z = np.empty(sub.paths)
         _fill_normals(rngs, range(len(rngs)), z)
-        return AreaSamples(r_end, np.sqrt(clock) * z, clock)
-    dts = _time_grid(cfg, refine_start=True)
+        return r_end, np.sqrt(clock) * z, clock
 
-    def block(i, m, rng):
-        r_end, clock, _ = _hyperbolic_block(
-            geometry.n, 0.0, EPS_START, dts, rng, m, True, False)
-        return r_end, np.sqrt(clock) * rng.standard_normal(m), clock
-
-    return AreaSamples(*_run_blocks(cfg, block, threads))
+    return AreaSamples(*_run_blocks(cfg, step, threads, sweep=cp))
 
 
 def girsanov_cf_estimator(geometry: Geometry, lam: float, cfg: SimConfig,
@@ -603,8 +605,6 @@ def girsanov_cf_estimator(geometry: Geometry, lam: float, cfg: SimConfig,
     Simulates the drift-tilted radial diffusion and reweights:
     cp: e^{-n lam t} * mean[(cos r_t)^{-lam}];
     ch: e^{+n lam t} * mean[(cosh r_t)^{-lam}] (weights are <= 1 there).
-    `threads` schedules the blocks of CH^n only; on CP^n all blocks are
-    stepped in one sweep loop.
     """
     if not (0 <= lam < math.inf):
         raise ValueError(f"lam must be nonnegative and finite, got {lam!r}")
@@ -613,7 +613,9 @@ def girsanov_cf_estimator(geometry: Geometry, lam: float, cfg: SimConfig,
     if lam == 0.0:
         return CfEstimate(complex(1.0), 0.0, cfg.paths)
     if geometry.kind == "cp":
-        cos_r = _cp_area_phi(n, lam, cfg, _block_rngs(cfg))[2]
+        cos_r, = _run_blocks(
+            cfg, lambda sub, rngs: _cp_area_phi(n, lam, sub, rngs)[2:],
+            threads, sweep=True)
         w = cos_r ** (-lam)
         pref = math.exp(-n * lam * t)
     else:
@@ -635,19 +637,18 @@ def sample_winding(geometry: Geometry, r0: float, cfg: SimConfig,
     cp1: radial generator (1/2)(d^2 + 2 cot 2r d), clock integrand 4/sin^2 2r;
     ch1: radial generator (1/2)(d^2 + 2 coth 2r d), clock integrand 4/sinh^2 2r.
     The angle is drawn as sqrt(clock) * Z (exact given the radial path).
-    All blocks are stepped in one sweep loop, so `threads` is unused; it
-    is kept so that every sampler takes the same arguments.
     """
     if geometry.n != 1:
         raise ValueError("winding samplers are defined for n = 1 only")
     if geometry.kind == "cp":
         if not (0.0 < r0 < math.pi / 2):
             raise ValueError("r0 must lie in (0, pi/2) for cp1")
-    else:
-        if not (r0 > 0):
-            raise ValueError("r0 must be positive for ch1")
+    elif not (r0 > 0):
+        raise ValueError("r0 must be positive for ch1")
 
-    clock = _winding_phi(geometry.kind, r0, cfg, _block_rngs(cfg))
+    clock, = _run_blocks(
+        cfg, lambda sub, rngs: (_winding_phi(geometry.kind, r0, sub, rngs),),
+        threads, sweep=True)
     # the winding draw must not depend on how the radial sampler consumed
     # randomness, so each block uses a dedicated offset substream
     angle_rngs = _block_rngs(cfg, offset=1 << 62)
@@ -666,7 +667,8 @@ def sample_planar_area(t: float, cfg: SimConfig, threads: int = 1):
     cfg_t = SimConfig(t, min(cfg.dt, t), cfg.paths, cfg.master_seed)
     dts = _time_grid(cfg_t, refine_start=False)
 
-    def block(i, m, rng):
+    def block(sub, rngs):
+        rng, m = rngs[0], sub.paths
         x = np.zeros(m)
         y = np.zeros(m)
         s = np.zeros(m)

@@ -305,7 +305,8 @@ def test_criterion_11_planar_levy_baseline():
     ("cp-area-cf", {"paths": 2000}),
     ("cp-cauchy-limit", {"paths": 2000}),
     # 9,000 paths are 3 blocks of the CH sampler, which the 4-thread run
-    # steps on its pool; the CP samplers step all blocks in one loop
+    # steps as three groups, one thread each; a clock-time CP group holds
+    # at least 4 blocks, so the one-block CP calls here stay one group
     ("ch-gaussian-limit", {"paths": 9000}),
 ])
 def test_criterion_12_determinism(name, overrides, tmp_path):

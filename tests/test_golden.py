@@ -55,8 +55,9 @@ GOLDEN_CF_MARGINAL_CP = [
 
 # Small sizes so that all eight run in a few seconds.  cp-area-cf,
 # ch-area-cf, winding-cp1, winding-ch1 and levy-baseline use more paths
-# than simulate.BLOCK_SIZE, so that each runs several blocks: the CH and
-# planar ones on the thread pool, the clock-time ones in one sweep loop.
+# than simulate.BLOCK_SIZE, so that each runs two blocks: at 2 threads the
+# fixed-grid CH and planar samplers step them as two groups, one thread
+# each, and the clock-time ones as one group, which splits from 8 blocks.
 # A key "<experiment>/<label>" runs that experiment with other parameters.
 SAMPLER_PARAMS = {
     "cp-area-cf": {"t": 0.25, "lambdas": [1.0], "paths": 5000,

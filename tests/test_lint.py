@@ -147,3 +147,60 @@ TESTS = sorted(Path(__file__).resolve().parent.glob("test_*.py"))
 def test_no_unused_imports(path):
     unused = _unused_imports(path.read_text(encoding="utf-8"))
     assert unused == [], f"{path.name}: unused import(s) {unused}"
+
+
+# Blocks are scheduled in one place, simulate._run_blocks, so that every
+# sampler means the same by `threads` and its outputs are checked at one
+# site for not depending on it.
+POOL_NAMES = {"ThreadPoolExecutor", "ProcessPoolExecutor"}
+
+
+def _scheduling_sites(source: str) -> list:
+    """(line, what) of every import from concurrent.futures, threading or
+    multiprocessing in source, and every use of a pool executor's name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        elif isinstance(node, ast.Name) and node.id in POOL_NAMES:
+            found.append((node.lineno, node.id))
+            continue
+        elif isinstance(node, ast.Attribute) and node.attr in POOL_NAMES:
+            found.append((node.lineno, node.attr))
+            continue
+        else:
+            continue
+        found += [(node.lineno, f"import {name}") for name in names
+                  if name.partition(".")[0]
+                  in ("concurrent", "threading", "multiprocessing")]
+    return sorted(found)
+
+
+def test_scheduling_check_flags_pools_and_threads():
+    source = ("import concurrent.futures as cf\nimport threading, math\n"
+              "from multiprocessing import Pool\n"
+              "from concurrent.futures import ThreadPoolExecutor\n"
+              "def f():\n    return cf.ProcessPoolExecutor(2)\n"
+              "x = ThreadPoolExecutor\n")
+    assert _scheduling_sites(source) == [
+        (1, "import concurrent.futures"), (2, "import threading"),
+        (3, "import multiprocessing"), (4, "import concurrent.futures"),
+        (6, "ProcessPoolExecutor"), (7, "ThreadPoolExecutor")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_one_scheduling_site(path):
+    source = path.read_text(encoding="utf-8")
+    found = _scheduling_sites(source)
+    if path.name != "simulate.py":
+        assert found == [], f"{path.name}: schedules work at {found}"
+        return
+    # one import and one pool, built in _run_blocks
+    assert [what for _, what in found] == ["import concurrent.futures",
+                                           "ThreadPoolExecutor"]
+    runner = next(node for node in ast.parse(source).body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "_run_blocks")
+    assert runner.lineno <= found[1][0] <= runner.end_lineno

@@ -1,5 +1,6 @@
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -119,12 +120,45 @@ class TestDeterminism:
         assert np.array_equal(w1.phi_end, w4.phi_end)
         assert np.array_equal(w1.clock, w4.clock)
 
+    @pytest.mark.parametrize("run", [
+        lambda cfg, th: sample_area(Geometry.cp(1), cfg, threads=th),
+        lambda cfg, th: sample_area(Geometry.ch(2), cfg, threads=th),
+        lambda cfg, th: girsanov_cf_estimator(Geometry.cp(1), 1.5, cfg,
+                                              threads=th),
+        lambda cfg, th: girsanov_cf_estimator(Geometry.ch(1), 1.5, cfg,
+                                              threads=th),
+        lambda cfg, th: sample_radial_hyperbolic(1, 0.5, 0.0, cfg,
+                                                 track_bound=True,
+                                                 threads=th),
+        lambda cfg, th: sample_winding(Geometry.cp(1), 0.7, cfg, threads=th),
+        lambda cfg, th: sample_winding(Geometry.ch(1), 0.9, cfg, threads=th),
+        lambda cfg, th: sample_planar_area(0.05, cfg, threads=th),
+    ], ids=["area-cp", "area-ch", "girsanov-cp", "girsanov-ch", "radial",
+            "winding-cp1", "winding-ch1", "planar"])
+    def test_every_sampler_identical_at_1_2_4_threads(self, run):
+        # nine blocks, the last one partial: at 2 and 4 threads the
+        # clock-time samplers step them as two groups (4 + 5 blocks), the
+        # fixed-grid ones as two and four groups
+        cfg = SimConfig(0.05, 1e-2, 8 * simulate.BLOCK_SIZE + 300, 2025)
+        ref = _fields(run(cfg, 1))
+        for threads in (2, 4):
+            for got, want in zip(_fields(run(cfg, threads)), ref,
+                                 strict=True):
+                np.testing.assert_array_equal(got, want)
+
     def test_seed_changes_output(self):
         cfg1 = SimConfig(0.5, 5e-3, 256, 1)
         cfg2 = SimConfig(0.5, 5e-3, 256, 2)
         a = sample_area(Geometry.cp(1), cfg1)
         b = sample_area(Geometry.cp(1), cfg2)
         assert not np.array_equal(a.r_end, b.r_end)
+
+
+def _fields(result):
+    """The values of a sampler's result, a tuple or a dataclass."""
+    if isinstance(result, tuple):
+        return result
+    return tuple(vars(result).values())
 
 
 def _cp_area(cfg):
@@ -150,7 +184,7 @@ def _winding(geom, r0):
 
 
 class TestStreamDiscipline:
-    """The clock-time samplers step every block of a call in one sweep
+    """A clock-time sampler steps every block of a group in one sweep
     loop; a block draws from its stream only while it has a live lane, so
     each block's lanes are those of the block stepped alone."""
 
@@ -173,6 +207,87 @@ class TestStreamDiscipline:
         for f, h, t in zip(fused, head, tail):
             np.testing.assert_array_equal(f[:m], h)
             np.testing.assert_array_equal(f[m:], t)
+
+
+class TestRunBlocks:
+    @staticmethod
+    def _run(monkeypatch, blocks, threads, sweep):
+        """The block indices of each step call and the number of groups
+        of a _run_blocks call over `blocks` blocks, the last one partial,
+        each block's stream replaced by its index.  The first group runs
+        on the calling thread, each other one is submitted to the pool."""
+        monkeypatch.setattr(simulate, "_block_rng", lambda seed, i: i)
+        submitted = []
+
+        class Pool(ThreadPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                submitted.append(args)
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", Pool)
+        paths = blocks * simulate.BLOCK_SIZE - 100
+        calls = []
+
+        def step(sub, rngs):
+            calls.append(rngs)
+            stop = min(paths, (rngs[-1] + 1) * simulate.BLOCK_SIZE)
+            assert sub.paths == stop - rngs[0] * simulate.BLOCK_SIZE
+            return np.asarray(rngs), np.full(sub.paths, rngs[0])
+
+        index, first = simulate._run_blocks(SimConfig(1.0, 0.1, paths, 5),
+                                            step, threads, sweep)
+        np.testing.assert_array_equal(index, np.arange(blocks))
+        assert first.size == paths
+        return calls, 1 + len(submitted)
+
+    @pytest.mark.parametrize("blocks,threads,groups", [
+        (1, 1, 1), (2, 2, 1), (7, 2, 1), (8, 2, 2), (9, 2, 2), (9, 4, 2),
+        (16, 4, 4), (17, 3, 3), (3, 8, 1)])
+    def test_clock_time_groups(self, monkeypatch, blocks, threads, groups):
+        # one step call per group: contiguous, in block order, at most
+        # `threads` of them and at least 4 blocks each when split
+        calls, n_groups = self._run(monkeypatch, blocks, threads, True)
+        assert n_groups == len(calls) == groups
+        for call in calls:
+            assert call == list(range(call[0], call[-1] + 1))
+            assert groups == 1 or len(call) >= 4
+
+    @pytest.mark.parametrize("blocks,threads,groups", [
+        (1, 1, 1), (2, 2, 2), (4, 2, 2), (3, 8, 3), (9, 4, 4)])
+    def test_fixed_grid_steps_block_by_block(self, monkeypatch, blocks,
+                                             threads, groups):
+        # levy-baseline's 4 blocks at 2 threads still split into 2 groups
+        calls, n_groups = self._run(monkeypatch, blocks, threads, False)
+        assert n_groups == groups
+        assert sorted(calls) == [[i] for i in range(blocks)]
+
+    @pytest.mark.parametrize("paths,threads,groups", [
+        (8192, 2, [8192]), (8192, 4, [8192]),
+        (9 * 4096, 2, [4 * 4096, 5 * 4096])])
+    def test_cp_call_groups(self, monkeypatch, paths, threads, groups):
+        # a 2-block CP call at 2 threads stays one group, as cp-area-cf's
+        # calls in the short-horizon benchmark do
+        seen = []
+        cp_area_phi = simulate._cp_area_phi
+
+        def record(n, lam, cfg, rngs):
+            seen.append(cfg.paths)
+            return cp_area_phi(n, lam, cfg, rngs)
+
+        monkeypatch.setattr(simulate, "_cp_area_phi", record)
+        sample_area(Geometry.cp(1), SimConfig(0.02, 1e-2, paths, 3),
+                    threads=threads)
+        assert sorted(seen) == groups
+
+    @pytest.mark.parametrize("geom", [Geometry.cp(1), Geometry.ch(1)])
+    def test_numpy_integer_paths_and_seed(self, geom):
+        # numpy integers reach the Philox key as block indices and seed
+        paths = 9 * simulate.BLOCK_SIZE
+        ref = sample_area(geom, SimConfig(0.02, 1e-2, paths, 3))
+        got = sample_area(geom, SimConfig(0.02, 1e-2, np.int64(paths),
+                                          np.uint64(3)), threads=2)
+        for g, r in zip(_fields(got), _fields(ref), strict=True):
+            np.testing.assert_array_equal(g, r)
 
 
 class TestSweepCap:
