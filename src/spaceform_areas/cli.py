@@ -32,10 +32,12 @@ from .hyperbolic_kernels import (
     ch_area_cf,
 )
 from .simulate import (
+    CH_STEP_LIMIT,
     CP_STEP_LIMIT,
     Geometry,
     SimConfig,
     _is_int_in,
+    ch_step_ok,
     cp_step_ok,
     girsanov_cf_estimator,
     sample_area,
@@ -96,7 +98,8 @@ class ExperimentSpec:
             raise ValueError(
                 f"'t' must be at least {densities.MIN_TIME} for {self.name}, "
                 f"got {params['t']!r}")
-        # the CP r-step limit (simulate.cp_step_ok); direct runs at lam = 0
+        # the step limits of simulate.cp_step_ok and ch_step_ok; direct
+        # runs at lam = 0
         if self.name == "cp-area-cf":
             n = params["n"]
             _check_cp_step("dt_direct", params["dt_direct"], n)
@@ -104,6 +107,10 @@ class ExperimentSpec:
                            max(params["lambdas"]))
         elif self.name == "cp-cauchy-limit":
             _check_cp_step("dt", params["dt"], max(params["ns"]))
+        elif self.name == "ch-area-cf":
+            _check_ch_step(params["dt"], params["n"], max(params["lambdas"]))
+        elif self.name == "ch-gaussian-limit":
+            _check_ch_step(params["dt"], max(params["ns"]))
 
     def resolved_params(self) -> dict:
         out = dict(EXPERIMENT_DEFAULTS[self.name])
@@ -190,6 +197,15 @@ def _check_cp_step(key: str, dt, n, lam: float = 0.0) -> None:
             f"'{key}' must keep (n - 1/2) {key} and (lam + 1/2) {key} below "
             f"pi^2/8 = {CP_STEP_LIMIT:.6g} for the CP step, got {key} = "
             f"{dt!r} with n = {n!r}{tilt}")
+
+
+def _check_ch_step(dt, n, lam: float = 0.0) -> None:
+    """Raise ValueError naming `dt` unless ch_step_ok(n, lam, dt)."""
+    if not ch_step_ok(n, lam, dt):
+        tilt = f" and largest lambda {lam!r}" if lam else ""
+        raise ValueError(
+            f"'dt' must keep (n + lam) dt at most {CH_STEP_LIMIT:g} for the "
+            f"CH step, got dt = {dt!r} with n = {n!r}{tilt}")
 
 
 @dataclass

@@ -3,10 +3,10 @@
 All samplers draw from counter-based (Philox) substreams keyed by
 (master_seed, block index), with paths partitioned into fixed-size blocks.
 _run_blocks runs the blocks of a call in at most `threads` contiguous
-groups, one thread each: a clock-time sampler steps a group in one sweep
-loop (_clock_sweeps), a fixed-grid one block by block.  Either way each
-path depends only on its block's stream, so results are bit-identical
-regardless of the thread count.
+groups, one thread each: a clock-time sampler steps a group in sweep loops
+(_clock_sweeps) of at most 4 blocks, a fixed-grid one block by block.
+Either way each path depends only on its block's stream, so results are
+bit-identical regardless of the thread count.
 """
 
 from __future__ import annotations
@@ -111,17 +111,11 @@ def _block_rngs(cfg: SimConfig, offset: int = 0) -> list:
             for i in range(-(-cfg.paths // BLOCK_SIZE))]
 
 
-def _time_grid(cfg: SimConfig, refine_start: bool) -> np.ndarray:
-    """Step sizes covering [0, horizon]; with refine_start, the first
-    min(1% of the horizon, 0.05) is stepped at FINE_DT or finer, the fine
-    stretch of _cp_area_phi."""
-    refine = refine_start and cfg.dt > FINE_DT
-    t_fine = min(0.01 * cfg.horizon, 0.05) if refine else 0.0
-    n_fine = int(math.ceil(t_fine / FINE_DT))
-    rest = cfg.horizon - t_fine
-    n_full = int(rest / cfg.dt)
-    rem = rest - n_full * cfg.dt
-    steps = [t_fine / max(n_fine, 1)] * n_fine + [cfg.dt] * n_full
+def _time_grid(cfg: SimConfig) -> np.ndarray:
+    """Step sizes covering [0, horizon]: dt, then any remainder."""
+    n_full = int(cfg.horizon / cfg.dt)
+    rem = cfg.horizon - n_full * cfg.dt
+    steps = [cfg.dt] * n_full
     if rem > 1e-12 * cfg.horizon:
         steps.append(rem)
     return np.asarray(steps)
@@ -134,17 +128,21 @@ def _run_blocks(cfg: SimConfig, step, threads: int, sweep=False) -> tuple:
 
     The blocks run in at most `threads` contiguous groups, the first on
     the calling thread and the others on a pool.  Without sweep, step runs
-    on one block at a time; with sweep, once per group (a clock-time sweep
-    loop) of at least 4 blocks, as on fewer lanes a sweep's numpy calls
-    mostly wait for the GIL.  Each path depends only on its block's stream.
+    on one block at a time.  With sweep it runs on at most 4 blocks at a
+    time (a clock-time sweep loop, which lasts until its slowest lane is
+    done), and a group holds at least 4 blocks, as on fewer lanes a sweep's
+    numpy calls mostly wait for the GIL.  Each path depends only on its
+    block's stream.
     """
     n_blocks = -(-cfg.paths // BLOCK_SIZE)
-    n_groups = max(1, min(threads, n_blocks // (4 if sweep else 1)))
+    width = 4 if sweep else 1
+    n_groups = max(1, min(threads, n_blocks // width))
     cuts = [n_blocks * g // n_groups for g in range(n_groups + 1)]
 
     def run(lo, hi):
-        if not sweep and hi > lo + 1:  # a fixed-grid group, block by block
-            return [part for i in range(lo, hi) for part in run(i, i + 1)]
+        if hi > lo + width:
+            return [part for i in range(lo, hi, width)
+                    for part in run(i, min(i + width, hi))]
         m = min(cfg.paths, hi * BLOCK_SIZE) - lo * BLOCK_SIZE
         sub = SimConfig(cfg.horizon, cfg.dt, m, cfg.master_seed)
         return [step(sub, _block_rngs(sub, lo))]
@@ -213,54 +211,54 @@ def _cot_tan_step(arg: np.ndarray, b1, b2) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # hyperbolic radial sampler
 
-def _coth_step(arg: np.ndarray, b: float) -> np.ndarray:
-    """The implicit step x = arg + b*coth(x), b > 0, in closed form.
+# A step raises r by about (n + lam) dt.  While that is at most this, the
+# drift flow's e^{(n + lam) dt} is finite, and a lane below _R_FAR cannot
+# pass r = 355, where sinh^2 r overflows, within one step.
+CH_STEP_LIMIT = 100.0
 
-    coth x = 1/x + g(x), where g (the Langevin function) is increasing,
-    0 <= g < 1 and g' <= 1/3.  The 1/x part stays implicit: the positive
-    root of x = a + b/x is Q(a) = (a + sqrt(a^2 + 4b))/2.  g is taken at
-    the upper predictor x_up = Q(arg + b), so x = Q(arg + b g(x_up)).
-    Since 0 < Q' < 1, the exact root x* satisfies x* <= x <= x_up and
-    x - x* <= b^2/3, and x >= arg + b as for x*.  Each lane depends only
-    on its own arg, which is left as it is: the two Q evaluations run in
-    place (_q_into) in two new arrays.
+
+def ch_step_ok(n, lam, dt) -> bool:
+    """True when (n + lam) dt is at most CH_STEP_LIMIT."""
+    return (n + lam) * dt <= CH_STEP_LIMIT
+
+
+def _drift_flow(w: np.ndarray, n: int, lam: float, s: float) -> np.ndarray:
+    """Flow w = sinh^2 r in place for time s along the drift of the tilted
+    CH^n radius, exactly.  The drift (1/2)((2n - 1) coth r + (2 lam + 1)
+    tanh r) is affine in u = 2w = cosh 2r - 1: du/ds = a u + 4n - 2, with
+    a = 2n + 2 lam.  So w <- (w + c) e^{a s} - c, c = (2n - 1)/a, taken as
+    w e^{a s} + c expm1(a s).  This keeps w >= 0 and, as the drift is at
+    least n - 1/2, raises r by at least (n - 1/2) s.
     """
-    a = arg + b
-    x = _q_into(a, 4.0 * b, np.empty_like(a))  # x_up
-    # a = arg + b g(x_up) = arg + b (coth x_up - 1/x_up)
-    np.divide(1.0, np.tanh(x, out=a), out=a)
-    a -= np.divide(1.0, x, out=x)
-    a *= b
-    a += arg
-    return _q_into(a, 4.0 * b, x)
+    a = 2.0 * (n + lam)
+    w *= math.exp(a * s)
+    w += (2.0 * n - 1.0) / a * math.expm1(a * s)
+    return w
 
 
-def _q_into(a: np.ndarray, b4: float, out: np.ndarray) -> np.ndarray:
-    """max(Q(a), 1e-12) into out, Q(a) = (a + sqrt(a^2 + b4))/2, by the
-    same IEEE operations as that expression, up to commuting + and *."""
-    np.multiply(a, a, out=out)
-    out += b4
-    np.sqrt(out, out=out)
-    out += a
-    out *= 0.5
-    return np.maximum(out, 1e-12, out=out)
-
-
-# Past this radius np.tanh(r) == 1.0 in double precision (1 - tanh r is
-# about 2 exp(-2r), below half an ulp of 1 from r = 19.06 on), so the exact
-# implicit CH step is r + (n + lam) dt + dW and tanh^2 r is 1.  _coth_step
-# adds b (1/x - 1/x_up), about b^2/r^3 and under 1.5e-4 b^2, to it there.
+# Past this radius coth r and tanh r are 1.0 in double precision (1 - tanh r
+# is about 2 exp(-2r), below half an ulp of 1 from r = 19.06 on), so the
+# exact path is r + (n + lam) dt + dW and tanh^2 r is 1.  The block tests
+# it on w = sinh^2 r, before sinh^2 r can overflow at r = 355.
 _R_FAR = 19.1
+_W_FAR = math.sinh(_R_FAR) ** 2
 
 
-def _hyperbolic_block(n: int, lam: float, r0: float, dts: np.ndarray,
+def _hyperbolic_block(n: int, lam: float, r0, dts: np.ndarray,
                       rng: np.random.Generator, m: int, record_clock: bool,
                       track_bound: bool):
-    """One block of m CH radial paths by the semi-implicit scheme.
+    """One block of m CH radial paths from r0, by Ninomiya-Victoir
+    splitting: each step of size h is half a drift flow (_drift_flow), the
+    noise flow r -> r + sqrt(h) Z, and half a drift flow, each exact.
 
-    Returns (r_end, clock, slack): the tanh^2 r clock by the trapezoid rule
-    (None unless record_clock) and, per lane, the min over steps of
-    r - ((n - 1/2) t + gamma) (inf unless track_bound).
+    The state is w = sinh^2 r, 0 at the pole: r = asinh(sqrt(w)) before
+    the noise, and w = sinh^2 r after it reflects the path through the
+    pole.  As both half flows raise r by at least (n - 1/2) h/2 and
+    |r + dW| >= r + dW, r_{k+1} >= r_k + (n - 1/2) h + dW_k up to rounding.
+    Returns (r_end, clock, slack): the tanh^2 r = w/(w + 1) clock by the
+    trapezoid rule (None unless record_clock) and, per lane, the min over
+    steps of r - ((n - 1/2) t + gamma) (inf unless track_bound).  Raises
+    ValueError unless ch_step_ok(n, lam, dt).
 
     Once every lane is past _R_FAR the rest of the path is drawn at once:
     r_T = r + (n + lam)(T - tau) + sqrt(T - tau) Z, and the clock grows by
@@ -269,52 +267,50 @@ def _hyperbolic_block(n: int, lam: float, r0: float, dts: np.ndarray,
     rate differ from n + lam and 1 by 2|n - lam - 1| exp(-2r) and
     4 exp(-2r) to leading order; since n + lam >= 1, E[exp(-2 r_s)] stays
     at most exp(-2 _R_FAR) after the finish, so the expected clock it
-    misses is below 1.1e-16 (T - tau).  The steps run in place in three
-    arrays allocated once per block: the normals, the step argument and
-    the new clock rate.
+    misses is below 1.1e-16 (T - tau).
     """
-    r = np.full(m, r0)
-    th = np.tanh(r)
-    clock = np.zeros(m) if record_clock else None
-    f = th * th if record_clock else None
-    slack = np.full(m, math.inf)
-    gamma = np.zeros(m)
-    t_acc = 0.0
-    b_coth = 0.5 * (2.0 * n - 1.0)
-    b_tanh = 0.5 * (2.0 * lam + 1.0)
-    dw, arg = np.empty(m), np.empty(m)
-    f_new = np.empty(m) if record_clock else None
-    for k, dt in enumerate(dts):
-        if r.min() > _R_FAR:
+    if not ch_step_ok(n, lam, dts[0]):
+        raise ValueError(
+            f"the CH step needs (n + lam) dt at most {CH_STEP_LIMIT:g}, got "
+            f"n = {n}, lam = {lam} and dt = {dts[0]}")
+    w = np.full(m, np.sinh(r0) ** 2)
+    # the clock, and tanh^2 r at the last two grid points
+    clock, f, f_new = ((np.zeros(m), w / (w + 1.0), np.empty(m))
+                       if record_clock else (None, None, None))
+    slack, gamma, t_acc = np.full(m, math.inf), np.zeros(m), 0.0
+    r, dw = np.empty(m), np.empty(m)
+    for k, h in enumerate(dts):
+        if w.min() > _W_FAR:
             t_left = float(dts[k:].sum())
-            r = r + ((n + lam) * t_left
-                     + math.sqrt(t_left) * rng.standard_normal(m))
+            r = np.arcsinh(np.sqrt(w, out=r), out=r)
+            z = rng.standard_normal(m)
+            r += (n + lam) * t_left + math.sqrt(t_left) * z
             if record_clock:
                 clock += t_left
-            break
+            return r, clock, slack
+        _drift_flow(w, n, lam, 0.5 * h)
+        np.arcsinh(np.sqrt(w, out=r), out=r)
         rng.standard_normal(out=dw)
-        dw *= math.sqrt(dt)
-        # arg = r + b_tanh tanh(r) dt + dw; th is tanh(r), once per step
-        np.multiply(th, b_tanh, out=arg)
-        arg *= dt
-        arg += r
-        arg += dw
-        r = _coth_step(arg, b_coth * dt)
+        dw *= math.sqrt(h)
+        r += dw
+        np.square(np.sinh(r, out=w), out=w)
+        _drift_flow(w, n, lam, 0.5 * h)
         if track_bound:
             gamma += dw
-            t_acc += dt
-            np.add(gamma, (n - 0.5) * t_acc, out=arg)
-            np.minimum(slack, np.subtract(r, arg, out=arg), out=slack)
-        np.tanh(r, out=th)
+            t_acc += h
+            np.arcsinh(np.sqrt(w, out=r), out=r)
+            r -= gamma
+            r -= (n - 0.5) * t_acc
+            np.minimum(slack, r, out=slack)
         if record_clock:
-            # clock += (f + f_new) / 2 dt by the trapezoid rule
-            np.multiply(th, th, out=f_new)
+            # clock += (f + f_new) h/2 by the trapezoid rule
+            np.add(w, 1.0, out=f_new)
+            np.divide(w, f_new, out=f_new)
             f += f_new
-            f *= 0.5
-            f *= dt
+            f *= 0.5 * h
             clock += f
             f, f_new = f_new, f
-    return r, clock, slack
+    return np.arcsinh(np.sqrt(w, out=r), out=r), clock, slack
 
 
 def sample_radial_hyperbolic(n: int, girsanov_lambda: float, r0: float,
@@ -323,11 +319,12 @@ def sample_radial_hyperbolic(n: int, girsanov_lambda: float, r0: float,
     """Paths of the radial diffusion on [0, inf) with drift
     (1/2)((2n - 1) coth r + (2 lambda + 1) tanh r).
 
-    Semi-implicit scheme: the coth term is stepped implicitly in closed form
-    (_coth_step), which keeps paths strictly positive and preserves the
-    per-step lower bound r_{k+1} >= r_k + (n - 1/2) dt + dW_k.  A block
-    whose lanes are all past _R_FAR finishes in one closed-form draw (see
-    _hyperbolic_block).
+    Each step splits into exact flows, half the drift flow (affine in
+    u = cosh 2r - 1), the noise and half the drift flow, so paths stay
+    nonnegative, start at the pole exactly and keep the per-step bound
+    r_{k+1} >= r_k + (n - 1/2) dt + dW_k; a block whose lanes are all past
+    _R_FAR finishes in one closed-form draw (see _hyperbolic_block).
+    Raises ValueError unless (n + lambda) dt <= CH_STEP_LIMIT.
     """
     if not _is_int_in(n, 1):
         raise ValueError(f"n must be a positive integer, got {n!r}")
@@ -335,12 +332,10 @@ def sample_radial_hyperbolic(n: int, girsanov_lambda: float, r0: float,
         raise ValueError("girsanov_lambda must be nonnegative and finite")
     if not (0 <= r0 < math.inf):
         raise ValueError("r0 must be nonnegative and finite")
-    eps_started = r0 == 0.0
-    r0_eff = EPS_START if eps_started else r0
-    dts = _time_grid(cfg, refine_start=eps_started)
+    dts = _time_grid(cfg)
 
     def block(sub, rngs):
-        r, _, slack = _hyperbolic_block(n, girsanov_lambda, r0_eff, dts,
+        r, _, slack = _hyperbolic_block(n, girsanov_lambda, r0, dts,
                                         rngs[0], sub.paths, False, track_bound)
         return r, slack
 
@@ -582,15 +577,14 @@ def sample_area(geometry: Geometry, cfg: SimConfig,
     sqrt(A_t) * Z, Z drawn from the block's stream after its radial path.
     """
     cp = geometry.kind == "cp"
-    dts = None if cp else _time_grid(cfg, refine_start=True)
+    dts = None if cp else _time_grid(cfg)
 
     def step(sub, rngs):
         if cp:
             r_end, clock, _ = _cp_area_phi(geometry.n, 0.0, sub, rngs)
         else:
             r_end, clock, _ = _hyperbolic_block(
-                geometry.n, 0.0, EPS_START, dts, rngs[0], sub.paths, True,
-                False)
+                geometry.n, 0.0, 0.0, dts, rngs[0], sub.paths, True, False)
         z = np.empty(sub.paths)
         _fill_normals(rngs, range(len(rngs)), z)
         return r_end, np.sqrt(clock) * z, clock
@@ -604,7 +598,8 @@ def girsanov_cf_estimator(geometry: Geometry, lam: float, cfg: SimConfig,
 
     Simulates the drift-tilted radial diffusion and reweights:
     cp: e^{-n lam t} * mean[(cos r_t)^{-lam}];
-    ch: e^{+n lam t} * mean[(cosh r_t)^{-lam}] (weights are <= 1 there).
+    ch: mean[exp(n lam t - lam log cosh r_t)], with log cosh r formed so
+    that it cannot overflow ((cosh r_t)^{-lam} <= 1 there).
     """
     if not (0 <= lam < math.inf):
         raise ValueError(f"lam must be nonnegative and finite, got {lam!r}")
@@ -619,12 +614,15 @@ def girsanov_cf_estimator(geometry: Geometry, lam: float, cfg: SimConfig,
         w = cos_r ** (-lam)
         pref = math.exp(-n * lam * t)
     else:
-        res = sample_radial_hyperbolic(n, lam, 0.0, cfg, threads=threads)
-        w = np.cosh(res.r_end) ** (-lam)
-        if not float(w.max(initial=0.0)) <= 1.0 + 1e-12:  # also catches NaN
+        r = sample_radial_hyperbolic(n, lam, 0.0, cfg, threads=threads).r_end
+        # log cosh r = r + log1p(e^{-2r}) - log 2 on r >= 0
+        log_w = -lam * (r + np.log1p(np.exp(-2.0 * r)) - math.log(2.0))
+        top = float(log_w.max(initial=-math.inf))
+        if not top <= 1e-12:  # also catches NaN
             raise RuntimeError(
-                f"Girsanov weight above 1 or NaN: max {w.max(initial=0.0)}")
-        pref = math.exp(n * lam * t)
+                f"Girsanov weight above 1 or NaN: max log weight {top}")
+        w = np.exp(n * lam * t + log_w)
+        pref = 1.0
     value = pref * float(w.mean())
     se = pref * float(w.std(ddof=1)) / math.sqrt(len(w))
     return CfEstimate(complex(value), se, len(w))
@@ -665,7 +663,7 @@ def sample_planar_area(t: float, cfg: SimConfig, threads: int = 1):
     if not (t > 0):
         raise ValueError("t must be positive")
     cfg_t = SimConfig(t, min(cfg.dt, t), cfg.paths, cfg.master_seed)
-    dts = _time_grid(cfg_t, refine_start=False)
+    dts = _time_grid(cfg_t)
 
     def block(sub, rngs):
         rng, m = rngs[0], sub.paths

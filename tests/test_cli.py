@@ -260,6 +260,28 @@ class TestParseConfig:
         # the same step with every coefficient below the limit is accepted
         ExperimentSpec(name, {**params, key: 0.49})
 
+    @pytest.mark.parametrize("name,params", [
+        ("ch-area-cf", {"t": 1.0, "dt": 1.0, "lambdas": [0.5, 200.0]}),
+        ("ch-area-cf", {"n": 3, "t": 50.0, "dt": 40.0, "lambdas": [0.5]}),
+        ("ch-gaussian-limit", {"t": 1000.0, "dt": 500.0, "ns": [1]}),
+    ])
+    def test_ch_step_limit_named(self, name, params, tmp_path):
+        # the CH step needs (n + lam) dt at most 100: its drift flow's
+        # e^{(n + lam) dt} overflows past 709.78, and a step that long can
+        # carry a lane past r = 355, where sinh^2 r overflows
+        text = json.dumps({"experiment": name, "params": params})
+        with pytest.raises(ValueError, match="'dt'"):
+            parse_config(text)
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(text)
+        assert main(["--config", str(cfgp),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+        # the same step with (n + lam) dt = 100 is accepted
+        n = params.get("n", max(params.get("ns", [1])))
+        lam = max(params.get("lambdas", [0.0]))
+        ExperimentSpec(name, {**params, "dt": 100.0 / (n + lam)})
+
     def test_scalars_accept_edges(self):
         ExperimentSpec("ch1-loop-density", {"t": 1e-9, "tol": 1e-300,
                                             "theta_lo": -1e-9,
@@ -440,6 +462,21 @@ class TestRunExperiment:
                   if c["verdict"] != "pass"]
         assert failed == []
         assert elapsed < 60.0
+
+    def test_ch_area_cf_default_verdict(self, tmp_path):
+        # the experiment itself at its defaults and default master seed;
+        # with the semi-implicit CH step it replaced, its Girsanov route
+        # read z +3.63 (lam = 0.5) and +3.16 (lam = 1) and the verdict
+        # failed
+        spec = ExperimentSpec(name="ch-area-cf", output_dir=tmp_path)
+        assert spec.master_seed == 12345
+        bundle = run_experiment(spec)
+        values = {c["name"]: c["value"] for c in bundle.manifest["checks"]}
+        print(values)
+        failed = [c["name"] for c in bundle.manifest["checks"]
+                  if c["verdict"] != "pass"]
+        assert failed == []
+        assert len(values) == 7
 
     def test_rerun_byte_identical_across_threads(self, tmp_path):
         base = {"paths": 8192, "dt": 5e-3}

@@ -86,15 +86,15 @@ GOLDEN_SAMPLER_CSV = {
     },
     "ch-area-cf": {
         "ch_area_cf.csv":
-            "ce3777349b92457f5679b1aa589de8dbf226ff1c6e7447f8921117abb6fc6acc",
+            "d85c662d2259f82a9f28d5a89af0fe1c3b54404d0a7c9482a79a9a82de2ec55c",
     },
     "ch-area-cf/n2": {
         "ch_area_cf.csv":
-            "fc11723a155e792f14a74953a4e1877c8f8dc5e60dfc636f684983d6f3e89958",
+            "2223e4b3681c3370567561dc7ef4f613851871eaeeba5e7c356c1d83b5459711",
     },
     "ch-gaussian-limit": {
         "ch_gaussian_limit.csv":
-            "2df2bfe9d262c91121e01792833c74a1748b82c7bce5e98b1744963a0617b52d",
+            "975eab55e78147a6bfb2376e22252dad94bbe50087ad4bc6374903c651b53ecc",
     },
     "winding-cp1": {
         "winding_cp1.csv":
@@ -116,11 +116,11 @@ GOLDEN_SAMPLER_MANIFEST = {
     "cp-cauchy-limit":
         "c2728a9e3d41b9721ce091b1ec5301d088c9288f735d4bfaaffffabba2abfa40",
     "ch-area-cf":
-        "c9f216f8b8450b1f801a91c6d47470f07a6c739f9f867147a1309f7080fc7d96",
+        "1324f7f23e734a881f484b1752da724b9fb88691f6702eb6265e9b10aaf77ea3",
     "ch-area-cf/n2":
-        "5718d44a327b469f6443f392133b3fa94811698a4388857c2360782978c88a2e",
+        "0f094b48161599936b2ef2acc0d463ddfa0b5425deae518635262f672d55d436",
     "ch-gaussian-limit":
-        "b03eb11dcbaca72f2edcac96cfa90a36898dda6a719cf944e4c2955628a0b237",
+        "b1e76326266dc1de03d1c9123c5f77dd69969fe9ee2aeae772b5d7a9164b740f",
     "winding-cp1":
         "6596e051b8f605787b6236ac4cc65afb088aaaab9856b9260701268bed301160",
     "winding-ch1":
@@ -146,7 +146,7 @@ GOLDEN_LONG_SAMPLER_CSV = {
     },
     "ch-gaussian-limit": {
         "ch_gaussian_limit.csv":
-            "297332b7f6808bbe1312ade49d04b1585f95d6ac273d61a20fbb6bf421b83f99",
+            "124d929825293c23daa1c3c0a6ce8c65e8cb7c0adcd4dc811a1a9ec249279e5a",
     },
     "winding-cp1": {
         "winding_cp1.csv":
@@ -162,7 +162,7 @@ GOLDEN_LONG_SAMPLER_MANIFEST = {
     "cp-cauchy-limit":
         "1a9472e21aadd480b8e21bfe32ef499e7ec25202c77693f2af6578d9c5602f33",
     "ch-gaussian-limit":
-        "a40be548e65f7bb915af61036798a2658df661c6131bae75da5825f71ec26b3b",
+        "41c7517566c1dbc61815320a4a4b498a42370d667d4364455ee427b0637a2e9c",
     "winding-cp1":
         "8bb79dff3bb9f6369614740d5ac9338abd607e4fe0920a4aeb9bdcf1963d9957",
     "winding-ch1":

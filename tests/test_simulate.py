@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 from scipy.stats import kstest
 
 from spaceform_areas import (
@@ -244,13 +245,17 @@ class TestRunBlocks:
         (1, 1, 1), (2, 2, 1), (7, 2, 1), (8, 2, 2), (9, 2, 2), (9, 4, 2),
         (16, 4, 4), (17, 3, 3), (3, 8, 1)])
     def test_clock_time_groups(self, monkeypatch, blocks, threads, groups):
-        # one step call per group: contiguous, in block order, at most
-        # `threads` of them and at least 4 blocks each when split
+        # at most `threads` groups, of at least 4 blocks each when split;
+        # a group runs one step call (a sweep loop) per run of at most 4
+        # contiguous blocks, with at most one shorter run per group
         calls, n_groups = self._run(monkeypatch, blocks, threads, True)
-        assert n_groups == len(calls) == groups
+        assert n_groups == groups
+        assert sum(sorted(calls), []) == list(range(blocks))
         for call in calls:
             assert call == list(range(call[0], call[-1] + 1))
-            assert groups == 1 or len(call) >= 4
+            assert len(call) <= 4
+        loops = -(-blocks // 4)
+        assert loops <= len(calls) <= loops + groups - 1
 
     @pytest.mark.parametrize("blocks,threads,groups", [
         (1, 1, 1), (2, 2, 2), (4, 2, 2), (3, 8, 3), (9, 4, 4)])
@@ -263,10 +268,11 @@ class TestRunBlocks:
 
     @pytest.mark.parametrize("paths,threads,groups", [
         (8192, 2, [8192]), (8192, 4, [8192]),
-        (9 * 4096, 2, [4 * 4096, 5 * 4096])])
+        (9 * 4096, 2, [4096, 4 * 4096, 4 * 4096])])
     def test_cp_call_groups(self, monkeypatch, paths, threads, groups):
         # a 2-block CP call at 2 threads stays one group, as cp-area-cf's
-        # calls in the short-horizon benchmark do
+        # calls in the short-horizon benchmark do; 9 blocks split 4 + 5,
+        # and the group of 5 sweeps its blocks as 4 + 1
         seen = []
         cp_area_phi = simulate._cp_area_phi
 
@@ -278,6 +284,26 @@ class TestRunBlocks:
         sample_area(Geometry.cp(1), SimConfig(0.02, 1e-2, paths, 3),
                     threads=threads)
         assert sorted(seen) == groups
+
+    @pytest.mark.parametrize("run", [
+        lambda cfg: sample_area(Geometry.cp(1), cfg),
+        lambda cfg: girsanov_cf_estimator(Geometry.cp(1), 1.5, cfg),
+        lambda cfg: sample_winding(Geometry.ch(1), 0.9, cfg),
+    ], ids=["area", "girsanov", "winding-ch1"])
+    def test_sweep_loops_match_one_loop(self, monkeypatch, run):
+        # ten blocks swept as loops of 4 + 4 + 2 give the bits of one loop
+        # over all ten
+        cfg = SimConfig(0.05, 1e-2, 9 * simulate.BLOCK_SIZE + 300, 77)
+        ref = _fields(run(cfg))
+        run_blocks = simulate._run_blocks
+
+        def one_loop(cfg, step, threads, sweep=False):
+            return (step(cfg, simulate._block_rngs(cfg)) if sweep
+                    else run_blocks(cfg, step, threads, sweep))
+
+        monkeypatch.setattr(simulate, "_run_blocks", one_loop)
+        for got, want in zip(_fields(run(cfg)), ref, strict=True):
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("geom", [Geometry.cp(1), Geometry.ch(1)])
     def test_numpy_integer_paths_and_seed(self, geom):
@@ -318,44 +344,64 @@ class TestSweepCap:
             simulate._SWEEP_HEADROOM * (fine_sweeps + cfg.horizon / cfg.dt))
 
 
-def _uncapped_time_grid(horizon, dt):
-    """The refined grid with its fine stretch at 1% of the horizon, for
-    any horizon; _time_grid caps that stretch at 0.05."""
-    t_fine = 0.01 * horizon
-    n_fine = int(math.ceil(t_fine / simulate.FINE_DT))
-    rest = horizon - t_fine
-    n_full = int(rest / dt)
-    rem = rest - n_full * dt
-    steps = [t_fine / n_fine] * n_fine + [dt] * n_full
-    if rem > 1e-12 * horizon:
-        steps.append(rem)
-    return np.asarray(steps)
+class _FirstCoarseStep(Exception):
+    pass
 
 
 class TestTimeGrid:
+    """The time grids: the fixed-grid samplers (CH^n and planar) step at dt
+    from the start; the r-mode lanes of the CP area sampler step at
+    FINE_DT or finer over the first min(1% of the horizon, 0.05), its fine
+    start, and then at dt."""
+
+    @staticmethod
+    def _fine_start(monkeypatch, horizon, dt):
+        """The r-mode step sizes of a one-lane CP^1 area call up to its
+        first step longer than FINE_DT, and that step."""
+        steps = []
+        cot_tan_step = simulate._cot_tan_step
+
+        def record(arg, b1, b2):
+            # b2 = (lam + 1/2) dt is dt/2 at lam = 0, exactly
+            steps.append(float(2.0 * b2[0]))
+            if steps[-1] > simulate.FINE_DT:
+                raise _FirstCoarseStep
+            return cot_tan_step(arg, b1, b2)
+
+        monkeypatch.setattr(simulate, "_cot_tan_step", record)
+        with pytest.raises(_FirstCoarseStep):
+            sample_area(Geometry.cp(1), SimConfig(horizon, dt, 1, 3))
+        return np.asarray(steps[:-1]), steps[-1]
+
     @pytest.mark.parametrize("horizon", [0.5, 2.0, 5.0, 6.0, 50.0, 100.0])
     @pytest.mark.parametrize("dt", [1e-3, 0.01, 0.05])
-    def test_fine_stretch_capped(self, horizon, dt):
-        dts = simulate._time_grid(SimConfig(horizon, dt, 1, 1), True)
-        n_fine = int(np.argmax(dts > simulate.FINE_DT))
-        assert n_fine >= 1
-        assert dts[:n_fine].max() <= simulate.FINE_DT
-        assert dts[:n_fine].sum() == pytest.approx(
-            min(0.01 * horizon, 0.05), rel=1e-12)
-        assert dts.sum() == pytest.approx(horizon, rel=1e-12)
+    def test_fine_stretch_capped(self, monkeypatch, horizon, dt):
+        fine, first = self._fine_start(monkeypatch, horizon, dt)
+        t_fine = min(0.01 * horizon, 0.05)
+        assert fine.size >= 1
+        assert fine.max() <= simulate.FINE_DT
+        # a lane steps fine while its time is short of t_fine
+        assert fine[:-1].sum() < t_fine + 1e-12
+        assert fine.sum() >= t_fine - 1e-12
+        assert first == dt
 
     @pytest.mark.parametrize("horizon", [0.25, 0.5, 1.0, 2.0, 3.7, 5.0])
     @pytest.mark.parametrize("dt", [1e-3, 2e-3, 0.01, 0.05])
-    def test_grid_unchanged_up_to_t5(self, horizon, dt):
-        # 0.01 t <= 0.05 there, so the cap leaves every step's bits alone
-        dts = simulate._time_grid(SimConfig(horizon, dt, 1, 1), True)
-        np.testing.assert_array_equal(dts, _uncapped_time_grid(horizon, dt))
+    def test_grid_unchanged_up_to_t5(self, monkeypatch, horizon, dt):
+        # 0.01 t <= 0.05 there, so the cap leaves the fine start at 1% of
+        # the horizon; the fixed grid is dt throughout, and a remainder
+        fine, _ = self._fine_start(monkeypatch, horizon, dt)
+        assert fine[:-1].sum() < 0.01 * horizon + 1e-12
+        assert fine.sum() >= 0.01 * horizon - 1e-12
+        dts = simulate._time_grid(SimConfig(horizon, dt, 1, 1))
+        assert np.all(dts[:-1] == dt) and 0 < dts[-1] <= dt
+        assert dts.sum() == pytest.approx(horizon, rel=1e-12)
 
 
-# The Newton solves of x = arg + b1 cot x - b2 tan x and x = arg + b coth x
-# that the CP and CH samplers used before their closed-form steps, kept
-# verbatim (with their iteration budget and residual tolerance) as the exact
-# roots those steps are checked against.
+# The Newton solve of x = arg + b1 cot x - b2 tan x that the CP samplers
+# used before their closed-form step, kept verbatim (with its iteration
+# budget and residual tolerance) as the exact root that step is checked
+# against.
 
 _REF_MAX_ITERS = 60
 _REF_TOL = 1e-12
@@ -389,24 +435,6 @@ def _reference_cot_tan_solve(arg, b1, b2):
         f"implicit cot/tan solve not converged after "
         f"{_REF_MAX_ITERS} "
         f"steps: largest residual {np.abs(h).max():.3g}")
-
-
-def _reference_coth_solve(arg, b):
-    x = 0.5 * (arg + np.sqrt(arg * arg + 4.0 * b))
-    np.clip(x, 1e-12, None, out=x)
-    for _ in range(_REF_MAX_ITERS + 1):
-        th = np.tanh(x)
-        g = x - b / th - arg
-        if np.all(np.abs(g) < _REF_TOL):
-            return x
-        sh2 = np.sinh(np.minimum(x, 350.0)) ** 2
-        gp = 1.0 + b / np.maximum(sh2, 1e-300)
-        x = x - g / gp
-        np.clip(x, 1e-12, None, out=x)
-    raise RuntimeError(
-        f"implicit coth solve not converged after "
-        f"{_REF_MAX_ITERS} "
-        f"steps: largest residual {np.abs(g).max():.3g}")
 
 
 def _cot_tan_root(arg, b1, b2):
@@ -481,43 +509,83 @@ class TestCotTanStep:
         assert np.array_equal(x, alone)
 
 
-class TestCothStep:
-    """x = arg + b coth x in closed form, the r-step of the CH samplers,
-    against the Newton root of _reference_coth_solve."""
+class _Normals:
+    """A stand-in for a block's stream: each standard_normal(out=...) call
+    fills the next row of z."""
 
-    @given(x_star=st.lists(st.floats(1e-3, 60.0), min_size=1, max_size=32),
-           z=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=32),
-           dt=st.floats(1e-5, 0.05),
-           n=st.integers(1, 3),
+    def __init__(self, z):
+        self.rows = iter(np.atleast_2d(z))
+
+    def standard_normal(self, out):
+        out[...] = next(self.rows)
+        return out
+
+
+class TestSplittingStep:
+    """The Ninomiya-Victoir step of the CH samplers (_hyperbolic_block):
+    half an exact drift flow, the noise r -> |r + dW|, half a drift flow."""
+
+    @given(u0=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=16),
+           s=st.floats(1e-6, 0.05), n=st.integers(1, 3),
            lam=st.floats(0.0, 2.0))
-    @example(x_star=[1e-3, 0.05, 2.0], z=[-6.0, 0.0, 6.0], dt=0.05, n=3,
-             lam=2.0)
-    @settings(max_examples=80, deadline=None)
-    def test_bracketed_by_root_and_bound(self, x_star, z, dt, n, lam):
-        # b = (n - 1/2) dt as in the CH samplers; the first lanes are given
-        # an arg whose root is exactly x_star, the rest a sampler step
-        b = (n - 0.5) * dt
-        x_star = np.asarray(x_star)
-        at_root = x_star - b / np.tanh(x_star)
-        stepped = (x_star[0] + (lam + 0.5) * math.tanh(x_star[0]) * dt
-                   + math.sqrt(dt) * np.asarray(z))
-        arg = np.concatenate([at_root, stepped])
-        x = simulate._coth_step(arg, b)
-        # the step lies outward of the exact root by at most b^2/3
-        dev = x - _reference_coth_solve(arg, b)
-        assert dev.min() >= -2e-12
-        assert dev.max() <= b * b / 3.0 + 2e-12
-        # the per-step lower bound that track_bound checks
-        assert np.all(x >= arg + b - 1e-12)
-        # a lane's step depends on its own arg only
-        alone = [simulate._coth_step(arg[i:i + 1], b)[0]
-                 for i in range(arg.size)]
-        assert np.array_equal(x, alone)
+    @settings(max_examples=40, deadline=None)
+    def test_drift_flow_solves_its_ode(self, u0, s, n, lam):
+        # u = 2 sinh^2 r = 2w obeys u' = a u + 4n - 2, a = 2n + 2 lam
+        a = 2.0 * (n + lam)
+        u0 = np.asarray(u0)
+        ode = solve_ivp(lambda _, u: a * u + 4.0 * n - 2.0, (0.0, s), u0,
+                        method="DOP853", rtol=1e-13, atol=1e-15)
+        w = simulate._drift_flow(0.5 * u0, n, lam, s)
+        np.testing.assert_allclose(2.0 * w, ode.y[:, -1], rtol=1e-10,
+                                   atol=1e-14)
+        # the drift is at least n - 1/2, and so is the rise of r
+        rise = np.arcsinh(np.sqrt(w)) - np.arcsinh(np.sqrt(0.5 * u0))
+        assert np.all(rise >= (n - 0.5) * s * (1.0 - 1e-9) - 1e-12)
+
+    @given(r0=st.lists(st.floats(0.0, 15.0), min_size=2, max_size=8),
+           seed=st.integers(0, 2 ** 32 - 1), h=st.floats(1e-4, 0.05),
+           n=st.integers(1, 3), lam=st.floats(0.0, 2.0))
+    @settings(max_examples=30, deadline=None)
+    def test_lanes_depend_only_on_their_own_inputs(self, r0, seed, h, n,
+                                                   lam):
+        # each lane's radius, clock and slack are those of the lane run
+        # alone on its own start and normals; no lane gets past _R_FAR,
+        # where a block finishes all its lanes at once
+        r0 = np.asarray(r0)
+        dts = np.full(5, h)
+        z = np.random.default_rng(seed).standard_normal((dts.size, r0.size))
+        fused = simulate._hyperbolic_block(n, lam, r0, dts, _Normals(z),
+                                           r0.size, True, True)
+        for i in range(r0.size):
+            alone = simulate._hyperbolic_block(
+                n, lam, r0[i:i + 1], dts, _Normals(z[:, i:i + 1]), 1, True,
+                True)
+            for f, a in zip(fused, alone, strict=True):
+                assert f[i] == a[0]
+
+    @given(r0=st.lists(st.floats(0.0, 19.0), min_size=1, max_size=16),
+           z=st.floats(-6.0, 6.0), h=st.floats(1e-5, 0.05),
+           n=st.integers(1, 3), lam=st.floats(0.0, 2.0))
+    @example(r0=[0.0, 1e-8, 19.0], z=-6.0, h=0.05, n=1, lam=0.0)
+    @settings(max_examples=60, deadline=None)
+    def test_step_keeps_the_transience_bound(self, r0, z, h, n, lam):
+        # r_{k+1} >= r_k + (n - 1/2) h + dW_k, the bound that track_bound
+        # (and criterion-08) checks path by path
+        r0 = np.asarray(r0)
+        dw = math.sqrt(h) * z
+        r1, _, slack = simulate._hyperbolic_block(
+            n, lam, r0, np.array([h]), _Normals(np.full(r0.size, z)),
+            r0.size, False, True)
+        tol = 1e-12 * (1.0 + r0)
+        assert np.all(r1 >= r0 + (n - 0.5) * h + dw - tol)
+        assert np.all(r1 >= 0.0)
+        np.testing.assert_allclose(slack, r1 - (n - 0.5) * h - dw,
+                                   rtol=0, atol=1e-12)
 
 
 class TestRadialHyperbolic:
     def test_transience_lower_bound(self):
-        # the semi-implicit step preserves r_{k+1} >= r_k + (n-1/2) dt + dW
+        # the splitting step preserves r_{k+1} >= r_k + (n-1/2) dt + dW
         for n in (1, 2):
             cfg = SimConfig(2.0, 1e-3, 1000, 31)
             res = sample_radial_hyperbolic(n, 0.0, 0.0, cfg, track_bound=True)
@@ -527,9 +595,8 @@ class TestRadialHyperbolic:
     @pytest.mark.parametrize("n", [1, 2])
     def test_cosh_moment_from_the_pole(self, n):
         # L cosh 2r = (2n + 2) cosh 2r + 2n - 2 at lam = 0, so from the pole
-        # E[cosh 2r_t] = (2n/(n+1)) e^{2(n+1)t} - (n-1)/(n+1).  At t = 1 the
-        # scheme's bias is well inside 3 SE; the lag at small t is not
-        # checked here.
+        # E[cosh 2r_t] = (2n/(n+1)) e^{2(n+1)t} - (n-1)/(n+1); at t = 1 and
+        # 65,536 paths
         t = 1.0
         r = sample_radial_hyperbolic(
             n, 0.0, 0.0, SimConfig(t, 1e-3, 65536, 20 + n)).r_end
@@ -538,6 +605,38 @@ class TestRadialHyperbolic:
                  - (n - 1) / (n + 1))
         se = c.std(ddof=1) / math.sqrt(c.size)
         assert abs(c.mean() - exact) <= 3.0 * se
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_cosh_moment_at_small_t(self, n, lam):
+        # L cosh 2r = k cosh 2r + 2n - 2 lam - 2, k = 2n + 2 lam + 2, so
+        # from the pole E[cosh 2r_t] = (1 + c) e^{kt} - c, c = (2n - 2 lam
+        # - 2)/k.  At t = 0.25 the semi-implicit step it replaced read
+        # z -7.6 to -8.4 at this size, the lag it took on at the pole.
+        t = 0.25
+        r = sample_radial_hyperbolic(
+            n, lam, 0.0, SimConfig(t, 2e-3, 2 ** 18, 40 + n)).r_end
+        c = np.cosh(2.0 * r)
+        k = 2.0 * (n + lam + 1.0)
+        shift = (2.0 * (n - lam) - 2.0) / k
+        exact = (1.0 + shift) * math.exp(k * t) - shift
+        se = c.std(ddof=1) / math.sqrt(c.size)
+        assert abs(c.mean() - exact) <= 3.0 * se
+
+    def test_step_limit_raises(self):
+        # (n + lam) dt above CH_STEP_LIMIT: e^{(n + lam) dt} overflows past
+        # 709.78, and sinh^2 r past r = 355; a raised error, not an assert
+        with pytest.raises(ValueError, match="CH step"):
+            sample_radial_hyperbolic(1, 0.0, 0.0,
+                                     SimConfig(1000.0, 101.0, 8, 1))
+        with pytest.raises(ValueError, match="CH step"):
+            sample_area(Geometry.ch(3), SimConfig(1000.0, 40.0, 8, 1))
+        with pytest.raises(ValueError, match="CH step"):
+            girsanov_cf_estimator(Geometry.ch(1), 200.0,
+                                  SimConfig(1.0, 1.0, 8, 1))
+        r = sample_radial_hyperbolic(1, 0.0, 0.0,
+                                     SimConfig(200.0, 100.0, 8, 1)).r_end
+        assert np.all(np.isfinite(r))
 
     @pytest.mark.parametrize("field,args", [
         ("n", (1.5, 0.0, 0.0)),
@@ -574,20 +673,20 @@ class TestRadialHyperbolic:
     def test_far_start_clock_is_horizon(self):
         # tanh^2 r == 1 past _R_FAR, so the whole horizon is on the clock
         t = 3.0
-        dts = simulate._time_grid(SimConfig(t, 0.05, 64, 1), False)
+        dts = simulate._time_grid(SimConfig(t, 0.05, 64, 1))
         r, clock, _ = simulate._hyperbolic_block(
             2, 0.0, 25.0, dts, np.random.default_rng(3), 64, True, False)
         assert np.abs(clock - t).max() <= 1e-12
         assert np.all(r > simulate._R_FAR)
 
     def test_near_block_draws_one_normal_per_step(self):
-        # no lane reaches _R_FAR by t = 1, so the block draws exactly what
-        # it did before the closed-form finish existed
+        # no lane reaches _R_FAR by t = 1, so the block draws one normal
+        # per lane and step, and nothing for a closed-form finish
         m = 16
-        dts = simulate._time_grid(SimConfig(1.0, 0.01, m, 1), True)
+        dts = simulate._time_grid(SimConfig(1.0, 0.01, m, 1))
         rng = np.random.default_rng(9)
-        r, _, _ = simulate._hyperbolic_block(
-            2, 0.0, simulate.EPS_START, dts, rng, m, True, False)
+        r, _, _ = simulate._hyperbolic_block(2, 0.0, 0.0, dts, rng, m, True,
+                                             False)
         assert r.max() < simulate._R_FAR
         ref = np.random.default_rng(9)
         for _ in dts:
@@ -669,6 +768,14 @@ class TestGirsanov:
         with pytest.raises(ValueError, match="lam must be nonnegative and "
                                              "finite"):
             girsanov_cf_estimator(geom, lam, SimConfig(0.1, 1e-2, 8, 1))
+
+    def test_ch_weight_does_not_overflow(self):
+        # e^{n lam t} alone is e^800, which overflows a float; the weight
+        # is formed in logs, and the CF it estimates lies in [0, 1]
+        est = girsanov_cf_estimator(Geometry.ch(1), 800.0,
+                                    SimConfig(1, 1e-2, 8, 1))
+        assert math.isfinite(est.std_error)
+        assert 0.0 <= est.value.real <= 1.0
 
     def test_ch_nan_weight_raises(self, monkeypatch):
         # a raised error, not an assert, so that python -O keeps the check
