@@ -98,13 +98,10 @@ class ExperimentSpec:
             raise ValueError(
                 f"'t' must be at least {densities.MIN_TIME} for {self.name}, "
                 f"got {params['t']!r}")
-        # the step limits of simulate.cp_step_ok and ch_step_ok; direct
-        # runs at lam = 0
+        # the step limits of simulate.cp_step_ok (the direct CP area
+        # sampler; the CP Girsanov step has none) and ch_step_ok
         if self.name == "cp-area-cf":
-            n = params["n"]
-            _check_cp_step("dt_direct", params["dt_direct"], n)
-            _check_cp_step("dt_girsanov", params["dt_girsanov"], n,
-                           max(params["lambdas"]))
+            _check_cp_step("dt_direct", params["dt_direct"], params["n"])
         elif self.name == "cp-cauchy-limit":
             _check_cp_step("dt", params["dt"], max(params["ns"]))
         elif self.name == "ch-area-cf":
@@ -189,14 +186,13 @@ def _check_params(params: dict) -> None:
                 f"'{key}' must hold positive numbers, got {params[key]!r}")
 
 
-def _check_cp_step(key: str, dt, n, lam: float = 0.0) -> None:
-    """Raise ValueError naming `key` unless cp_step_ok(n, lam, dt)."""
-    if not cp_step_ok(n, lam, dt):
-        tilt = f" and largest lambda {lam!r}" if lam else ""
+def _check_cp_step(key: str, dt, n) -> None:
+    """Raise ValueError naming `key` unless cp_step_ok(n, dt)."""
+    if not cp_step_ok(n, dt):
         raise ValueError(
-            f"'{key}' must keep (n - 1/2) {key} and (lam + 1/2) {key} below "
+            f"'{key}' must keep (n - 1/2) {key} and {key}/2 below "
             f"pi^2/8 = {CP_STEP_LIMIT:.6g} for the CP step, got {key} = "
-            f"{dt!r} with n = {n!r}{tilt}")
+            f"{dt!r} with n = {n!r}")
 
 
 def _check_ch_step(dt, n, lam: float = 0.0) -> None:

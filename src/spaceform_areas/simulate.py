@@ -1,5 +1,9 @@
 """SDE path samplers for the radial diffusions, stochastic areas, and windings.
 
+The CH^n radius and the tilted CP^n radius of the Girsanov route take a
+fixed-grid splitting step of exact flows (_split_step); the CP^n area and
+the heavy-tailed n = 1 winding clocks step in clock time.
+
 All samplers draw from counter-based (Philox) substreams keyed by
 (master_seed, block index), with paths partitioned into fixed-size blocks.
 _run_blocks runs the blocks of a call in at most `threads` contiguous
@@ -161,11 +165,12 @@ def _run_blocks(cfg: SimConfig, step, threads: int, sweep=False) -> tuple:
 CP_STEP_LIMIT = math.pi ** 2 / 8.0
 
 
-def cp_step_ok(n, lam, dt) -> bool:
-    """True when (n - 1/2) dt and (lam + 1/2) dt are below CP_STEP_LIMIT."""
+def cp_step_ok(n, dt) -> bool:
+    """True when (n - 1/2) dt and dt/2, the coefficients of the r-mode step
+    of the untilted CP^n area sampler, are below CP_STEP_LIMIT."""
     # n < limit + 1/2 compares an integer n of any size exactly
     limit = CP_STEP_LIMIT / dt
-    return n < limit + 0.5 and lam < limit - 0.5
+    return n < limit + 0.5 and limit > 0.5
 
 
 def _cot_tan_map(y, a, p, p4, q):
@@ -209,6 +214,52 @@ def _cot_tan_step(arg: np.ndarray, b1, b2) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# splitting step of the fixed-grid radial samplers
+
+def _drift_flow(w: np.ndarray, n: int, k: float, s: float) -> np.ndarray:
+    """Flow w in place for time s along the drift of a tilted radius,
+    exactly.  On CH^n, w = sinh^2 r and the drift (1/2)((2n - 1) coth r
+    + (2 lam + 1) tanh r) gives w' = k w + 2n - 1 with k = 2(n + lam); on
+    CP^n, w = sin^2 r and (1/2)((2n - 1) cot r - (2 lam + 1) tan r) gives
+    the same with k = -2(n + lam).  So w <- w e^{k s} + (2n - 1)/k
+    expm1(k s).  On CH^n this keeps w >= 0 and, as the drift is at least
+    n - 1/2, raises r by at least (n - 1/2) s; on CP^n it keeps w in [0, 1),
+    moving it toward (2n - 1)/(2n + 2 lam) < 1.
+    """
+    w *= math.exp(k * s)
+    w += (2.0 * n - 1.0) / k * math.expm1(k * s)
+    return w
+
+
+def _split_step(w, r, dw, n: int, k: float, h: float, rng, arc, fn) -> None:
+    """One Ninomiya-Victoir step of size h, in place on w = fn(r)^2, with
+    (arc, fn) = (np.arcsinh, np.sinh) on CH^n and (np.arcsin, np.sin) on
+    CP^n: half a drift flow (_drift_flow with rate k), the noise flow
+    r -> r + sqrt(h) Z on r = arc(sqrt(w)), and half a drift flow, each
+    exact.  w = fn(r)^2 reflects the path at the pole (and on CP^n at
+    r = pi/2) by itself.  r and dw are scratch; dw keeps sqrt(h) Z.  Each
+    lane depends only on its own inputs.
+    """
+    _drift_flow(w, n, k, 0.5 * h)
+    arc(np.sqrt(w, out=r), out=r)
+    rng.standard_normal(out=dw)
+    dw *= math.sqrt(h)
+    r += dw
+    np.square(fn(r, out=w), out=w)
+    _drift_flow(w, n, k, 0.5 * h)
+
+
+def _cp_tilted_block(n: int, lam: float, dts: np.ndarray,
+                     rng: np.random.Generator, m: int) -> np.ndarray:
+    """w = sin^2 r_T of one block of m paths of the lam-tilted CP^n radius
+    from the pole (w = 0), stepped by _split_step over dts."""
+    w, r, dw, rate = np.zeros(m), np.empty(m), np.empty(m), -2.0 * (n + lam)
+    for h in dts:
+        _split_step(w, r, dw, n, rate, h, rng, np.arcsin, np.sin)
+    return w
+
+
+# ---------------------------------------------------------------------------
 # hyperbolic radial sampler
 
 # A step raises r by about (n + lam) dt.  While that is at most this, the
@@ -220,20 +271,6 @@ CH_STEP_LIMIT = 100.0
 def ch_step_ok(n, lam, dt) -> bool:
     """True when (n + lam) dt is at most CH_STEP_LIMIT."""
     return (n + lam) * dt <= CH_STEP_LIMIT
-
-
-def _drift_flow(w: np.ndarray, n: int, lam: float, s: float) -> np.ndarray:
-    """Flow w = sinh^2 r in place for time s along the drift of the tilted
-    CH^n radius, exactly.  The drift (1/2)((2n - 1) coth r + (2 lam + 1)
-    tanh r) is affine in u = 2w = cosh 2r - 1: du/ds = a u + 4n - 2, with
-    a = 2n + 2 lam.  So w <- (w + c) e^{a s} - c, c = (2n - 1)/a, taken as
-    w e^{a s} + c expm1(a s).  This keeps w >= 0 and, as the drift is at
-    least n - 1/2, raises r by at least (n - 1/2) s.
-    """
-    a = 2.0 * (n + lam)
-    w *= math.exp(a * s)
-    w += (2.0 * n - 1.0) / a * math.expm1(a * s)
-    return w
 
 
 # Past this radius coth r and tanh r are 1.0 in double precision (1 - tanh r
@@ -248,12 +285,9 @@ def _hyperbolic_block(n: int, lam: float, r0, dts: np.ndarray,
                       rng: np.random.Generator, m: int, record_clock: bool,
                       track_bound: bool):
     """One block of m CH radial paths from r0, by Ninomiya-Victoir
-    splitting: each step of size h is half a drift flow (_drift_flow), the
-    noise flow r -> r + sqrt(h) Z, and half a drift flow, each exact.
+    splitting (_split_step) on w = sinh^2 r, 0 at the pole.
 
-    The state is w = sinh^2 r, 0 at the pole: r = asinh(sqrt(w)) before
-    the noise, and w = sinh^2 r after it reflects the path through the
-    pole.  As both half flows raise r by at least (n - 1/2) h/2 and
+    As both half flows raise r by at least (n - 1/2) h/2 and
     |r + dW| >= r + dW, r_{k+1} >= r_k + (n - 1/2) h + dW_k up to rounding.
     Returns (r_end, clock, slack): the tanh^2 r = w/(w + 1) clock by the
     trapezoid rule (None unless record_clock) and, per lane, the min over
@@ -278,7 +312,7 @@ def _hyperbolic_block(n: int, lam: float, r0, dts: np.ndarray,
     clock, f, f_new = ((np.zeros(m), w / (w + 1.0), np.empty(m))
                        if record_clock else (None, None, None))
     slack, gamma, t_acc = np.full(m, math.inf), np.zeros(m), 0.0
-    r, dw = np.empty(m), np.empty(m)
+    r, dw, rate = np.empty(m), np.empty(m), 2.0 * (n + lam)
     for k, h in enumerate(dts):
         if w.min() > _W_FAR:
             t_left = float(dts[k:].sum())
@@ -288,13 +322,7 @@ def _hyperbolic_block(n: int, lam: float, r0, dts: np.ndarray,
             if record_clock:
                 clock += t_left
             return r, clock, slack
-        _drift_flow(w, n, lam, 0.5 * h)
-        np.arcsinh(np.sqrt(w, out=r), out=r)
-        rng.standard_normal(out=dw)
-        dw *= math.sqrt(h)
-        r += dw
-        np.square(np.sinh(r, out=w), out=w)
-        _drift_flow(w, n, lam, 0.5 * h)
+        _split_step(w, r, dw, n, rate, h, rng, np.arcsinh, np.sinh)
         if track_bound:
             gamma += dw
             t_acc += h
@@ -478,25 +506,23 @@ def _winding_phi(kind: str, r0: float, cfg: SimConfig, rngs: list):
     return clock
 
 
-def _cp_area_phi(n: int, lam: float, cfg: SimConfig, rngs: list):
+def _cp_area_phi(n: int, cfg: SimConfig, rngs: list):
     """Projective radial/area paths, hybrid r- and psi-mode, every block of
     cfg in one sweep loop.
 
     Near the pole the path is stepped in r by the closed-form implicit
     step _cot_tan_step; past r ~ pi/4 it switches to psi = -log cos r
     stepped in clock time, where the area clock is exact (clock increment
-    = Phi-step) and boundary dives are Brownian.  lam > 0 adds the
-    measure-change drift -(lam) tan^2 r dt.  Returns (r_end, clock,
-    cos_r_end), the clock being int tan^2 r ds.  Raises ValueError unless
-    (n - 1/2) dt and (lam + 1/2) dt are below CP_STEP_LIMIT.
+    = Phi-step) and boundary dives are Brownian.  Returns (r_end, clock),
+    the clock being int tan^2 r ds.  Raises ValueError unless
+    cp_step_ok(n, dt).
     """
     horizon, dt, lanes = cfg.horizon, cfg.dt, cfg.paths
     b1 = n - 0.5
-    if not cp_step_ok(n, lam, dt):
+    if not cp_step_ok(n, dt):
         raise ValueError(
-            f"the CP r-step needs (n - 1/2) dt and (lam + 1/2) dt below "
-            f"pi^2/8 = {CP_STEP_LIMIT:.6g}, got n = {n}, lam = {lam} and "
-            f"dt = {dt}")
+            f"the CP r-step needs (n - 1/2) dt and dt/2 below "
+            f"pi^2/8 = {CP_STEP_LIMIT:.6g}, got n = {n} and dt = {dt}")
     t_fine = min(0.01 * horizon, 0.05)
     fine = min(dt, FINE_DT)
     r = np.full(lanes, EPS_START)
@@ -520,7 +546,7 @@ def _cp_area_phi(n: int, lam: float, cfg: SimConfig, rngs: list):
                 sq = np.sqrt(dti)
                 r_old = r[idx]
                 r_new = _cot_tan_step(r_old + sq * z[idx], b1 * dti,
-                                      (lam + 0.5) * dti)
+                                      0.5 * dti)
                 tan_old, tan_new = np.tan(r_old), np.tan(r_new)
                 clock[idx] += (0.5 * (tan_old * tan_old + tan_new * tan_new)
                                * dti)
@@ -537,7 +563,7 @@ def _cp_area_phi(n: int, lam: float, cfg: SimConfig, rngs: list):
                 t_rem = horizon - tj
                 cap = np.maximum(_H_FLOOR, p_old * p_old / _DIVE_STEPS)
                 h = np.minimum(np.minimum(t_rem, dt) * t2, cap)
-                p_mart = p_old - lam * h + np.sqrt(h) * z[jdx]
+                p_mart = p_old + np.sqrt(h) * z[jdx]
                 np.minimum(np.maximum(p_mart, 1e-12, out=p_mart), _M_CAP,
                            out=p_mart)
                 # trapezoid real-time estimate over the Phi-step; any part of
@@ -560,9 +586,8 @@ def _cp_area_phi(n: int, lam: float, cfg: SimConfig, rngs: list):
                     k = jdx[down]
                     r[k] = np.arccos(np.exp(-p_new[down]))
                     in_psi[k] = False
-    cos_r = np.where(in_psi, np.exp(-psi), np.cos(r))
     r_end = np.where(in_psi, np.arccos(np.minimum(np.exp(-psi), 1.0)), r)
-    return r_end, clock, cos_r
+    return r_end, clock
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +606,7 @@ def sample_area(geometry: Geometry, cfg: SimConfig,
 
     def step(sub, rngs):
         if cp:
-            r_end, clock, _ = _cp_area_phi(geometry.n, 0.0, sub, rngs)
+            r_end, clock = _cp_area_phi(geometry.n, sub, rngs)
         else:
             r_end, clock, _ = _hyperbolic_block(
                 geometry.n, 0.0, 0.0, dts, rngs[0], sub.paths, True, False)
@@ -596,8 +621,10 @@ def girsanov_cf_estimator(geometry: Geometry, lam: float, cfg: SimConfig,
                           threads: int = 1) -> CfEstimate:
     """Characteristic function E[e^{i lam theta(t)}] via change of measure.
 
-    Simulates the drift-tilted radial diffusion and reweights:
-    cp: e^{-n lam t} * mean[(cos r_t)^{-lam}];
+    Simulates the drift-tilted radial diffusion on the fixed grid of the
+    splitting step (_split_step), block by block, and reweights:
+    cp: mean[exp(-n lam t - (lam/2) log1p(-w))], w = sin^2 r_t in [0, 1),
+    which is e^{-n lam t} (cos r_t)^{-lam} with no step limit on dt;
     ch: mean[exp(n lam t - lam log cosh r_t)], with log cosh r formed so
     that it cannot overflow ((cosh r_t)^{-lam} <= 1 there).
     """
@@ -608,11 +635,10 @@ def girsanov_cf_estimator(geometry: Geometry, lam: float, cfg: SimConfig,
     if lam == 0.0:
         return CfEstimate(complex(1.0), 0.0, cfg.paths)
     if geometry.kind == "cp":
-        cos_r, = _run_blocks(
-            cfg, lambda sub, rngs: _cp_area_phi(n, lam, sub, rngs)[2:],
-            threads, sweep=True)
-        w = cos_r ** (-lam)
-        pref = math.exp(-n * lam * t)
+        dts = _time_grid(cfg)
+        sin2, = _run_blocks(cfg, lambda sub, rngs: (_cp_tilted_block(
+            n, lam, dts, rngs[0], sub.paths),), threads)
+        w = np.exp(-n * lam * t - 0.5 * lam * np.log1p(-sin2))
     else:
         r = sample_radial_hyperbolic(n, lam, 0.0, cfg, threads=threads).r_end
         # log cosh r = r + log1p(e^{-2r}) - log 2 on r >= 0
@@ -622,10 +648,8 @@ def girsanov_cf_estimator(geometry: Geometry, lam: float, cfg: SimConfig,
             raise RuntimeError(
                 f"Girsanov weight above 1 or NaN: max log weight {top}")
         w = np.exp(n * lam * t + log_w)
-        pref = 1.0
-    value = pref * float(w.mean())
-    se = pref * float(w.std(ddof=1)) / math.sqrt(len(w))
-    return CfEstimate(complex(value), se, len(w))
+    se = float(w.std(ddof=1)) / math.sqrt(len(w))
+    return CfEstimate(complex(float(w.mean())), se, len(w))
 
 
 def sample_winding(geometry: Geometry, r0: float, cfg: SimConfig,

@@ -241,14 +241,11 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("name,key,params", [
         ("cp-area-cf", "dt_direct", {"n": 3, "dt_direct": 0.5}),
-        ("cp-area-cf", "dt_girsanov", {"lambdas": [0.5, 2.0],
-                                       "dt_girsanov": 0.5}),
         ("cp-cauchy-limit", "dt", {"ns": [1, 3], "dt": 0.5}),
     ])
     def test_cp_step_limit_named(self, name, key, params, tmp_path):
-        # the closed-form CP r-step needs (n - 1/2) dt and (lam + 1/2) dt
-        # below pi^2/8 = 1.2337; here one of them is 1.25 (n = 3 on the
-        # direct route and cp-cauchy-limit, lam = 2 on the Girsanov one)
+        # the closed-form CP r-step of the direct route needs (n - 1/2) dt
+        # and dt/2 below pi^2/8 = 1.2337; here (n - 1/2) dt is 1.25
         text = json.dumps({"experiment": name, "params": params})
         with pytest.raises(ValueError, match=f"'{key}'"):
             parse_config(text)
@@ -259,6 +256,13 @@ class TestParseConfig:
         assert not (tmp_path / "o").exists()
         # the same step with every coefficient below the limit is accepted
         ExperimentSpec(name, {**params, key: 0.49})
+
+    def test_girsanov_step_has_no_cp_limit(self):
+        # the CP Girsanov route takes the splitting step, whose dt is
+        # bounded only by t; (lam + 1/2) dt = 1.25 is accepted
+        spec = ExperimentSpec("cp-area-cf", {"lambdas": [0.5, 2.0],
+                                             "dt_girsanov": 0.5})
+        assert spec.resolved_params()["dt_girsanov"] == 0.5
 
     @pytest.mark.parametrize("name,params", [
         ("ch-area-cf", {"t": 1.0, "dt": 1.0, "lambdas": [0.5, 200.0]}),

@@ -56,8 +56,9 @@ GOLDEN_CF_MARGINAL_CP = [
 # Small sizes so that all eight run in a few seconds.  cp-area-cf,
 # ch-area-cf, winding-cp1, winding-ch1 and levy-baseline use more paths
 # than simulate.BLOCK_SIZE, so that each runs two blocks: at 2 threads the
-# fixed-grid CH and planar samplers step them as two groups, one thread
-# each, and the clock-time ones as one group, which splits from 8 blocks.
+# fixed-grid CH, CP Girsanov and planar samplers step them as two groups,
+# one thread each, and the clock-time ones as one group, which splits from
+# 8 blocks.
 # A key "<experiment>/<label>" runs that experiment with other parameters.
 SAMPLER_PARAMS = {
     "cp-area-cf": {"t": 0.25, "lambdas": [1.0], "paths": 5000,
@@ -78,7 +79,7 @@ SAMPLER_PARAMS = {
 GOLDEN_SAMPLER_CSV = {
     "cp-area-cf": {
         "cp_area_cf.csv":
-            "fc43c432817948ca38a3e378ea62892a3fef4a2e6d5d8f752c912830c1c2d7a7",
+            "903fdb761f5d714a8e5a1270e32a5eb7b3c86160f75cf164ad38ed563506806d",
     },
     "cp-cauchy-limit": {
         "cp_cauchy_limit.csv":
@@ -112,7 +113,7 @@ GOLDEN_SAMPLER_CSV = {
 
 GOLDEN_SAMPLER_MANIFEST = {
     "cp-area-cf":
-        "e9a12b8aeef00181e138f38214ba006902b87d33a53bad593be599b4e887e35b",
+        "af5b67456c0dd0501e57377c6a500c1ce53fcc48c464863732475f860f15228c",
     "cp-cauchy-limit":
         "c2728a9e3d41b9721ce091b1ec5301d088c9288f735d4bfaaffffabba2abfa40",
     "ch-area-cf":

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 from scipy.stats import kstest
 
 from spaceform_areas import (
     Geometry,
     SimConfig,
+    cf_marginal_cp,
     empirical_cf,
     girsanov_cf_estimator,
     sample_area,
@@ -172,9 +174,24 @@ def _cp2_area(cfg):
     return a.r_end, a.theta_end, a.time_change
 
 
+def _cp_tilted_w(run):
+    """run()'s result, and w = sin^2 r_t of every block that it steps
+    through simulate._cp_tilted_block, in block order (run on one
+    thread)."""
+    seen = []
+    block = simulate._cp_tilted_block
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_cp_tilted_block",
+                   lambda *args: seen.append(block(*args)) or seen[-1])
+        result = run()
+    return result, np.concatenate(seen)
+
+
 def _cp_girsanov_cos_r(cfg):
     # the cos r_t whose (cos r_t)^{-lam} girsanov_cf_estimator averages
-    return (simulate._cp_area_phi(1, 2.0, cfg, simulate._block_rngs(cfg))[2],)
+    _, w = _cp_tilted_w(
+        lambda: girsanov_cf_estimator(Geometry.cp(1), 2.0, cfg))
+    return (np.sqrt(1.0 - w),)
 
 
 def _winding(geom, r0):
@@ -276,9 +293,9 @@ class TestRunBlocks:
         seen = []
         cp_area_phi = simulate._cp_area_phi
 
-        def record(n, lam, cfg, rngs):
+        def record(n, cfg, rngs):
             seen.append(cfg.paths)
-            return cp_area_phi(n, lam, cfg, rngs)
+            return cp_area_phi(n, cfg, rngs)
 
         monkeypatch.setattr(simulate, "_cp_area_phi", record)
         sample_area(Geometry.cp(1), SimConfig(0.02, 1e-2, paths, 3),
@@ -287,9 +304,9 @@ class TestRunBlocks:
 
     @pytest.mark.parametrize("run", [
         lambda cfg: sample_area(Geometry.cp(1), cfg),
-        lambda cfg: girsanov_cf_estimator(Geometry.cp(1), 1.5, cfg),
+        lambda cfg: sample_area(Geometry.cp(2), cfg),
         lambda cfg: sample_winding(Geometry.ch(1), 0.9, cfg),
-    ], ids=["area", "girsanov", "winding-ch1"])
+    ], ids=["area", "area-cp2", "winding-ch1"])
     def test_sweep_loops_match_one_loop(self, monkeypatch, run):
         # ten blocks swept as loops of 4 + 4 + 2 give the bits of one loop
         # over all ten
@@ -349,10 +366,11 @@ class _FirstCoarseStep(Exception):
 
 
 class TestTimeGrid:
-    """The time grids: the fixed-grid samplers (CH^n and planar) step at dt
-    from the start; the r-mode lanes of the CP area sampler step at
-    FINE_DT or finer over the first min(1% of the horizon, 0.05), its fine
-    start, and then at dt."""
+    """The time grids: the fixed-grid samplers (CH^n, the tilted CP^n
+    radius of the Girsanov route, and planar) step at dt from the start;
+    the r-mode lanes of the CP area sampler step at FINE_DT or finer over
+    the first min(1% of the horizon, 0.05), its fine start, and then at
+    dt."""
 
     @staticmethod
     def _fine_start(monkeypatch, horizon, dt):
@@ -448,8 +466,7 @@ def _cot_tan_root(arg, b1, b2):
 
 class TestCotTanStep:
     """x = arg + b1 cot x - b2 tan x in closed form, the r-step of the CP
-    area and Girsanov samplers, against the root of
-    _reference_cot_tan_solve."""
+    area sampler, against the root of _reference_cot_tan_solve."""
 
     # Near the root the step's error is F'^2 (y_up - y*) to leading order,
     # with |F'| <= p g' + q sec^2 y and y_up - y* <= p g + q tan y.  Since
@@ -473,9 +490,10 @@ class TestCotTanStep:
     @settings(max_examples=80, deadline=None)
     def test_bracketed_by_its_two_evaluations(self, x_star, steps, dt, n,
                                               lam):
-        # b1 = (n - 1/2) dt and b2 = (lam + 1/2) dt as in the CP sampler;
-        # the first lanes are given an arg whose root is exactly x_star,
-        # the rest a sampler step r + sqrt(dt) z from an r-mode radius
+        # b1 = (n - 1/2) dt as in the CP area sampler, and b2 = (lam + 1/2)
+        # dt, its dt/2 and larger; the first lanes are given an arg whose
+        # root is exactly x_star, the rest a sampler step r + sqrt(dt) z
+        # from an r-mode radius
         b1, b2 = (n - 0.5) * dt, (lam + 0.5) * dt
         x_star = np.asarray(x_star)
         at_root = x_star - b1 / np.tan(x_star) + b2 * np.tan(x_star)
@@ -522,7 +540,7 @@ class _Normals:
 
 
 class TestSplittingStep:
-    """The Ninomiya-Victoir step of the CH samplers (_hyperbolic_block):
+    """The Ninomiya-Victoir step of the fixed-grid samplers (_split_step):
     half an exact drift flow, the noise r -> |r + dW|, half a drift flow."""
 
     @given(u0=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=16),
@@ -535,7 +553,7 @@ class TestSplittingStep:
         u0 = np.asarray(u0)
         ode = solve_ivp(lambda _, u: a * u + 4.0 * n - 2.0, (0.0, s), u0,
                         method="DOP853", rtol=1e-13, atol=1e-15)
-        w = simulate._drift_flow(0.5 * u0, n, lam, s)
+        w = simulate._drift_flow(0.5 * u0, n, a, s)
         np.testing.assert_allclose(2.0 * w, ode.y[:, -1], rtol=1e-10,
                                    atol=1e-14)
         # the drift is at least n - 1/2, and so is the rise of r
@@ -581,6 +599,65 @@ class TestSplittingStep:
         assert np.all(r1 >= 0.0)
         np.testing.assert_allclose(slack, r1 - (n - 0.5) * h - dw,
                                    rtol=0, atol=1e-12)
+
+    @given(w0=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16),
+           s=st.floats(1e-6, 1.0), n=st.integers(1, 3),
+           lam=st.floats(0.0, 2.0))
+    @example(w0=[0.0, 1.0], s=1.0, n=1, lam=0.0)
+    @settings(max_examples=40, deadline=None)
+    def test_cp_drift_flow_solves_its_ode(self, w0, s, n, lam):
+        # w = sin^2 r on CP^n obeys w' = k w + 2n - 1, k = -2(n + lam) < 0,
+        # and stays in [0, 1): below 1 after any s > 0, even from w = 1
+        k = -2.0 * (n + lam)
+        w0 = np.asarray(w0)
+        ode = solve_ivp(lambda _, w: k * w + 2.0 * n - 1.0, (0.0, s), w0,
+                        method="DOP853", rtol=1e-13, atol=1e-15)
+        w = simulate._drift_flow(w0.copy(), n, k, s)
+        np.testing.assert_allclose(w, ode.y[:, -1], rtol=1e-10, atol=1e-14)
+        assert np.all((w >= 0.0) & (w < 1.0))
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(2, 8),
+           h=st.floats(1e-4, 0.5), n=st.integers(1, 3),
+           lam=st.floats(0.0, 2.0))
+    @settings(max_examples=30, deadline=None)
+    def test_cp_lanes_depend_only_on_their_own_inputs(self, seed, m, h, n,
+                                                      lam):
+        # each lane of the tilted CP block is the lane run alone on its own
+        # normals, and w = sin^2 r stays in [0, 1)
+        dts = np.full(5, h)
+        z = np.random.default_rng(seed).standard_normal((dts.size, m))
+        fused = simulate._cp_tilted_block(n, lam, dts, _Normals(z), m)
+        for i in range(m):
+            alone = simulate._cp_tilted_block(n, lam, dts,
+                                              _Normals(z[:, i:i + 1]), 1)
+            assert fused[i] == alone[0]
+        assert np.all((fused >= 0.0) & (fused < 1.0))
+
+
+class TestCpTilted:
+    """The lam-tilted CP^n radius of the Girsanov route (_cp_tilted_block)."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 2.0])
+    def test_sin_moments_at_small_t(self, n, lam):
+        # w = sin^2 r has L w = 2n - K w, K = 2n + 2 lam + 2, and
+        # L w^2 = (4n + 4) w - (2K + 4) w^2, so from the pole
+        # E[w_t] = n/(n + lam + 1) (1 - e^{-Kt}) and (1, E w, E w^2) is
+        # e^{At} (1, 0, 0); at t = 0.25, 2^18 paths and dt = 2e-3
+        t, m = 0.25, 2 ** 18
+        dts = simulate._time_grid(SimConfig(t, 2e-3, m, 1))
+        w = simulate._cp_tilted_block(n, lam, dts,
+                                      np.random.default_rng(60 + n), m)
+        big_k = 2.0 * (n + lam + 1.0)
+        exact = n / (n + lam + 1.0) * -math.expm1(-big_k * t)
+        a = np.array([[0.0, 0.0, 0.0], [2.0 * n, -big_k, 0.0],
+                      [0.0, 4.0 * n + 4.0, -(2.0 * big_k + 4.0)]])
+        moments = expm(a * t)[:, 0]
+        assert moments[1] == pytest.approx(exact, rel=1e-12)
+        for power in (1, 2):
+            x = w ** power
+            se = x.std(ddof=1) / math.sqrt(m)
+            assert abs(x.mean() - moments[power]) <= 3.0 * se
 
 
 class TestRadialHyperbolic:
@@ -731,13 +808,10 @@ class TestAreaSamplers:
         assert abs(c.mean() - exact) <= 3.0 * se
 
     def test_cp_step_limit_raises(self):
-        # the closed-form r-step needs (n - 1/2) dt and (lam + 1/2) dt
-        # below pi^2/8; a raised error, not an assert
+        # the closed-form r-step needs (n - 1/2) dt and dt/2 below pi^2/8;
+        # a raised error, not an assert
         with pytest.raises(ValueError, match="pi\\^2/8"):
             sample_area(Geometry.cp(3), SimConfig(1.0, 0.5, 8, 1))
-        with pytest.raises(ValueError, match="pi\\^2/8"):
-            girsanov_cf_estimator(Geometry.cp(1), 2.0,
-                                  SimConfig(1.0, 0.5, 8, 1))
         sample_area(Geometry.cp(2), SimConfig(1.0, 0.8, 8, 1))
 
 
@@ -747,6 +821,29 @@ class TestGirsanov:
                                     SimConfig(1.0, 1e-2, 64, 1))
         assert est.value == 1.0 + 0j
         assert est.std_error == 0.0
+
+    def test_cp_long_step_stays_in_range(self):
+        # (lam + 1/2) dt = 1.25 is past the r-mode step's limit, which the
+        # splitting step does not have: w = sin^2 r stays in [0, 1)
+        est, w = _cp_tilted_w(lambda: girsanov_cf_estimator(
+            Geometry.cp(1), 2.0, SimConfig(1.0, 0.5, 8, 1)))
+        assert w.size == 8 and np.all((w >= 0.0) & (w < 1.0))
+        assert math.isfinite(est.value.real)
+        assert math.isfinite(est.std_error)
+
+    @pytest.mark.parametrize("t", [0.125, 1.0])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("lam", [0.5, 2.0])
+    def test_cp_cf_matches_analytic(self, t, n, lam):
+        # 4 seeds x 65,536 paths at the default dt_girsanov, pooled, within
+        # 3 SE of the quadrature CF; the clock-time route it replaced read
+        # z -11.8 at t = 0.125, n = 1 and lam = 0.5
+        ests = [girsanov_cf_estimator(Geometry.cp(n), lam,
+                                      SimConfig(t, 2e-3, 65536, 700 + k),
+                                      threads=2) for k in range(4)]
+        mean = sum(e.value.real for e in ests) / 4.0
+        se = math.sqrt(sum(e.std_error ** 2 for e in ests)) / 4.0
+        assert abs(mean - cf_marginal_cp(n, lam, t)) <= 3.0 * se
 
     def test_ch_weights_bounded(self):
         est = girsanov_cf_estimator(Geometry.ch(1), 1.0,
