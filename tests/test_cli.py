@@ -467,21 +467,6 @@ class TestRunExperiment:
         assert failed == []
         assert elapsed < 60.0
 
-    def test_ch_area_cf_default_verdict(self, tmp_path):
-        # the experiment itself at its defaults and default master seed;
-        # with the semi-implicit CH step it replaced, its Girsanov route
-        # read z +3.63 (lam = 0.5) and +3.16 (lam = 1) and the verdict
-        # failed
-        spec = ExperimentSpec(name="ch-area-cf", output_dir=tmp_path)
-        assert spec.master_seed == 12345
-        bundle = run_experiment(spec)
-        values = {c["name"]: c["value"] for c in bundle.manifest["checks"]}
-        print(values)
-        failed = [c["name"] for c in bundle.manifest["checks"]
-                  if c["verdict"] != "pass"]
-        assert failed == []
-        assert len(values) == 7
-
     def test_rerun_byte_identical_across_threads(self, tmp_path):
         base = {"paths": 8192, "dt": 5e-3}
         outs = []

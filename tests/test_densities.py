@@ -134,8 +134,9 @@ class TestBergerKernel:
 
     @pytest.mark.parametrize("lam", [2.0, 5.0])
     def test_gap_within_fiber_bound(self, lam):
-        # criterion-10's grid at moderate stiffness; at its stiffness of 50
-        # the gap is exactly 0, so there the criterion tests no k >= 1 term
+        # berger-homogenisation's r grid at moderate stiffness; at its
+        # stiffness of 50 the gap is exactly 0, so there the experiment
+        # (criterion-10) tests no k >= 1 term
         n, t = 1, 0.5
         worst, worst_bound = 0.0, 0.0
         for r in np.linspace(0.12, 1.45, 5):

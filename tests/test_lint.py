@@ -138,15 +138,44 @@ def test_unused_import_check_flags_unread_names():
 TESTS = sorted(Path(__file__).resolve().parent.glob("test_*.py"))
 
 
-# __init__.py imports in order to re-export; test_acceptance.py holds the
-# acceptance criteria, which are not edited, and imports levy_cf unread
+# __init__.py imports in order to re-export
 @pytest.mark.parametrize(
-    "path", [p for p in SOURCES + TESTS
-             if p.name not in ("__init__.py", "test_acceptance.py")],
+    "path", [p for p in SOURCES + TESTS if p.name != "__init__.py"],
     ids=lambda p: p.name)
 def test_no_unused_imports(path):
     unused = _unused_imports(path.read_text(encoding="utf-8"))
     assert unused == [], f"{path.name}: unused import(s) {unused}"
+
+
+# The acceptance criteria read the verdict of the experiments themselves,
+# through the package's public names; a private helper would let a criterion
+# re-implement part of an experiment beside it.
+def _private_imports(source: str) -> list:
+    """(line, name) of every underscore-prefixed name that source imports
+    from spaceform_areas or one of its modules."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.ImportFrom) and node.level == 0
+                and node.module.partition(".")[0] == "spaceform_areas"):
+            found += [(node.lineno, f"{node.module}.{alias.name}")
+                      for alias in node.names if alias.name.startswith("_")]
+    return sorted(found)
+
+
+def test_private_import_check_flags_underscore_names():
+    source = ("from spaceform_areas.cli import ExperimentSpec, _quad_cf_ch1\n"
+              "from spaceform_areas import SimConfig, _x as x\n"
+              "from numpy import _core\nfrom ._private import y\n"
+              "def f():\n    from spaceform_areas.simulate import _R_FAR\n")
+    assert _private_imports(source) == [
+        (1, "spaceform_areas.cli._quad_cf_ch1"), (2, "spaceform_areas._x"),
+        (6, "spaceform_areas.simulate._R_FAR")]
+
+
+def test_acceptance_imports_no_private_names():
+    path = Path(__file__).resolve().parent / "test_acceptance.py"
+    found = _private_imports(path.read_text(encoding="utf-8"))
+    assert found == [], f"test_acceptance.py imports {found}"
 
 
 # Blocks are scheduled in one place, simulate._run_blocks, so that every
