@@ -32,19 +32,22 @@ from .hyperbolic_kernels import (
     ch_area_cf,
 )
 from .simulate import (
-    CH_STEP_LIMIT,
-    CP_STEP_LIMIT,
     Geometry,
     SimConfig,
     _is_int_in,
-    ch_step_ok,
-    cp_step_ok,
+    check_ch_step,
+    check_cp_step,
     girsanov_cf_estimator,
     sample_area,
     sample_planar_area,
     sample_winding,
 )
-from .specfun import JacobiParams, jacobi_poly
+from .specfun import (
+    JacobiParams,
+    _eigen_residual,
+    _rodrigues_jacobi,
+    jacobi_poly,
+)
 from .stats import SampleSet, empirical_cf, ks_statistic
 
 
@@ -98,16 +101,19 @@ class ExperimentSpec:
             raise ValueError(
                 f"'t' must be at least {densities.MIN_TIME} for {self.name}, "
                 f"got {params['t']!r}")
-        # the step limits of simulate.cp_step_ok (the direct CP area
-        # sampler; the CP Girsanov step has none) and ch_step_ok
-        if self.name == "cp-area-cf":
-            _check_cp_step("dt_direct", params["dt_direct"], params["n"])
-        elif self.name == "cp-cauchy-limit":
-            _check_cp_step("dt", params["dt"], max(params["ns"]))
-        elif self.name == "ch-area-cf":
-            _check_ch_step(params["dt"], params["n"], max(params["lambdas"]))
-        elif self.name == "ch-gaussian-limit":
-            _check_ch_step(params["dt"], max(params["ns"]))
+        # the samplers' own step limits, under the config key: the CP one
+        # binds the direct area sampler (the CP Girsanov step has none)
+        key = "dt_direct" if self.name == "cp-area-cf" else "dt"
+        n = int(max(params.get("ns", [params.get("n", 1)])))
+        try:
+            if self.name in ("cp-area-cf", "cp-cauchy-limit"):
+                check_cp_step(n, params[key])
+            elif self.name == "ch-area-cf":
+                check_ch_step(n, max(params["lambdas"]), params[key])
+            elif self.name == "ch-gaussian-limit":
+                check_ch_step(n, 0.0, params[key])
+        except ValueError as e:
+            raise ValueError(f"'{key}': {e}") from None
 
     def resolved_params(self) -> dict:
         out = dict(EXPERIMENT_DEFAULTS[self.name])
@@ -119,9 +125,9 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _is_count(v, least: int = 1) -> bool:
-    return _is_number(v) and v >= least and (isinstance(v, int)
-                                             or v.is_integer())
+def _is_count(v) -> bool:
+    return _is_number(v) and v >= 1 and (isinstance(v, int)
+                                         or v.is_integer())
 
 
 def _check_params(params: dict) -> None:
@@ -129,10 +135,9 @@ def _check_params(params: dict) -> None:
     0 < t < inf, `lam`, `theta_lo` and `theta_hi` finite with
     theta_lo < theta_hi, each tolerance and `sigma` in (0, inf),
     0 < r0 < pi/2 (winding-cp1), 0 <= p_min < 1, `paths`, `n`, `points`
-    and each of `ns` positive integers, `m_max_oracle` and `m_max_eig`
-    non-negative integers, each time step 0 < dt <= t, each list parameter
-    a non-empty list of finite numbers and each of `lambdas` and `r0s`
-    positive."""
+    and each of `ns` positive integers, each time step 0 < dt <= t, each
+    list parameter a non-empty list of finite numbers and each of `lambdas`
+    and `r0s` positive."""
     positive = lambda v: 0 < v < math.inf
     finite = lambda v: -math.inf < v < math.inf
     for key, in_range, bounds in (
@@ -140,9 +145,8 @@ def _check_params(params: dict) -> None:
             ("lam", finite, "-inf < lam < inf"),
             ("theta_lo", finite, "-inf < theta_lo < inf"),
             ("theta_hi", finite, "-inf < theta_hi < inf"),
-            *((key, positive, f"0 < {key} < inf") for key in (
-                "tol", "oracle_tol", "eig_tol", "norm_tol", "analytic_tol",
-                "sigma")),
+            *((key, positive, f"0 < {key} < inf")
+              for key in ("tol", "norm_tol", "analytic_tol", "sigma")),
             ("r0", lambda v: 0 < v < math.pi / 2, "0 < r0 < pi/2"),
             ("p_min", lambda v: 0 <= v < 1, "0 <= p_min < 1")):
         if key in params and not (_is_number(params[key])
@@ -153,12 +157,10 @@ def _check_params(params: dict) -> None:
         raise ValueError(
             f"'theta_lo' must be below 'theta_hi', got theta_lo = "
             f"{params['theta_lo']!r} with theta_hi = {params['theta_hi']!r}")
-    for key, least in (("paths", 1), ("n", 1), ("points", 1),
-                       ("m_max_oracle", 0), ("m_max_eig", 0)):
-        if key in params and not _is_count(params[key], least):
-            kind = "positive" if least else "non-negative"
+    for key in ("paths", "n", "points"):
+        if key in params and not _is_count(params[key]):
             raise ValueError(
-                f"'{key}' must be a {kind} integer, got {params[key]!r}")
+                f"'{key}' must be a positive integer, got {params[key]!r}")
     for key in ("dt", "dt_direct", "dt_girsanov"):
         if key in params:
             dt, t = params[key], params["t"]
@@ -184,24 +186,6 @@ def _check_params(params: dict) -> None:
         if key in params and not all(v > 0 for v in params[key]):
             raise ValueError(
                 f"'{key}' must hold positive numbers, got {params[key]!r}")
-
-
-def _check_cp_step(key: str, dt, n) -> None:
-    """Raise ValueError naming `key` unless cp_step_ok(n, dt)."""
-    if not cp_step_ok(n, dt):
-        raise ValueError(
-            f"'{key}' must keep (n - 1/2) {key} and {key}/2 below "
-            f"pi^2/8 = {CP_STEP_LIMIT:.6g} for the CP step, got {key} = "
-            f"{dt!r} with n = {n!r}")
-
-
-def _check_ch_step(dt, n, lam: float = 0.0) -> None:
-    """Raise ValueError naming `dt` unless ch_step_ok(n, lam, dt)."""
-    if not ch_step_ok(n, lam, dt):
-        tilt = f" and largest lambda {lam!r}" if lam else ""
-        raise ValueError(
-            f"'dt' must keep (n + lam) dt at most {CH_STEP_LIMIT:g} for the "
-            f"CH step, got dt = {dt!r} with n = {n!r}{tilt}")
 
 
 @dataclass
@@ -312,50 +296,6 @@ def _sub_seed(master_seed: int, k: int) -> int:
     return (master_seed + 0x9E3779B97F4A7C15 * (k + 1)) % (2 ** 64)
 
 
-def _rodrigues_jacobi(m: int, alpha: float, beta: float, x: float) -> float:
-    """Rodrigues-formula oracle for Jacobi polynomials, exact at 40 digits.
-
-    P_m(x) = (-1)^m / (2^m m!) (1-x)^-a (1+x)^-b D^m[(1-x)^(a+m) (1+x)^(b+m)]
-    with D^m by the Leibniz rule (Szego, 4.3): the sum over k of C(m, k)
-    (-1)^k (a+m)_k (b+m)_(m-k) (1-x)^(m-k) (1+x)^k, (c)_k falling factorials.
-    """
-    import mpmath as mp
-    with mp.workdps(40):
-        a, b, xx = mp.mpf(alpha), mp.mpf(beta), mp.mpf(x)
-        fa, fb = [mp.mpf(1)], [mp.mpf(1)]  # (a+m)_k and (b+m)_k
-        for i in range(m):
-            fa.append(fa[-1] * (a + m - i))
-            fb.append(fb[-1] * (b + m - i))
-        d = mp.fsum(math.comb(m, k) * (-1) ** k * fa[k] * fb[m - k]
-                    * (1 - xx) ** (m - k) * (1 + xx) ** k
-                    for k in range(m + 1))
-        return float((-1) ** m * d / (2 ** m * math.factorial(m)))
-
-
-def _eigen_residual(m: int, p: JacobiParams, x: float) -> float:
-    """Relative error of the finite-difference eigenfunction identity.
-
-    Applies (1-x^2) d^2/dx^2 + (beta - alpha - (alpha+beta+2) x) d/dx to
-    the polynomial by central differences at steps h and h/2 with
-    Richardson extrapolation, and compares with -m(m+alpha+beta+1) P.
-    """
-    a, b = p.alpha, p.beta
-
-    def apply_g(h: float) -> float:
-        pm = jacobi_poly(m, p, x - h)
-        p0 = jacobi_poly(m, p, x)
-        pp = jacobi_poly(m, p, x + h)
-        d1 = (pp - pm) / (2.0 * h)
-        d2 = (pp - 2.0 * p0 + pm) / (h * h)
-        return (1.0 - x * x) * d2 + (b - a - (a + b + 2.0) * x) * d1
-
-    h = min(1e-3, 0.25 * (1.0 - abs(x)))
-    g = (4.0 * apply_g(h / 2.0) - apply_g(h)) / 3.0
-    target = -m * (m + a + b + 1.0) * jacobi_poly(m, p, x)
-    scale = max(abs(target), 1.0)
-    return abs(g - target) / scale
-
-
 def _quad_cf_ch1(lam: float, t: float, n: int = 1) -> JointDensityValue:
     """CF of the area on CH^n by quadrature of the hyperbolic kernel, with
     its error estimate (the call site that perfbench's tracer wraps)."""
@@ -381,7 +321,7 @@ def _exp_jacobi_selftest(params, seed, threads):
     worst = 0.0
     for alpha, beta in ((0.0, 0.0), (1.0, 0.5), (0.7, 2.1), (2.0, 1.3)):
         p = JacobiParams(alpha, beta)
-        for m in range(int(params["m_max_oracle"]) + 1):
+        for m in range(7):
             for x in (-0.9, -0.2, 0.3, 0.8):
                 rec = jacobi_poly(m, p, x)
                 orc = _rodrigues_jacobi(m, alpha, beta, x)
@@ -391,22 +331,20 @@ def _exp_jacobi_selftest(params, seed, threads):
     tables.append(Table("jacobi_oracle",
                         ["m", "alpha", "beta", "x", "recurrence", "rodrigues",
                          "abs_err"], rows))
-    checks.append(_check_le("rodrigues_oracle_max_abs_err", worst,
-                            params["oracle_tol"]))
+    checks.append(_check_le("rodrigues_oracle_max_abs_err", worst, 1e-8))
     # eigenfunction finite-difference identity
     rows = []
     worst = 0.0
     for alpha, beta in ((0.0, 0.0), (1.0, 0.5), (2.0, 1.3)):
         p = JacobiParams(alpha, beta)
-        for m in range(int(params["m_max_eig"]) + 1):
+        for m in range(9):
             for x in (-0.7, -0.3, 0.1, 0.5, 0.8):
                 err = _eigen_residual(m, p, x)
                 worst = max(worst, err)
                 rows.append([m, alpha, beta, x, err])
     tables.append(Table("jacobi_eigen",
                         ["m", "alpha", "beta", "x", "rel_err"], rows))
-    checks.append(_check_le("eigenfunction_max_rel_err", worst,
-                            params["eig_tol"]))
+    checks.append(_check_le("eigenfunction_max_rel_err", worst, 1e-6))
     # density normalization
     rows = []
     worst = 0.0
@@ -421,8 +359,7 @@ def _exp_jacobi_selftest(params, seed, threads):
             rows.append([alpha, beta, t, total, err])
     tables.append(Table("density_normalization",
                         ["alpha", "beta", "t", "integral", "abs_err"], rows))
-    checks.append(_check_le("density_normalization_max_err", worst,
-                            params["norm_tol"]))
+    checks.append(_check_le("density_normalization_max_err", worst, 1e-8))
     return tables, checks
 
 
@@ -664,10 +601,7 @@ def _exp_levy_baseline(params, seed, threads):
 
 
 EXPERIMENT_DEFAULTS = {
-    "jacobi-selftest": {
-        "m_max_oracle": 6, "m_max_eig": 8, "oracle_tol": 1e-8,
-        "eig_tol": 1e-6, "norm_tol": 1e-8,
-    },
+    "jacobi-selftest": {},
     "cp-area-cf": {
         "n": 1, "t": 1.0, "lambdas": (0.5, 1.0, 2.0), "paths": 100000,
         "dt_direct": 1e-3, "dt_girsanov": 2e-3, "sigma": 3.0,

@@ -125,6 +125,15 @@ def _density_weights(a: float, b: float, t: float, max_terms: int,
         2, max_terms, tail_tol)
 
 
+def _check_time(t) -> None:
+    """Raise ValueError unless t is finite, TimeTooSmallError below
+    MIN_TIME."""
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
+    if t < MIN_TIME:
+        raise TimeTooSmallError(f"t={t} below minimum time {MIN_TIME}")
+
+
 def _clip(raw: float, tail: float) -> DensityValue:
     if raw < 0.0:
         return DensityValue(0.0, tail + abs(raw))
@@ -136,12 +145,11 @@ def spherical_density(p: JacobiParams, t: float, r0: float,
     """Transition density q_t^{alpha,beta}(r0, r) of the radial diffusion on [0, pi/2].
 
     Density with respect to Lebesgue measure in r.  Requires alpha, beta >= 0
-    and t >= MIN_TIME.
+    and MIN_TIME <= t < inf.
     """
     if p.alpha < 0 or p.beta < 0:
         raise ValueError("spherical_density requires alpha, beta >= 0")
-    if t < MIN_TIME:
-        raise TimeTooSmallError(f"t={t} below minimum time {MIN_TIME}")
+    _check_time(t)
     if not (0.0 <= r0 <= math.pi / 2) or not (0.0 <= r <= math.pi / 2):
         raise ValueError("r0 and r must lie in [0, pi/2]")
     a, b = p.alpha, p.beta
@@ -197,8 +205,9 @@ def berger_kernel(n: int, lam: float, t: float, r: float,
         raise ValueError("n must be a positive integer")
     if not (lam > 0):
         raise ValueError("lam must be positive")
-    if t < MIN_TIME:
-        raise TimeTooSmallError(f"t={t} below minimum time {MIN_TIME}")
+    _check_time(t)
+    if not (math.isfinite(r) and math.isfinite(theta)):
+        raise ValueError(f"r and theta must be finite, got {r} and {theta}")
     x = math.cos(2 * r)
     pref = math.gamma(n) / (2.0 * math.pi ** (n + 1))
     cosr = math.cos(r)
@@ -228,8 +237,9 @@ def berger_limit_kernel(n: int, t: float, r: float) -> DensityValue:
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    if t < MIN_TIME:
-        raise TimeTooSmallError(f"t={t} below minimum time {MIN_TIME}")
+    _check_time(t)
+    if not math.isfinite(r):
+        raise ValueError(f"r must be finite, got {r}")
     pref = math.gamma(n) / (2.0 * math.pi ** (n + 1))
     s, tail, _ = _fiber_series(n, 0, t, math.cos(2 * r))
     return _clip(pref * s, pref * tail)

@@ -154,10 +154,10 @@ def _grow(bound, start: float, target: float) -> float:
 
 
 def _check_args(n, t: float) -> int:
-    if not (n >= 1 and n == int(n)):
+    if not (1 <= n < math.inf and n == int(n)):
         raise ValueError("n must be a positive integer")
-    if not (t > 0):
-        raise ValueError("t must be positive")
+    if not (0 < t < math.inf):
+        raise ValueError("t must be positive and finite")
     return int(n)
 
 
@@ -176,8 +176,10 @@ def chn_joint_density(n: int, t: float, r: float,
     bound.  The imaginary residue is checked to vanish within ABS_TOL.
     """
     n = _check_args(n, t)
-    if r < 0:
-        raise ValueError("r must be nonnegative")
+    if not (0 <= r < math.inf):
+        raise ValueError("r must be nonnegative and finite")
+    if not math.isfinite(theta):
+        raise ValueError("theta must be finite")
     # The oscillatory y-integral cancels down to a value roughly
     # e^{-2 pi |theta| / t} times the central integrand scale, so the tail is
     # truncated relative to that scale rather than in absolute terms.

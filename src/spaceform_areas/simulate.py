@@ -165,12 +165,16 @@ def _run_blocks(cfg: SimConfig, step, threads: int, sweep=False) -> tuple:
 CP_STEP_LIMIT = math.pi ** 2 / 8.0
 
 
-def cp_step_ok(n, dt) -> bool:
-    """True when (n - 1/2) dt and dt/2, the coefficients of the r-mode step
-    of the untilted CP^n area sampler, are below CP_STEP_LIMIT."""
+def check_cp_step(n, dt) -> None:
+    """Raise ValueError unless (n - 1/2) dt and dt/2, the coefficients of
+    the r-mode step of the untilted CP^n area sampler, are below
+    CP_STEP_LIMIT."""
     # n < limit + 1/2 compares an integer n of any size exactly
     limit = CP_STEP_LIMIT / dt
-    return n < limit + 0.5 and limit > 0.5
+    if not (n < limit + 0.5 and limit > 0.5):
+        raise ValueError(
+            f"the CP r-step needs (n - 1/2) dt and dt/2 below "
+            f"pi^2/8 = {CP_STEP_LIMIT:.6g}, got n = {n} and dt = {dt}")
 
 
 def _cot_tan_map(y, a, p, p4, q):
@@ -268,9 +272,12 @@ def _cp_tilted_block(n: int, lam: float, dts: np.ndarray,
 CH_STEP_LIMIT = 100.0
 
 
-def ch_step_ok(n, lam, dt) -> bool:
-    """True when (n + lam) dt is at most CH_STEP_LIMIT."""
-    return (n + lam) * dt <= CH_STEP_LIMIT
+def check_ch_step(n, lam, dt) -> None:
+    """Raise ValueError unless (n + lam) dt is at most CH_STEP_LIMIT."""
+    if not (n + lam) * dt <= CH_STEP_LIMIT:
+        raise ValueError(
+            f"the CH step needs (n + lam) dt at most {CH_STEP_LIMIT:g}, got "
+            f"n = {n}, lam = {lam} and dt = {dt}")
 
 
 # Past this radius coth r and tanh r are 1.0 in double precision (1 - tanh r
@@ -292,7 +299,7 @@ def _hyperbolic_block(n: int, lam: float, r0, dts: np.ndarray,
     Returns (r_end, clock, slack): the tanh^2 r = w/(w + 1) clock by the
     trapezoid rule (None unless record_clock) and, per lane, the min over
     steps of r - ((n - 1/2) t + gamma) (inf unless track_bound).  Raises
-    ValueError unless ch_step_ok(n, lam, dt).
+    check_ch_step's ValueError.
 
     Once every lane is past _R_FAR the rest of the path is drawn at once:
     r_T = r + (n + lam)(T - tau) + sqrt(T - tau) Z, and the clock grows by
@@ -303,10 +310,7 @@ def _hyperbolic_block(n: int, lam: float, r0, dts: np.ndarray,
     at most exp(-2 _R_FAR) after the finish, so the expected clock it
     misses is below 1.1e-16 (T - tau).
     """
-    if not ch_step_ok(n, lam, dts[0]):
-        raise ValueError(
-            f"the CH step needs (n + lam) dt at most {CH_STEP_LIMIT:g}, got "
-            f"n = {n}, lam = {lam} and dt = {dts[0]}")
+    check_ch_step(n, lam, dts[0])
     w = np.full(m, np.sinh(r0) ** 2)
     # the clock, and tanh^2 r at the last two grid points
     clock, f, f_new = ((np.zeros(m), w / (w + 1.0), np.empty(m))
@@ -386,8 +390,10 @@ def sample_radial_hyperbolic(n: int, girsanov_lambda: float, r0: float,
 # time advances by ~dt in the bulk, and capped at m^2/_DIVE_STEPS during
 # deep excursions so that arbitrarily deep dives are resolved in a bounded
 # number of exact-in-law Brownian steps.  Only the real-time integral
-# tau = int dPhi / clockrate is discretized (left-endpoint rule, so each
-# real-time increment is bounded by dt).
+# tau = int dPhi / clockrate is discretized, by the trapezoid rule: the
+# step is sized from the rate at its start, so an increment exceeds dt when
+# the rate falls over the step, and the final step credits only the
+# fraction of its clock that lies inside the horizon.
 
 _H_FLOOR = 0.04          # clock-time step ceiling in the bulk
 _DIVE_STEPS = 16.0       # dive step cap m^2/_DIVE_STEPS (kick ~ |m|/4)
@@ -514,15 +520,11 @@ def _cp_area_phi(n: int, cfg: SimConfig, rngs: list):
     step _cot_tan_step; past r ~ pi/4 it switches to psi = -log cos r
     stepped in clock time, where the area clock is exact (clock increment
     = Phi-step) and boundary dives are Brownian.  Returns (r_end, clock),
-    the clock being int tan^2 r ds.  Raises ValueError unless
-    cp_step_ok(n, dt).
+    the clock being int tan^2 r ds.  Raises check_cp_step's ValueError.
     """
     horizon, dt, lanes = cfg.horizon, cfg.dt, cfg.paths
     b1 = n - 0.5
-    if not cp_step_ok(n, dt):
-        raise ValueError(
-            f"the CP r-step needs (n - 1/2) dt and dt/2 below "
-            f"pi^2/8 = {CP_STEP_LIMIT:.6g}, got n = {n} and dt = {dt}")
+    check_cp_step(n, dt)
     t_fine = min(0.01 * horizon, 0.05)
     fine = min(dt, FINE_DT)
     r = np.full(lanes, EPS_START)

@@ -40,6 +40,11 @@ class TestCfConditional:
             cf_conditional_cp(1, -1.0, 1.0, 0.5)
         with pytest.raises(ValueError):
             cf_conditional_cp(1, 1.0, 1.0, 2.0)
+        # a non-finite t used to fail the series with
+        # SeriesNotConvergedError
+        for t in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="t must be finite"):
+                cf_marginal_cp(1, 0.5, t)
 
 
 class TestCfMarginalCp:

@@ -3,11 +3,10 @@ import math
 import time
 from pathlib import Path
 
-import mpmath as mp
 import numpy as np
 import pytest
 
-from spaceform_areas import cli, densities
+from spaceform_areas import Geometry, SimConfig, cli, densities, sample_area
 from spaceform_areas.cli import (
     EXPERIMENT_DEFAULTS,
     ConfigParseError,
@@ -81,7 +80,7 @@ class TestParseConfig:
         assert main(["--config", str(cfgp)]) == 2
 
     @pytest.mark.parametrize("n", [1.5])
-    def test_ch_area_cf_rejects_n_other_than_one(self, n, tmp_path):
+    def test_ch_area_cf_rejects_fractional_n(self, n, tmp_path):
         # ch-area-cf runs at every positive integer n; a fractional n
         # names no space CH^n
         text = json.dumps({"experiment": "ch-area-cf", "params": {"n": n}})
@@ -91,13 +90,8 @@ class TestParseConfig:
         cfgp.write_text(text)
         assert main(["--config", str(cfgp)]) == 2
 
-    def test_ch_area_cf_accepts_n_one(self):
-        spec = parse_config(
-            '{"experiment": "ch-area-cf", "params": {"n": 1}}')
-        assert spec.resolved_params()["n"] == 1
-
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_ch_area_cf_accepts_n_above_one(self, n):
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_ch_area_cf_accepts_integer_n(self, n):
         spec = parse_config(
             '{"experiment": "ch-area-cf", "params": {"n": %d}}' % n)
         assert spec.resolved_params()["n"] == n
@@ -177,14 +171,10 @@ class TestParseConfig:
         ("ch1-loop-density", "points", 2.7),
         ("ch1-loop-density", "points", -21),
         ("ch1-loop-density", "points", "21"),
-        ("jacobi-selftest", "m_max_oracle", -1),
-        ("jacobi-selftest", "m_max_oracle", 6.5),
-        ("jacobi-selftest", "m_max_eig", -1),
-        ("jacobi-selftest", "m_max_eig", None),
     ])
     def test_bad_quadrature_count_named(self, name, key, value, tmp_path):
-        # points = 0 and m_max_* = -1 used to write a passing verdict that
-        # compared nothing (check value 0.0); points = 2.7 ran 2 points
+        # points = 0 used to write a passing verdict that compared nothing
+        # (check value 0.0); points = 2.7 ran 2 points
         text = json.dumps({"experiment": name, "params": {key: value}})
         with pytest.raises(ValueError, match=f"'{key}'"):
             parse_config(text)
@@ -215,8 +205,6 @@ class TestParseConfig:
         ("ch1-loop-density", "theta_hi", -4.0),
         ("ch1-loop-density", "tol", -1.0),
         ("winding-cp1", "tol", 0.0),
-        ("jacobi-selftest", "oracle_tol", float("nan")),
-        ("jacobi-selftest", "eig_tol", -1e-6),
         ("berger-homogenisation", "norm_tol", float("inf")),
         ("cp-cauchy-limit", "analytic_tol", 0.0),
     ])
@@ -257,6 +245,39 @@ class TestParseConfig:
         # the same step with every coefficient below the limit is accepted
         ExperimentSpec(name, {**params, key: 0.49})
 
+    @pytest.mark.parametrize("name,key,params,sampler", [
+        ("cp-area-cf", "dt_direct", {"n": 3, "dt_direct": 0.5},
+         lambda: sample_area(Geometry.cp(3), SimConfig(1.0, 0.5, 8, 1))),
+        ("ch-gaussian-limit", "dt", {"t": 1000.0, "dt": 500.0, "ns": [1]},
+         lambda: sample_area(Geometry.ch(1), SimConfig(1000.0, 500.0, 8, 1))),
+    ], ids=["cp", "ch"])
+    def test_step_limit_error_is_the_samplers(self, name, key, params,
+                                              sampler):
+        # the limits are stated once, in simulate; the spec prefixes the
+        # config key to the sampler's own message
+        with pytest.raises(ValueError) as raised:
+            sampler()
+        with pytest.raises(ValueError) as parsed:
+            ExperimentSpec(name, params)
+        assert str(parsed.value) == f"'{key}': {raised.value}"
+
+    @pytest.mark.parametrize("key", ["m_max_oracle", "m_max_eig", "oracle_tol",
+                                     "eig_tol", "norm_tol"])
+    def test_jacobi_selftest_takes_no_parameters(self, key, tmp_path, capsys):
+        # its degrees and tolerances are fixed in the experiment
+        text = json.dumps({"experiment": "jacobi-selftest",
+                           "params": {key: 1}})
+        with pytest.raises(UnknownKeyError, match=key):
+            parse_config(text)
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(text)
+        for argv in (["--config", str(cfgp)],
+                     ["--experiment", "jacobi-selftest", "--override",
+                      f"{key}=1"]):
+            assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+            assert key in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_girsanov_step_has_no_cp_limit(self):
         # the CP Girsanov route takes the splitting step, whose dt is
         # bounded only by t; (lam + 1/2) dt = 1.25 is accepted
@@ -292,12 +313,10 @@ class TestParseConfig:
                                             "theta_hi": 0.0})
         ExperimentSpec("winding-cp1", {"lam": -1e-9, "tol": 1e9})
         ExperimentSpec("cp-area-cf", {"lambdas": [1e-9]})
-        ExperimentSpec("jacobi-selftest", {"oracle_tol": 1e-30})
 
     def test_quadrature_counts_accept_edges(self):
         ExperimentSpec("ch1-loop-density", {"points": 1})
         ExperimentSpec("ch1-loop-density", {"points": 21.0})
-        ExperimentSpec("jacobi-selftest", {"m_max_oracle": 0, "m_max_eig": 0})
 
     def test_scalar_bounds_accept_edges(self):
         ExperimentSpec("winding-cp1", {"r0": 1e-9, "sigma": 1e-9})
@@ -489,10 +508,10 @@ class TestMain:
         assert "[PASS]" in out
 
     def test_exit_one_on_numeric_failure(self, tmp_path, capsys):
-        # an impossible tolerance forces a clean numeric failure
-        rc = main(["--experiment", "jacobi-selftest",
-                   "--out", str(tmp_path),
-                   "--override", "oracle_tol=1e-30"])
+        # an impossible sigma forces a clean numeric failure
+        rc = main(["--experiment", "levy-baseline",
+                   "--out", str(tmp_path), "--override", "paths=64",
+                   "--override", "sigma=1e-12"])
         out = capsys.readouterr().out
         assert rc == 1
         assert "[FAIL]" in out
@@ -550,16 +569,3 @@ class TestMain:
         assert man["config"]["lam"] == 0.5
         assert man["config"]["paths"] == 4096
 
-
-class TestRodriguesOracle:
-    @pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (1.0, 0.5),
-                                            (0.7, 2.1), (2.0, 1.3),
-                                            (0.25, 3.5)])
-    def test_equals_mpmath_jacobi(self, alpha, beta):
-        # the Leibniz-rule derivative against mpmath's hypergeometric
-        # Jacobi polynomial, both at 40 digits: equal after rounding
-        for m in range(13):
-            for x in (-0.95, -0.4, 0.1, 0.35, 0.9):
-                with mp.workdps(40):
-                    want = float(mp.jacobi(m, alpha, beta, x))
-                assert cli._rodrigues_jacobi(m, alpha, beta, x) == want

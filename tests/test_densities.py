@@ -161,6 +161,20 @@ class TestBergerKernel:
             berger_kernel(0, 1.0, 0.5, 0.3, 0.0)
         with pytest.raises(ValueError):
             berger_kernel(1, -1.0, 0.5, 0.3, 0.0)
+        # a non-finite argument used to return NaN with a bound of 0.0, or
+        # to fail the series with SeriesNotConvergedError
+        p = JacobiParams(0.0, 0.0)
+        for call, name in (
+                (lambda: berger_kernel(1, 50.0, math.inf, 0.5, 0.3), "t"),
+                (lambda: berger_kernel(1, 50.0, 0.5, math.nan, 0.3), "r"),
+                (lambda: berger_kernel(1, 50.0, 0.5, 0.5, math.inf), "theta"),
+                (lambda: berger_limit_kernel(1, math.nan, 0.5), "t"),
+                (lambda: berger_limit_kernel(1, 0.5, math.nan), "r"),
+                (lambda: spherical_density(p, math.inf, 0.0, 0.5), "t"),
+                (lambda: spherical_density(p, math.nan, 0.0, 0.5), "t")):
+            with pytest.raises(ValueError, match=rf"\b{name}\b") as e:
+                call()
+            assert not isinstance(e.value, TimeTooSmallError)
 
 
 def _mp_series(coeff, a, b, t_rate, xs):

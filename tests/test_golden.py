@@ -43,7 +43,7 @@ GOLDEN_MANIFEST = {
     "berger-homogenisation":
         "95153ec58a5c2f90f242767f0b0cb9ccae1265cf456226a0cbecfb41b9c1ac4a",
     "jacobi-selftest":
-        "595b3bbf94fdc0c5485367b92dda63235c619b099fdd169cef8bb81f9658333e",
+        "8b0fd65fd56e44e929034eb1d5fe87a504db49446485f7eaa0d67d0782f28d09",
 }
 
 GOLDEN_CF_MARGINAL_CP = [

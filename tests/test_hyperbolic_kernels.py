@@ -54,6 +54,14 @@ class TestCh1JointDensity:
             ch1_joint_density(-1.0, 0.5, 0.0)
         with pytest.raises(ValueError):
             ch1_joint_density(1.0, -0.5, 0.0)
+        # non-finite arguments used to return NaN, and an infinite n to
+        # raise OverflowError
+        for args, name in (((1, math.inf, 0.5, 0.0), "t"),
+                           ((1, 1.0, math.nan, 0.0), "r"),
+                           ((1, 1.0, 0.5, math.nan), "theta"),
+                           ((math.inf, 1.0, 0.5, 0.0), "n")):
+            with pytest.raises(ValueError, match=f"^{name} must"):
+                chn_joint_density(*args)
 
     def test_window_exhaustion_raises(self, monkeypatch):
         monkeypatch.setattr(hyperbolic_kernels, "MAX_WINDOW", 1.0)
@@ -205,6 +213,9 @@ class TestCh1AreaCf:
             ch_area_cf(1, math.nan, 1.0)
         with pytest.raises(ValueError):
             ch_area_cf(0, 0.5, 1.0)
+        # used to raise QuadratureFailureError after NaN warnings
+        with pytest.raises(ValueError, match="^t must"):
+            ch_area_cf(1, 0.5, math.inf)
 
 
 def _ch1_area_cf_oracle(lam, t):
