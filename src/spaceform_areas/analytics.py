@@ -4,6 +4,7 @@ area formula, and the winding limit CFs."""
 
 from __future__ import annotations
 
+import cmath
 import math
 
 from scipy.integrate import quad
@@ -16,11 +17,19 @@ from .specfun import JacobiParams
 _DENSITY_FLOOR = 1e-300
 
 
+def _check_finite(**args) -> None:
+    """Raise ValueError naming the first argument that is not finite."""
+    for name, v in args.items():
+        if not cmath.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v!r}")
+
+
 def cf_conditional_cp(n: int, lam: float, t: float, r: float) -> float:
     """E[e^{i lam theta(t)} | r(t) = r] on the projective space of complex
     dimension n, via the ratio of tilted to untilted radial densities:
     e^{-n lam t} (cos r)^{-lam} q_t^{n-1,lam}(0,r) / q_t^{n-1,0}(0,r).
     """
+    _check_finite(lam=lam, t=t)
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     if not (0.0 <= r < math.pi / 2):
@@ -37,6 +46,7 @@ def cf_conditional_cp(n: int, lam: float, t: float, r: float) -> float:
 def cf_marginal_cp(n: int, lam: float, t: float) -> float:
     """E[e^{i lam theta(t)}] = e^{-n|lam|t} * integral over r of
     q_t^{n-1,|lam|}(0,r) / (cos r)^{|lam|}; real and in (0, 1]."""
+    _check_finite(lam=lam, t=t)
     a = abs(lam)
     if a == 0.0:
         return 1.0
@@ -57,6 +67,7 @@ def cf_marginal_cp(n: int, lam: float, t: float) -> float:
 def levy_cf(lam: float, t: float, z: complex) -> float:
     """Planar area formula: E[e^{i lam S_t} | Z_t = z] =
     (lam t / sinh lam t) * exp(-(|z|^2/2t)(lam t coth lam t - 1))."""
+    _check_finite(lam=lam, t=t, z=z)
     if not (t > 0):
         raise ValueError("t must be positive")
     u = abs(lam) * t
@@ -78,6 +89,7 @@ def winding_limit_cf(geometry: Geometry, r0: float, lam: float) -> float:
     """
     if geometry.n != 1:
         raise ValueError("winding limits are defined for n = 1 only")
+    _check_finite(r0=r0, lam=lam)
     if geometry.kind == "cp":
         if not (0.0 < r0 < math.pi / 2):
             raise ValueError("r0 must lie in (0, pi/2)")

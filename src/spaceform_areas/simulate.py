@@ -205,12 +205,20 @@ def _cot_tan_step(arg: np.ndarray, b1, b2) -> np.ndarray:
     two evaluations give y1 = F(y_up) <= y* and y = F(y1), so y1 <= y* <=
     y <= y_up and y - y* = O(b^3), b = max(b1, b2).  Since a <= pi/4,
     y_up < pi/2 whenever p < CP_STEP_LIMIT, and x stays in (0, pi/2) with
-    no clamp.  Each lane depends only on its own inputs.
+    no clamp.  Each lane depends only on its own inputs.  b1 and b2 are
+    arrays over the lanes or floats; equal floats (CP^1) need no per-lane
+    choice of p and q.
     """
     near = arg < math.pi / 4.0
-    a = np.where(near, arg, math.pi / 2.0 - arg)
-    p = np.where(near, b1, b2)
-    q = np.where(near, b2, b1)
+    # the a of np.where(near, arg, pi/2 - arg): math.pi / 2.0 is exactly
+    # twice math.pi / 4.0 and rounding is monotone, so pi/2 - arg is at
+    # least arg below pi/4 and at most arg from pi/4 on
+    a = np.minimum(arg, math.pi / 2.0 - arg)
+    if isinstance(b1, float) and b1 == b2:
+        p = q = b1
+    else:
+        p = np.where(near, b1, b2)
+        q = np.where(near, b2, b1)
     p4 = 4.0 * p
     y_up = 0.5 * (a + np.sqrt(a * a + p4))
     y = _cot_tan_map(_cot_tan_map(y_up, a, p, p4, q), a, p, p4, q)
@@ -394,6 +402,18 @@ def sample_radial_hyperbolic(n: int, girsanov_lambda: float, r0: float,
 # step is sized from the rate at its start, so an increment exceeds dt when
 # the rate falls over the step, and the final step credits only the
 # fraction of its clock that lies inside the horizon.
+#
+# A sweep gathers its live lanes, steps them and scatters them back; at
+# workload sizes its cost is the count of its numpy calls and the lanes
+# they copy, not their arithmetic.  So a sweep in which every lane is
+# stepped (live, and in r-mode for the CP area) works on views of the whole
+# arrays, not on gathered copies; and a value that is the same on every
+# lane stays a float: the CP r-step is dt on every r-mode lane once all
+# lanes are past the fine start and none is within dt of the horizon, and
+# the sweep then passes dt, sqrt(dt) and the step's coefficients as floats.
+# The winding kernel keeps each lane's clock rate from the sweep that moved
+# its m.  Either way each lane goes through the same IEEE operations, bit
+# for bit.
 
 _H_FLOOR = 0.04          # clock-time step ceiling in the bulk
 _DIVE_STEPS = 16.0       # dive step cap m^2/_DIVE_STEPS (kick ~ |m|/4)
@@ -447,7 +467,7 @@ def _clock_sweeps(cfg: SimConfig, rngs: list, tau: np.ndarray,
     max_sweeps = math.ceil(_SWEEP_HEADROOM * min_sweeps)
     for _ in range(max_sweeps):
         active = tau < cfg.horizon
-        live = np.flatnonzero(np.logical_or.reduceat(active, starts))
+        live = np.logical_or.reduceat(active, starts).nonzero()[0]
         if not live.size:
             return
         _fill_normals(rngs, live, z)
@@ -472,21 +492,24 @@ def _winding_phi(kind: str, r0: float, cfg: SimConfig, rngs: list):
     tau = np.zeros(lanes)
     clock = np.zeros(lanes)
     z = np.zeros(lanes)
-    # the clock rate is 4 csh(m)^2: 4 cosh^2 m (cp) or 4 sinh^2 m (ch)
+    # the clock rate is 4 csh(m)^2: 4 cosh^2 m (cp) or 4 sinh^2 m (ch);
+    # rate holds it for each lane's current m
     csh = np.cosh if cp else np.sinh
     # ch transient endgame: for m this close to 0 the remaining clock is
     # below 4 m^2 (horizon - tau), which is negligible, so the lane retires
     if not cp and m0 > -_M_FLOOR_CH:
         tau[:] = horizon
     with np.errstate(over="ignore"):
+        rate = 4.0 * csh(mm) ** 2
         for active in _clock_sweeps(cfg, rngs, tau, z):
-            idx = np.flatnonzero(active)
-            m, t = mm[idx], tau[idx]
+            idx = active.nonzero()[0]
+            # while every lane is live, views stand in for the gathers
+            sel = idx if idx.size < lanes else slice(None)
+            m, t, q = mm[sel], tau[sel], rate[sel]
             t_rem = horizon - t  # > 0, since a live lane has tau < horizon
-            q = 4.0 * csh(m) ** 2
             h = np.minimum(np.minimum(t_rem, dt) * q,
                            np.maximum(_H_FLOOR, m * m / _DIVE_STEPS))
-            m_new = m + np.sqrt(h) * z[idx]
+            m_new = m + np.sqrt(h) * z[sel]
             if cp:
                 np.minimum(np.maximum(m_new, -_M_CAP, out=m_new), _M_CAP,
                            out=m_new)
@@ -504,11 +527,13 @@ def _winding_phi(kind: str, r0: float, cfg: SimConfig, rngs: list):
             last = dtau > t_rem
             if np.count_nonzero(last):
                 h[last] *= t_rem[last] / np.maximum(dtau[last], 1e-300)
-            mm[idx] = m_new
-            tau[idx] = t + dtau
-            clock[idx] += h
+            t_new = t + dtau
             if not cp:
-                tau[idx[m_new > -_M_FLOOR_CH]] = horizon
+                t_new[m_new > -_M_FLOOR_CH] = horizon
+            mm[sel] = m_new
+            rate[sel] = q_new
+            tau[sel] = t_new
+            clock[sel] += h
     return clock
 
 
@@ -527,6 +552,9 @@ def _cp_area_phi(n: int, cfg: SimConfig, rngs: list):
     check_cp_step(n, dt)
     t_fine = min(0.01 * horizon, 0.05)
     fine = min(dt, FINE_DT)
+    # a bulk r-step: dt, its root and its two coefficients as floats
+    bulk_step = (dt, math.sqrt(dt), b1 * dt, 0.5 * dt)
+    past_fine = False  # every lane has tau >= t_fine; tau only grows
     r = np.full(lanes, EPS_START)
     psi = np.zeros(lanes)
     in_psi = np.zeros(lanes, dtype=bool)
@@ -539,21 +567,29 @@ def _cp_area_phi(n: int, cfg: SimConfig, rngs: list):
             # the next sweep on, so no lane moves (or consumes its Gaussian)
             # twice per sweep
             stepped_in_psi = active & in_psi
-            jdx = np.flatnonzero(stepped_in_psi)
-            idx = np.flatnonzero(active ^ stepped_in_psi)
+            jdx = stepped_in_psi.nonzero()[0]
+            idx = (active ^ stepped_in_psi).nonzero()[0]
             if idx.size:
-                ti = tau[idx]  # < horizon on a live lane
-                dti = np.minimum(np.where(ti < t_fine, fine, dt),
-                                 horizon - ti)
-                sq = np.sqrt(dti)
-                r_old = r[idx]
-                r_new = _cot_tan_step(r_old + sq * z[idx], b1 * dti,
-                                      0.5 * dti)
+                # while every lane is live and in r-mode, views stand in for
+                # the gathers
+                sel = idx if idx.size < lanes else slice(None)
+                ti = tau[sel]  # < horizon on a live lane
+                past_fine = past_fine or tau.min() >= t_fine
+                if past_fine and horizon - ti.max() >= dt:
+                    # every lane's step below is dt
+                    dti, sq, p_dt, q_dt = bulk_step
+                else:
+                    dti = np.minimum(np.where(ti < t_fine, fine, dt),
+                                     horizon - ti)
+                    sq = np.sqrt(dti)
+                    p_dt, q_dt = b1 * dti, 0.5 * dti
+                r_old = r[sel]
+                r_new = _cot_tan_step(r_old + sq * z[sel], p_dt, q_dt)
                 tan_old, tan_new = np.tan(r_old), np.tan(r_new)
-                clock[idx] += (0.5 * (tan_old * tan_old + tan_new * tan_new)
+                clock[sel] += (0.5 * (tan_old * tan_old + tan_new * tan_new)
                                * dti)
-                tau[idx] = ti + dti
-                r[idx] = r_new
+                tau[sel] = ti + dti
+                r[sel] = r_new
                 up = r_new > _R_UP
                 if np.count_nonzero(up):
                     j = idx[up]

@@ -45,6 +45,18 @@ class TestCfConditional:
         for t in (math.nan, math.inf):
             with pytest.raises(ValueError, match="t must be finite"):
                 cf_marginal_cp(1, 0.5, t)
+        # a non-finite lam used to fail the series or name JacobiParams'
+        # beta, and lam = 0 returned 1.0 at any t
+        for lam in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="lam must be finite"):
+                cf_marginal_cp(1, lam, 1.0)
+        for lam in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="lam must be finite"):
+                cf_conditional_cp(1, lam, 1.0, 0.3)
+        with pytest.raises(ValueError, match="t must be finite"):
+            cf_marginal_cp(1, 0.0, math.nan)
+        with pytest.raises(ValueError, match="t must be finite"):
+            cf_conditional_cp(1, 0.0, math.nan, 0.3)
 
 
 class TestCfMarginalCp:
@@ -97,6 +109,12 @@ class TestLevyCf:
     def test_rejects_bad_t(self):
         with pytest.raises(ValueError):
             levy_cf(1.0, 0.0, 0j)
+        # each used to return NaN
+        for args, name in (((math.nan, 1.0, 0j), "lam"),
+                           ((1.0, math.inf, 0j), "t"),
+                           ((1.0, 1.0, complex(math.nan, 0.0)), "z")):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                levy_cf(*args)
 
 
 class TestWindingLimitCf:
@@ -119,3 +137,9 @@ class TestWindingLimitCf:
             winding_limit_cf(Geometry.cp(1), 0.0, 1.0)
         with pytest.raises(ValueError):
             winding_limit_cf(Geometry.ch(1), -1.0, 1.0)
+        # these used to return 1.0 and NaN
+        with pytest.raises(ValueError, match="r0 must be finite"):
+            winding_limit_cf(Geometry.ch(1), math.inf, 1.0)
+        for geom in (Geometry.cp(1), Geometry.ch(1)):
+            with pytest.raises(ValueError, match="lam must be finite"):
+                winding_limit_cf(geom, 0.5, math.nan)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import time
@@ -471,6 +472,32 @@ class TestRunExperiment:
         err = float(dict(zip(header.split(","), row.split(",")))[
             "quadrature_err"])
         assert 0.0 < err == check["value"]
+
+    @pytest.mark.parametrize("t", [0.25, 0.1])
+    def test_loop_density_passes_at_small_t(self, t, tmp_path):
+        # at |theta| = 3 the closed form is 4.6e-24 (t = 0.25) and 1.6e-59
+        # (t = 0.1), far below the kernel's absolute target, so those
+        # points meet their quadrature's est_error, not tol
+        bundle = run_experiment(ExperimentSpec(
+            "ch1-loop-density", {"t": t}, output_dir=tmp_path))
+        assert bundle.passed
+        header, *rows = (tmp_path / "ch1_loop_density.csv").read_text(
+        ).splitlines()
+        assert header.split(",")[-1] == "est_error"
+        assert max(float(row.split(",")[3]) for row in rows) > 1.0
+
+    def test_loop_density_fails_a_scaled_kernel(self, tmp_path,
+                                                monkeypatch):
+        kernel = cli.ch1_joint_density
+
+        def scaled(t, r, theta):
+            q = kernel(t, r, theta)
+            return dataclasses.replace(q, value=q.value * (1.0 + 1e-3))
+
+        monkeypatch.setattr(cli, "ch1_joint_density", scaled)
+        bundle = run_experiment(ExperimentSpec(
+            "ch1-loop-density", output_dir=tmp_path))
+        assert not bundle.passed
 
     def test_ch2_area_cf_triangle(self, tmp_path):
         # the CH^2 quadrature CF against the direct and Girsanov samplers,

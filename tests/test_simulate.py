@@ -380,8 +380,9 @@ class TestTimeGrid:
         cot_tan_step = simulate._cot_tan_step
 
         def record(arg, b1, b2):
-            # b2 = (lam + 1/2) dt is dt/2 at lam = 0, exactly
-            steps.append(float(2.0 * b2[0]))
+            # b2 = (lam + 1/2) dt is dt/2 at lam = 0, exactly; an array
+            # over the lanes, or a float in a sweep that steps them all by dt
+            steps.append(float(2.0 * np.ravel(b2)[0]))
             if steps[-1] > simulate.FINE_DT:
                 raise _FirstCoarseStep
             return cot_tan_step(arg, b1, b2)
@@ -525,6 +526,175 @@ class TestCotTanStep:
         alone = [simulate._cot_tan_step(arg[i:i + 1], b1, b2)[0]
                  for i in range(arg.size)]
         assert np.array_equal(x, alone)
+
+    @pytest.mark.parametrize("b1,b2", [(0.005, 0.005), (0.015, 0.005),
+                                       (0.005, 0.025)])
+    def test_float_coefficients_match_arrays(self, b1, b2):
+        # args on both sides of pi/4, at it and at its float neighbours
+        q = math.pi / 4.0
+        arg = np.array([1e-6, 0.3, np.nextafter(np.nextafter(q, 0.0), 0.0),
+                        np.nextafter(q, 0.0), q, np.nextafter(q, 2.0),
+                        np.nextafter(np.nextafter(q, 2.0), 2.0), 1.2,
+                        math.pi / 2.0 - 1e-6])
+        near = arg < q
+        # the branch variable of the step, as np.where chooses it
+        np.testing.assert_array_equal(np.minimum(arg, math.pi / 2.0 - arg),
+                                      np.where(near, arg,
+                                               math.pi / 2.0 - arg))
+        x = simulate._cot_tan_step(arg, b1, b2)
+        np.testing.assert_array_equal(
+            x, simulate._cot_tan_step(arg, np.full(arg.size, b1),
+                                      np.full(arg.size, b2)))
+        assert np.all((x > 0.0) & (x < math.pi / 2.0))
+
+
+# The clock-time kernels with every step size, coefficient and rate formed
+# per lane in every sweep: references that simulate._cp_area_phi and
+# simulate._winding_phi must match bit for bit.  Module constants are read
+# from simulate, so that a test can patch them for both.
+
+def _reference_cp_area_phi(n, cfg, rngs):
+    s = simulate
+    horizon, dt, lanes = cfg.horizon, cfg.dt, cfg.paths
+    b1 = n - 0.5
+    t_fine = min(0.01 * horizon, 0.05)
+    fine = min(dt, s.FINE_DT)
+    r = np.full(lanes, s.EPS_START)
+    psi = np.zeros(lanes)
+    in_psi = np.zeros(lanes, dtype=bool)
+    tau = np.zeros(lanes)
+    clock = np.zeros(lanes)
+    z = np.zeros(lanes)
+    with np.errstate(over="ignore"):
+        for active in s._clock_sweeps(cfg, rngs, tau, z, t_fine / fine):
+            stepped_in_psi = active & in_psi
+            jdx = np.flatnonzero(stepped_in_psi)
+            idx = np.flatnonzero(active ^ stepped_in_psi)
+            if idx.size:
+                ti = tau[idx]
+                dti = np.minimum(np.where(ti < t_fine, fine, dt),
+                                 horizon - ti)
+                sq = np.sqrt(dti)
+                r_old = r[idx]
+                r_new = s._cot_tan_step(r_old + sq * z[idx], b1 * dti,
+                                        0.5 * dti)
+                tan_old, tan_new = np.tan(r_old), np.tan(r_new)
+                clock[idx] += (0.5 * (tan_old * tan_old + tan_new * tan_new)
+                               * dti)
+                tau[idx] = ti + dti
+                r[idx] = r_new
+                up = r_new > s._R_UP
+                if np.count_nonzero(up):
+                    j = idx[up]
+                    psi[j] = -np.log(np.cos(r_new[up]))
+                    in_psi[j] = True
+            if jdx.size:
+                p_old, tj = psi[jdx], tau[jdx]
+                t2 = np.expm1(2.0 * p_old)
+                t_rem = horizon - tj
+                cap = np.maximum(s._H_FLOOR, p_old * p_old / s._DIVE_STEPS)
+                h = np.minimum(np.minimum(t_rem, dt) * t2, cap)
+                p_mart = p_old + np.sqrt(h) * z[jdx]
+                np.minimum(np.maximum(p_mart, 1e-12, out=p_mart), s._M_CAP,
+                           out=p_mart)
+                t2_new = np.maximum(np.expm1(2.0 * p_mart), s._T2_SWITCH)
+                dtau = 0.5 * h * (1.0 / t2 + 1.0 / t2_new)
+                p_new = np.minimum(np.maximum(p_mart + n * dtau, 1e-12),
+                                   s._M_CAP)
+                last = dtau > t_rem
+                if np.count_nonzero(last):
+                    h[last] *= t_rem[last] / np.maximum(dtau[last], 1e-300)
+                clock[jdx] += h
+                tau[jdx] = tj + dtau
+                psi[jdx] = p_new
+                down = p_new < s._PSI_SWITCH
+                if np.count_nonzero(down):
+                    k = jdx[down]
+                    r[k] = np.arccos(np.exp(-p_new[down]))
+                    in_psi[k] = False
+    r_end = np.where(in_psi, np.arccos(np.minimum(np.exp(-psi), 1.0)), r)
+    return r_end, clock
+
+
+def _reference_winding_phi(kind, r0, cfg, rngs):
+    s = simulate
+    horizon, dt, lanes = cfg.horizon, cfg.dt, cfg.paths
+    cp = kind == "cp"
+    m0 = math.log(math.tan(r0)) if cp else math.log(math.tanh(r0))
+    mm = np.full(lanes, m0)
+    tau = np.zeros(lanes)
+    clock = np.zeros(lanes)
+    z = np.zeros(lanes)
+    csh = np.cosh if cp else np.sinh
+    if not cp and m0 > -s._M_FLOOR_CH:
+        tau[:] = horizon
+    with np.errstate(over="ignore"):
+        for active in s._clock_sweeps(cfg, rngs, tau, z):
+            idx = np.flatnonzero(active)
+            m, t = mm[idx], tau[idx]
+            t_rem = horizon - t
+            q = 4.0 * csh(m) ** 2
+            h = np.minimum(np.minimum(t_rem, dt) * q,
+                           np.maximum(s._H_FLOOR, m * m / s._DIVE_STEPS))
+            m_new = m + np.sqrt(h) * z[idx]
+            if cp:
+                np.minimum(np.maximum(m_new, -s._M_CAP, out=m_new), s._M_CAP,
+                           out=m_new)
+            else:
+                above = m_new >= 0.0
+                if np.count_nonzero(above):
+                    m_new[above] = 0.5 * m[above]
+                np.maximum(m_new, -s._M_CAP, out=m_new)
+            q_new = 4.0 * csh(m_new) ** 2
+            dtau = 0.5 * h * (1.0 / q + 1.0 / np.maximum(q_new, 1e-300))
+            last = dtau > t_rem
+            if np.count_nonzero(last):
+                h[last] *= t_rem[last] / np.maximum(dtau[last], 1e-300)
+            mm[idx] = m_new
+            tau[idx] = t + dtau
+            clock[idx] += h
+            if not cp:
+                tau[idx[m_new > -s._M_FLOOR_CH]] = horizon
+    return clock
+
+
+class TestClockKernelsMatchReference:
+    """The clock-time kernels give the bits of their references, on 24
+    seeds per case.  The horizons are no multiple of dt, so each lane ends
+    on a fractional step; a low _R_UP sends lanes to psi-mode and back
+    within the fine start, so that r-mode lanes step fine after every
+    other lane has passed it."""
+
+    SEEDS = range(24)
+
+    @staticmethod
+    def _assert_same(run, ref, cfg):
+        got = run(cfg, simulate._block_rngs(cfg))
+        want = ref(cfg, simulate._block_rngs(cfg))
+        for g, w in zip(np.atleast_2d(got), np.atleast_2d(want),
+                        strict=True):
+            np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("r_up", [math.pi / 4.0, 0.02, 0.1])
+    @pytest.mark.parametrize("n,horizon,dt", [
+        (1, 0.537, 0.02), (2, 1.013, 0.05), (3, 0.29, 0.01),
+        (1, 6.3, 0.05)])
+    def test_cp_area_phi(self, monkeypatch, r_up, n, horizon, dt):
+        monkeypatch.setattr(simulate, "_R_UP", r_up)
+        for seed in self.SEEDS:
+            self._assert_same(
+                lambda cfg, rngs: simulate._cp_area_phi(n, cfg, rngs),
+                lambda cfg, rngs: _reference_cp_area_phi(n, cfg, rngs),
+                SimConfig(horizon, dt, 48, seed))
+
+    @pytest.mark.parametrize("kind,r0", [
+        ("cp", 0.7), ("cp", 1.5), ("ch", 0.5), ("ch", 2.0)])
+    def test_winding_phi(self, kind, r0):
+        for seed in self.SEEDS:
+            self._assert_same(
+                lambda cfg, rngs: simulate._winding_phi(kind, r0, cfg, rngs),
+                lambda cfg, rngs: _reference_winding_phi(kind, r0, cfg, rngs),
+                SimConfig(1.37, 0.05, 48, seed))
 
 
 class _Normals:
