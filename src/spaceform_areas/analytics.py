@@ -12,7 +12,7 @@ from scipy.integrate import quad
 from . import hyperbolic_kernels
 from .densities import spherical_density
 from .simulate import Geometry
-from .specfun import JacobiParams
+from .specfun import JacobiParams, _check_dimension
 
 _DENSITY_FLOOR = 1e-300
 
@@ -29,6 +29,7 @@ def cf_conditional_cp(n: int, lam: float, t: float, r: float) -> float:
     dimension n, via the ratio of tilted to untilted radial densities:
     e^{-n lam t} (cos r)^{-lam} q_t^{n-1,lam}(0,r) / q_t^{n-1,0}(0,r).
     """
+    _check_dimension(n)
     _check_finite(lam=lam, t=t)
     if lam < 0:
         raise ValueError("lam must be nonnegative")
@@ -46,6 +47,7 @@ def cf_conditional_cp(n: int, lam: float, t: float, r: float) -> float:
 def cf_marginal_cp(n: int, lam: float, t: float) -> float:
     """E[e^{i lam theta(t)}] = e^{-n|lam|t} * integral over r of
     q_t^{n-1,|lam|}(0,r) / (cos r)^{|lam|}; real and in (0, 1]."""
+    _check_dimension(n)
     _check_finite(lam=lam, t=t)
     a = abs(lam)
     if a == 0.0:

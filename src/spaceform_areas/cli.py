@@ -34,7 +34,6 @@ from .hyperbolic_kernels import (
 from .simulate import (
     Geometry,
     SimConfig,
-    _is_int_in,
     check_ch_step,
     check_cp_step,
     girsanov_cf_estimator,
@@ -45,6 +44,7 @@ from .simulate import (
 from .specfun import (
     JacobiParams,
     _eigen_residual,
+    _is_int_in,
     _rodrigues_jacobi,
     jacobi_poly,
 )
@@ -67,14 +67,14 @@ class ExperimentSpec:
     master_seed: int = 12345
 
     def __post_init__(self):
-        if self.name not in EXPERIMENT_DEFAULTS:
+        if self.name not in EXPERIMENTS:
             raise UnknownKeyError(
                 f"unknown experiment {self.name!r}; known: "
-                f"{sorted(EXPERIMENT_DEFAULTS)}")
+                f"{sorted(EXPERIMENTS)}")
         if not _is_int_in(self.master_seed, 0, 2 ** 64):
             raise ValueError("master_seed must be an integer in "
                              f"[0, 2**64), got {self.master_seed!r}")
-        defaults = EXPERIMENT_DEFAULTS[self.name]
+        defaults = EXPERIMENTS[self.name][1]
         bad = sorted(set(self.params) - set(defaults))
         if bad:
             raise UnknownKeyError(
@@ -116,7 +116,7 @@ class ExperimentSpec:
             raise ValueError(f"'{key}': {e}") from None
 
     def resolved_params(self) -> dict:
-        out = dict(EXPERIMENT_DEFAULTS[self.name])
+        out = dict(EXPERIMENTS[self.name][1])
         out.update(self.params)
         return out
 
@@ -585,7 +585,7 @@ def _exp_levy_baseline(params, seed, threads):
     t = params["t"]
     lam = params["lam"]
     z_end, s_end = sample_planar_area(
-        t, SimConfig(t, params["dt"], int(params["paths"]), seed),
+        SimConfig(t, params["dt"], int(params["paths"]), seed),
         threads=threads)
     emp = empirical_cf(SampleSet(s_end), lam)
     quad_cf = _quad_cf_planar(lam, t)
@@ -604,55 +604,43 @@ def _exp_levy_baseline(params, seed, threads):
     return [table], checks
 
 
-EXPERIMENT_DEFAULTS = {
-    "jacobi-selftest": {},
-    "cp-area-cf": {
+# name -> (runner, default parameters)
+EXPERIMENTS = {
+    "jacobi-selftest": (_exp_jacobi_selftest, {}),
+    "cp-area-cf": (_exp_cp_area_cf, {
         "n": 1, "t": 1.0, "lambdas": (0.5, 1.0, 2.0), "paths": 100000,
         "dt_direct": 1e-3, "dt_girsanov": 2e-3, "sigma": 3.0,
-    },
-    "cp-cauchy-limit": {
+    }),
+    "cp-cauchy-limit": (_exp_cp_cauchy_limit, {
         "t": 50.0, "ns": (1, 2), "lambdas": (0.25, 0.5, 1.0, 2.0),
         "paths": 10000, "dt": 0.01, "analytic_tol": 5e-3, "sigma": 3.0,
-    },
-    "ch-area-cf": {
+    }),
+    "ch-area-cf": (_exp_ch_area_cf, {
         "n": 1, "t": 1.0, "lambdas": (0.5, 1.0), "paths": 100000,
         "dt": 1e-3, "sigma": 3.0,
-    },
-    "ch-gaussian-limit": {
+    }),
+    "ch-gaussian-limit": (_exp_ch_gaussian_limit, {
         "t": 50.0, "ns": (1, 2, 3), "paths": 10000, "dt": 0.01,
         "p_min": 0.01,
-    },
-    "ch1-loop-density": {
+    }),
+    "ch1-loop-density": (_exp_ch1_loop_density, {
         "t": 1.0, "theta_lo": -3.0, "theta_hi": 3.0, "points": 21,
         "tol": 1e-4,
-    },
-    "berger-homogenisation": {
+    }),
+    "berger-homogenisation": (_exp_berger_homogenisation, {
         "n": 1, "t": 0.5, "lam": 50.0, "tol": 1e-6, "norm_tol": 1e-6,
-    },
-    "winding-cp1": {
+    }),
+    "winding-cp1": (_exp_winding_cp1, {
         "t": 30.0, "r0": math.pi / 4.0, "lam": 1.0, "paths": 10000,
         "dt": 0.01, "tol": 0.05, "sigma": 3.0,
-    },
-    "winding-ch1": {
+    }),
+    "winding-ch1": (_exp_winding_ch1, {
         "t": 100.0, "r0s": (0.5, 1.0), "lambdas": (0.5, 1.0, 2.0),
         "paths": 10000, "dt": 0.01, "sigma": 3.0,
-    },
-    "levy-baseline": {
+    }),
+    "levy-baseline": (_exp_levy_baseline, {
         "t": 1.0, "lam": 1.0, "paths": 100000, "dt": 1e-3, "sigma": 3.0,
-    },
-}
-
-_EXPERIMENT_RUNNERS = {
-    "jacobi-selftest": _exp_jacobi_selftest,
-    "cp-area-cf": _exp_cp_area_cf,
-    "cp-cauchy-limit": _exp_cp_cauchy_limit,
-    "ch-area-cf": _exp_ch_area_cf,
-    "ch-gaussian-limit": _exp_ch_gaussian_limit,
-    "ch1-loop-density": _exp_ch1_loop_density,
-    "berger-homogenisation": _exp_berger_homogenisation,
-    "winding-cp1": _exp_winding_cp1,
-    "winding-ch1": _exp_winding_ch1,
-    "levy-baseline": _exp_levy_baseline,
+    }),
 }
 
 
@@ -691,7 +679,7 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ReportBundle:
     start = time.perf_counter()
     error = None
     try:
-        tables, checks = _EXPERIMENT_RUNNERS[spec.name](
+        tables, checks = EXPERIMENTS[spec.name][0](
             params, spec.master_seed, threads)
     except Exception as e:  # noqa: BLE001 - recorded in the manifest
         tables = []

@@ -14,7 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .specfun import JacobiParams, _jacobi_table, jacobi_endpoint_bound
+from .specfun import (
+    JacobiParams,
+    _check_dimension,
+    _jacobi_table,
+    jacobi_endpoint_bound,
+)
 
 
 class SeriesNotConvergedError(RuntimeError):
@@ -201,8 +206,7 @@ def berger_kernel(n: int, lam: float, t: float, r: float,
     parts cancel by the k <-> -k pairing, so the sum is taken over cos(k theta)
     terms.  `lam` is the fiber stiffness parameter (> 0).
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    _check_dimension(n)
     if not (lam > 0):
         raise ValueError("lam must be positive")
     _check_time(t)
@@ -235,8 +239,7 @@ def berger_limit_kernel(n: int, t: float, r: float) -> DensityValue:
     Equals the radial heat kernel at the pole of Brownian motion on the base
     space, in the fiber-averaged measure convention.
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    _check_dimension(n)
     _check_time(t)
     if not math.isfinite(r):
         raise ValueError(f"r must be finite, got {r}")

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .specfun import _check_dimension
+
 
 class QuadratureFailureError(RuntimeError):
     """Raised when the quadrature cannot meet its error target."""
@@ -154,8 +156,7 @@ def _grow(bound, start: float, target: float) -> float:
 
 
 def _check_args(n, t: float) -> int:
-    if not (1 <= n < math.inf and n == int(n)):
-        raise ValueError("n must be a positive integer")
+    _check_dimension(n)
     if not (0 < t < math.inf):
         raise ValueError("t must be positive and finite")
     return int(n)

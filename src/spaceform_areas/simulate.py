@@ -16,12 +16,12 @@ bit-identical regardless of the thread count.
 from __future__ import annotations
 
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from .specfun import _check_dimension, _is_int_in
 from .stats import CfEstimate
 
 BLOCK_SIZE = 4096
@@ -51,12 +51,6 @@ class SimConfig:
                              f"[0, 2**64), got {self.master_seed!r}")
 
 
-def _is_int_in(v, lo, hi=math.inf) -> bool:
-    """True for an integer lo <= v < hi of any integral type but bool."""
-    return (isinstance(v, numbers.Integral) and not isinstance(v, bool)
-            and lo <= v < hi)
-
-
 @dataclass(frozen=True)
 class Geometry:
     """Target space selector: complex projective ('cp') or hyperbolic ('ch')."""
@@ -67,8 +61,7 @@ class Geometry:
     def __post_init__(self):
         if self.kind not in ("cp", "ch"):
             raise ValueError("kind must be 'cp' or 'ch'")
-        if not _is_int_in(self.n, 1):
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        _check_dimension(self.n)
 
     @classmethod
     def cp(cls, n: int) -> "Geometry":
@@ -366,8 +359,7 @@ def sample_radial_hyperbolic(n: int, girsanov_lambda: float, r0: float,
     _R_FAR finishes in one closed-form draw (see _hyperbolic_block).
     Raises ValueError unless (n + lambda) dt <= CH_STEP_LIMIT.
     """
-    if not _is_int_in(n, 1):
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    _check_dimension(n)
     if not (0 <= girsanov_lambda < math.inf):
         raise ValueError("girsanov_lambda must be nonnegative and finite")
     if not (0 <= r0 < math.inf):
@@ -717,15 +709,12 @@ def sample_winding(geometry: Geometry, r0: float, cfg: SimConfig,
     return WindingSamples(z * np.sqrt(clock), clock)
 
 
-def sample_planar_area(t: float, cfg: SimConfig, threads: int = 1):
-    """Planar Brownian motion with Levy area by the midpoint rule.
+def sample_planar_area(cfg: SimConfig, threads: int = 1):
+    """Planar Brownian motion to cfg.horizon, Levy area by the midpoint rule.
 
     Returns (z_end complex array, s_end real array).
     """
-    if not (t > 0):
-        raise ValueError("t must be positive")
-    cfg_t = SimConfig(t, min(cfg.dt, t), cfg.paths, cfg.master_seed)
-    dts = _time_grid(cfg_t)
+    dts = _time_grid(cfg)
 
     def block(sub, rngs):
         rng, m = rngs[0], sub.paths
@@ -741,4 +730,4 @@ def sample_planar_area(t: float, cfg: SimConfig, threads: int = 1):
             y += dy
         return x + 1j * y, s
 
-    return _run_blocks(cfg_t, block, threads)
+    return _run_blocks(cfg, block, threads)

@@ -3,16 +3,30 @@
 Jacobi polynomials with real parameters (three-term recurrence) and their
 endpoint bounds through log-gamma ratios, with the two oracles that
 jacobi-selftest checks the recurrence against: the Rodrigues formula at 40
-digits and the eigenfunction identity by finite differences.
+digits and the eigenfunction identity by finite differences; and the
+integer checks every module shares, the dimension check among them.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
+
+
+def _is_int_in(v, lo, hi=math.inf) -> bool:
+    """True for an integer lo <= v < hi of any integral type but bool."""
+    return (isinstance(v, numbers.Integral) and not isinstance(v, bool)
+            and lo <= v < hi)
+
+
+def _check_dimension(n) -> None:
+    """Raise ValueError unless the complex dimension n is an integer >= 1."""
+    if not _is_int_in(n, 1):
+        raise ValueError(f"n must be a positive integer, got {n!r}")
 
 
 @dataclass(frozen=True)

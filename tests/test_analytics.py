@@ -57,6 +57,15 @@ class TestCfConditional:
             cf_marginal_cp(1, 0.0, math.nan)
         with pytest.raises(ValueError, match="t must be finite"):
             cf_conditional_cp(1, 0.0, math.nan, 0.3)
+        # a fractional n, True or inf used to return a CF, and n = 0 to
+        # name JacobiParams' alpha
+        for n in (0, 1.5, 2.0, True, math.inf):
+            with pytest.raises(ValueError,
+                               match="^n must be a positive integer, got "):
+                cf_marginal_cp(n, 1.0, 1.0)
+            with pytest.raises(ValueError,
+                               match="^n must be a positive integer, got "):
+                cf_conditional_cp(n, 1.0, 1.0, 0.3)
 
 
 class TestCfMarginalCp:

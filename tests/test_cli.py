@@ -9,7 +9,7 @@ import pytest
 
 from spaceform_areas import Geometry, SimConfig, cli, densities, sample_area
 from spaceform_areas.cli import (
-    EXPERIMENT_DEFAULTS,
+    EXPERIMENTS,
     ConfigParseError,
     ExperimentSpec,
     UnknownKeyError,
@@ -356,7 +356,7 @@ class TestParseConfig:
         assert spec.resolved_params()["t"] == densities.MIN_TIME
 
     def test_defaults_pass_sampler_checks(self):
-        for name in EXPERIMENT_DEFAULTS:
+        for name in EXPERIMENTS:
             ExperimentSpec(name)
 
     @pytest.mark.parametrize("seed", [1.5, 7.0, True, "7", -1, 2 ** 64],
@@ -440,8 +440,9 @@ class TestRunExperiment:
         def runner(params, seed, threads):
             raise RuntimeError("runner failed")
 
-        monkeypatch.setitem(cli._EXPERIMENT_RUNNERS, "ch1-loop-density",
-                            runner)
+        defaults = EXPERIMENTS["ch1-loop-density"][1]
+        monkeypatch.setitem(EXPERIMENTS, "ch1-loop-density",
+                            (runner, defaults))
         spec = ExperimentSpec(name="ch1-loop-density", output_dir=tmp_path,
                               master_seed=1)
         bundle = run_experiment(spec)

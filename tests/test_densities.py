@@ -175,6 +175,15 @@ class TestBergerKernel:
             with pytest.raises(ValueError, match=rf"\b{name}\b") as e:
                 call()
             assert not isinstance(e.value, TimeTooSmallError)
+        # a fractional n or True used to return a density, and an infinite
+        # n to fail the series with SeriesNotConvergedError
+        for n in (0, 1.5, 2.0, True, math.inf):
+            with pytest.raises(ValueError,
+                               match="^n must be a positive integer, got "):
+                berger_kernel(n, 50.0, 0.5, 0.3, 0.1)
+            with pytest.raises(ValueError,
+                               match="^n must be a positive integer, got "):
+                berger_limit_kernel(n, 0.5, 0.3)
 
 
 def _mp_series(coeff, a, b, t_rate, xs):

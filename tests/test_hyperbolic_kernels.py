@@ -62,6 +62,11 @@ class TestCh1JointDensity:
                            ((math.inf, 1.0, 0.5, 0.0), "n")):
             with pytest.raises(ValueError, match=f"^{name} must"):
                 chn_joint_density(*args)
+        # True and 2.0 used to pass as dimensions
+        for n in (0, 1.5, 2.0, True, math.inf):
+            with pytest.raises(ValueError,
+                               match="^n must be a positive integer, got "):
+                chn_joint_density(n, 1.0, 0.5, 0.0)
 
     def test_window_exhaustion_raises(self, monkeypatch):
         monkeypatch.setattr(hyperbolic_kernels, "MAX_WINDOW", 1.0)
@@ -216,6 +221,11 @@ class TestCh1AreaCf:
         # used to raise QuadratureFailureError after NaN warnings
         with pytest.raises(ValueError, match="^t must"):
             ch_area_cf(1, 0.5, math.inf)
+        # True and 2.0 used to pass as dimensions
+        for n in (0, 1.5, 2.0, True, math.inf):
+            with pytest.raises(ValueError,
+                               match="^n must be a positive integer, got "):
+                ch_area_cf(n, 0.5, 1.0)
 
 
 def _ch1_area_cf_oracle(lam, t):

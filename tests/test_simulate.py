@@ -74,8 +74,10 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match="horizon"):
                 SimConfig(horizon, 1e-2, 8, 1)
 
-    @pytest.mark.parametrize("n", [1.5, 2.0, True, np.float64(1.0), "1"],
-                             ids=["1.5", "2.0", "True", "float64", "str"])
+    @pytest.mark.parametrize("n", [1.5, 2.0, True, math.inf,
+                                   np.float64(1.0), "1"],
+                             ids=["1.5", "2.0", "True", "inf", "float64",
+                                  "str"])
     def test_geometry_rejects_non_integer_n(self, n):
         for kind in ("cp", "ch"):
             with pytest.raises(ValueError, match="n must be a positive int"):
@@ -135,7 +137,7 @@ class TestDeterminism:
                                                  threads=th),
         lambda cfg, th: sample_winding(Geometry.cp(1), 0.7, cfg, threads=th),
         lambda cfg, th: sample_winding(Geometry.ch(1), 0.9, cfg, threads=th),
-        lambda cfg, th: sample_planar_area(0.05, cfg, threads=th),
+        lambda cfg, th: sample_planar_area(cfg, threads=th),
     ], ids=["area-cp", "area-ch", "girsanov-cp", "girsanov-ch", "radial",
             "winding-cp1", "winding-ch1", "planar"])
     def test_every_sampler_identical_at_1_2_4_threads(self, run):
@@ -888,11 +890,14 @@ class TestRadialHyperbolic:
     @pytest.mark.parametrize("field,args", [
         ("n", (1.5, 0.0, 0.0)),
         ("n", (True, 0.0, 0.0)),
+        ("n", (0, 0.0, 0.0)),
+        ("n", (math.inf, 0.0, 0.0)),
         ("girsanov_lambda", (1, math.inf, 0.0)),
         ("girsanov_lambda", (1, math.nan, 0.0)),
         ("r0", (1, 0.0, math.inf)),
         ("r0", (1, 0.0, math.nan)),
-    ], ids=["n-1.5", "n-True", "lam-inf", "lam-nan", "r0-inf", "r0-nan"])
+    ], ids=["n-1.5", "n-True", "n-0", "n-inf", "lam-inf", "lam-nan",
+            "r0-inf", "r0-nan"])
     def test_rejects_non_finite_or_non_integer_input(self, field, args):
         # a non-finite start or tilt gives all-inf or NaN radii, and a
         # fractional n is no dimension
@@ -1071,12 +1076,8 @@ class TestWinding:
 class TestPlanar:
     def test_area_cf_matches_sech(self):
         cfg = SimConfig(1.0, 1e-3, 40000, 51)
-        _, s = sample_planar_area(1.0, cfg)
+        _, s = sample_planar_area(cfg)
         lam = 1.0
         est = empirical_cf(SampleSet(s), lam)
         target = 1.0 / math.cosh(lam)
         assert abs(est.value - target) < 3.0 * est.std_error
-
-    def test_rejects_bad_t(self):
-        with pytest.raises(ValueError):
-            sample_planar_area(-1.0, SimConfig(1.0, 1e-2, 8, 1))
