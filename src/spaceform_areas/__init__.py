@@ -47,7 +47,6 @@ from .specfun import (
 )
 from .stats import (
     CfEstimate,
-    SampleSet,
     empirical_cf,
     ks_statistic,
 )

@@ -48,7 +48,7 @@ from .specfun import (
     _rodrigues_jacobi,
     jacobi_poly,
 )
-from .stats import SampleSet, empirical_cf, ks_statistic
+from .stats import empirical_cf, ks_statistic
 
 
 class UnknownKeyError(ValueError):
@@ -232,6 +232,12 @@ def parse_config(text: str) -> ExperimentSpec:
     offending key; malformed documents raise ConfigParseError with the
     line and column of the failure.
     """
+    return ExperimentSpec(**_config_fields(text))
+
+
+def _config_fields(text: str) -> dict:
+    """The ExperimentSpec fields a JSON config document sets, checked for
+    form but not yet validated as a spec."""
     if not text.strip():
         raise ConfigParseError("empty config document (line 1, column 1)")
     try:
@@ -263,7 +269,7 @@ def parse_config(text: str) -> ExperimentSpec:
             raise ConfigParseError(
                 f"'master_seed' must be an integer, got {seed!r}")
         kwargs["master_seed"] = int(seed)
-    return ExperimentSpec(**kwargs)
+    return kwargs
 
 
 def _coerce_override(value: str):
@@ -371,7 +377,6 @@ def _cf_triangle(geometry, params, seed, threads, dt_direct, dt_girsanov,
     t, paths, sigma = params["t"], int(params["paths"]), params["sigma"]
     area = sample_area(geometry, SimConfig(t, dt_direct, paths, seed),
                        threads=threads)
-    s = SampleSet(area.theta_end)
     rows, checks = [], []
     for k, lam in enumerate(float(v) for v in params["lambdas"]):
         ref = reference(lam)
@@ -379,7 +384,7 @@ def _cf_triangle(geometry, params, seed, threads, dt_direct, dt_girsanov,
             geometry, lam,
             SimConfig(t, dt_girsanov, paths, _sub_seed(seed, k)),
             threads=threads)
-        emp = empirical_cf(s, lam)
+        emp = empirical_cf(area.theta_end, lam)
         z_gr = (gir.value.real - ref[0]) / gir.std_error
         z_dr = (emp.value.real - ref[0]) / emp.std_error
         z_gd = (gir.value.real - emp.value.real) / math.hypot(
@@ -417,7 +422,7 @@ def _exp_cp_cauchy_limit(params, seed, threads):
             Geometry.cp(n),
             SimConfig(t, params["dt"], int(params["paths"]),
                       _sub_seed(seed, j)), threads=threads)
-        s = SampleSet(area.theta_end / t)
+        s = area.theta_end / t
         worst_ana = 0.0
         for lam in lambdas:
             limit = math.exp(-n * lam)
@@ -463,9 +468,9 @@ def _exp_ch_gaussian_limit(params, seed, threads):
             Geometry.ch(n),
             SimConfig(t, params["dt"], int(params["paths"]),
                       _sub_seed(seed, j)), threads=threads)
-        s = SampleSet(area.theta_end / math.sqrt(t))
+        s = area.theta_end / math.sqrt(t)
         d, p = ks_statistic(s, ndtr)
-        rows.append([n, d, p, float(s.values.mean()), float(s.values.var())])
+        rows.append([n, d, p, float(s.mean()), float(s.var())])
         checks.append(_check_ge(f"ks_pvalue_n{n}", p, params["p_min"]))
     table = Table("ch_gaussian_limit",
                   ["n", "ks_statistic", "ks_pvalue", "sample_mean",
@@ -541,8 +546,7 @@ def _exp_winding_cp1(params, seed, threads):
         Geometry.cp(1), params["r0"],
         SimConfig(t, params["dt"], int(params["paths"]), seed),
         threads=threads)
-    s = SampleSet(w.phi_end / t)
-    emp = empirical_cf(s, lam)
+    emp = empirical_cf(w.phi_end / t, lam)
     limit = winding_limit_cf(Geometry.cp(1), params["r0"], lam)
     mean = float(w.phi_end.mean())
     mean_se = float(w.phi_end.std(ddof=1)) / math.sqrt(w.phi_end.size)
@@ -568,10 +572,9 @@ def _exp_winding_ch1(params, seed, threads):
             Geometry.ch(1), r0,
             SimConfig(t, params["dt"], int(params["paths"]),
                       _sub_seed(seed, j)), threads=threads)
-        s = SampleSet(w.phi_end)
         for lam in [float(v) for v in params["lambdas"]]:
             limit = winding_limit_cf(Geometry.ch(1), r0, lam)
-            emp = empirical_cf(s, lam)
+            emp = empirical_cf(w.phi_end, lam)
             z = (emp.value.real - limit) / emp.std_error
             rows.append([r0, lam, limit, emp.value.real, emp.std_error, z])
             checks.append(_check_abs(f"z_winding_r0{r0}_lam{lam}", z, sigma))
@@ -587,7 +590,7 @@ def _exp_levy_baseline(params, seed, threads):
     z_end, s_end = sample_planar_area(
         SimConfig(t, params["dt"], int(params["paths"]), seed),
         threads=threads)
-    emp = empirical_cf(SampleSet(s_end), lam)
+    emp = empirical_cf(s_end, lam)
     quad_cf = _quad_cf_planar(lam, t)
     closed = 1.0 / math.cosh(lam * t)
     z = (emp.value.real - quad_cf) / emp.std_error
@@ -730,26 +733,26 @@ def main(argv=None) -> int:
         if args.threads < 1:
             raise ValueError(
                 f"--threads must be at least 1, got {args.threads}")
+        fields = {"params": {}}
         if args.config is not None:
-            spec = parse_config(Path(args.config).read_text(encoding="utf-8"))
-        elif args.experiment is not None:
-            spec = ExperimentSpec(name=args.experiment)
-        else:
+            fields = _config_fields(
+                Path(args.config).read_text(encoding="utf-8"))
+        elif args.experiment is None:
             ap.error("either --experiment or --config is required")
-        name = args.experiment or spec.name
-        params = dict(spec.params)
+        # the spec is validated once, after every flag is applied, so that
+        # an override can mend the config it overrides
+        if args.experiment is not None:
+            fields["name"] = args.experiment
         for ov in args.override:
             if "=" not in ov:
                 raise ValueError(f"override {ov!r} is not KEY=VALUE")
             key, _, val = ov.partition("=")
-            params[key] = _coerce_override(val)
-        spec = ExperimentSpec(
-            name=name,
-            params=params,
-            output_dir=Path(args.out) if args.out else spec.output_dir,
-            master_seed=args.seed if args.seed is not None
-            else spec.master_seed,
-        )
+            fields["params"][key] = _coerce_override(val)
+        if args.out:
+            fields["output_dir"] = Path(args.out)
+        if args.seed is not None:
+            fields["master_seed"] = args.seed
+        spec = ExperimentSpec(**fields)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

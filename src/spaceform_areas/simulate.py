@@ -663,7 +663,7 @@ def girsanov_cf_estimator(geometry: Geometry, lam: float, cfg: SimConfig,
     n = geometry.n
     t = cfg.horizon
     if lam == 0.0:
-        return CfEstimate(complex(1.0), 0.0, cfg.paths)
+        return CfEstimate(complex(1.0), 0.0)
     if geometry.kind == "cp":
         dts = _time_grid(cfg)
         sin2, = _run_blocks(cfg, lambda sub, rngs: (_cp_tilted_block(
@@ -679,7 +679,7 @@ def girsanov_cf_estimator(geometry: Geometry, lam: float, cfg: SimConfig,
                 f"Girsanov weight above 1 or NaN: max log weight {top}")
         w = np.exp(n * lam * t + log_w)
     se = float(w.std(ddof=1)) / math.sqrt(len(w))
-    return CfEstimate(complex(float(w.mean())), se, len(w))
+    return CfEstimate(complex(float(w.mean())), se)
 
 
 def sample_winding(geometry: Geometry, r0: float, cfg: SimConfig,

@@ -582,6 +582,21 @@ class TestMain:
                            threads=threads)
         assert not (tmp_path / "manifest.json").exists()
 
+    def test_override_mends_the_config(self, tmp_path, capsys):
+        # the spec is validated after the overrides: dt = 0.6 > t alone
+        # exits 2, and naming a valid dt on the command line runs
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps({"experiment": "winding-cp1",
+                                    "params": {"t": 0.5, "dt": 0.6}}))
+        argv = ["--config", str(cfgp), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert "dt = 0.6" in capsys.readouterr().err
+        assert main([*argv, "--override", "dt=0.05",
+                     "--override", "paths=64"]) in (0, 1)
+        man = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert man["config"]["dt"] == 0.05
+        assert man["config"]["t"] == 0.5
+
     def test_config_plus_flag_overrides(self, tmp_path, capsys):
         cfgp = tmp_path / "c.json"
         cfgp.write_text(json.dumps({

@@ -95,7 +95,7 @@ GOLDEN_SAMPLER_CSV = {
     },
     "ch-gaussian-limit": {
         "ch_gaussian_limit.csv":
-            "975eab55e78147a6bfb2376e22252dad94bbe50087ad4bc6374903c651b53ecc",
+            "e8e092f389a0d4c9aee0aaaf1283e7980841b9525d2f20a94d6bad54b7ec6e43",
     },
     "winding-cp1": {
         "winding_cp1.csv":
@@ -121,7 +121,7 @@ GOLDEN_SAMPLER_MANIFEST = {
     "ch-area-cf/n2":
         "0f094b48161599936b2ef2acc0d463ddfa0b5425deae518635262f672d55d436",
     "ch-gaussian-limit":
-        "b1e76326266dc1de03d1c9123c5f77dd69969fe9ee2aeae772b5d7a9164b740f",
+        "2fe3a4de452471d0be8f24479ce3154510ffd3b14b04ea5104ffe27d778fbdb0",
     "winding-cp1":
         "6596e051b8f605787b6236ac4cc65afb088aaaab9856b9260701268bed301160",
     "winding-ch1":
@@ -147,7 +147,7 @@ GOLDEN_LONG_SAMPLER_CSV = {
     },
     "ch-gaussian-limit": {
         "ch_gaussian_limit.csv":
-            "124d929825293c23daa1c3c0a6ce8c65e8cb7c0adcd4dc811a1a9ec249279e5a",
+            "e0d1e39d75ff197704cd5a29e84f1ed99ef6e795abc5a7735cf2770f43307e4b",
     },
     "winding-cp1": {
         "winding_cp1.csv":
@@ -163,7 +163,7 @@ GOLDEN_LONG_SAMPLER_MANIFEST = {
     "cp-cauchy-limit":
         "1a9472e21aadd480b8e21bfe32ef499e7ec25202c77693f2af6578d9c5602f33",
     "ch-gaussian-limit":
-        "41c7517566c1dbc61815320a4a4b498a42370d667d4364455ee427b0637a2e9c",
+        "21ba4ad60e93bd1c1e6bf18cbda021ec091e6015b7080a2029d7952cf370ed9d",
     "winding-cp1":
         "8bb79dff3bb9f6369614740d5ac9338abd607e4fe0920a4aeb9bdcf1963d9957",
     "winding-ch1":

@@ -1,6 +1,8 @@
-"""Source checks that need no import of the package."""
+"""Source checks that need no import of the package, and an import guard
+that runs in a fresh interpreter."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -233,3 +235,17 @@ def test_one_scheduling_site(path):
                   if isinstance(node, ast.FunctionDef)
                   and node.name == "_run_blocks")
     assert runner.lineno <= found[1][0] <= runner.end_lineno
+
+
+# The benchmark's setup_s times a fresh import of the package against a
+# 0.25 s bound.  Importing scipy.stats adds 136 modules and about 0.33 s to
+# it on a 2-core host, so no module may import it; the KS p-value comes
+# from scipy.special.kolmogorov.
+def test_package_import_skips_scipy_stats():
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import spaceform_areas, spaceform_areas.cli; "
+            "print('scipy.stats' in sys.modules)")
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(SOURCES[0].parent.parent)],
+        capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False"]

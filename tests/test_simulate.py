@@ -20,7 +20,6 @@ from spaceform_areas import (
     sample_planar_area,
     sample_radial_hyperbolic,
     sample_winding,
-    SampleSet,
 )
 from spaceform_areas import simulate
 
@@ -1078,6 +1077,6 @@ class TestPlanar:
         cfg = SimConfig(1.0, 1e-3, 40000, 51)
         _, s = sample_planar_area(cfg)
         lam = 1.0
-        est = empirical_cf(SampleSet(s), lam)
+        est = empirical_cf(s, lam)
         target = 1.0 / math.cosh(lam)
         assert abs(est.value - target) < 3.0 * est.std_error
