@@ -35,6 +35,7 @@ from .simulate import (
     Geometry,
     SimConfig,
     check_ch_step,
+    check_ch_winding_r0,
     check_cp_step,
     girsanov_cf_estimator,
     sample_area,
@@ -82,28 +83,16 @@ class ExperimentSpec:
                 f"{self.name!r}; known: {sorted(defaults)}")
         params = self.resolved_params()
         _check_params(params)
-        if self.name == "berger-homogenisation" and not params["lam"] > 0:
-            # there `lam` is the fiber stiffness of berger_kernel
-            raise ValueError(
-                f"'lam' must be positive for berger-homogenisation, got "
-                f"{params['lam']!r}")
-        if (self.name in ("levy-baseline", "winding-cp1")
-                and params["lam"] == 0):
-            # the z-score would divide by a standard error of 0, and the
-            # winding check would compare 1 with 1
-            raise ValueError(
-                f"'lam' must be nonzero for {self.name}, got "
-                f"{params['lam']!r}")
-        if (self.name in ("cp-area-cf", "cp-cauchy-limit",
-                          "berger-homogenisation")
+        if (self.name in ("cp-area-cf", "cp-cauchy-limit")
                 and not params["t"] >= densities.MIN_TIME):
             # their spectral series raise TimeTooSmallError below MIN_TIME
             raise ValueError(
                 f"'t' must be at least {densities.MIN_TIME} for {self.name}, "
                 f"got {params['t']!r}")
-        # the samplers' own step limits, under the config key: the CP one
+        # the samplers' own limits, under the config key: the CP step limit
         # binds the direct area sampler (the CP Girsanov step has none)
-        key = "dt_direct" if self.name == "cp-area-cf" else "dt"
+        key = {"cp-area-cf": "dt_direct",
+               "winding-ch1": "r0s"}.get(self.name, "dt")
         n = int(max(params.get("ns", [params.get("n", 1)])))
         try:
             if self.name in ("cp-area-cf", "cp-cauchy-limit"):
@@ -112,6 +101,9 @@ class ExperimentSpec:
                 check_ch_step(n, max(params["lambdas"]), params[key])
             elif self.name == "ch-gaussian-limit":
                 check_ch_step(n, 0.0, params[key])
+            elif self.name == "winding-ch1":
+                for r0 in params[key]:
+                    check_ch_winding_r0(r0)
         except ValueError as e:
             raise ValueError(f"'{key}': {e}") from None
 
@@ -132,35 +124,30 @@ def _is_count(v) -> bool:
 
 def _check_params(params: dict) -> None:
     """Raise ValueError naming the first parameter a run cannot use:
-    0 < t < inf, `lam`, `theta_lo` and `theta_hi` finite with
-    theta_lo < theta_hi, each tolerance and `sigma` in (0, inf),
-    0 < r0 < pi/2 (winding-cp1), 0 <= p_min < 1, `paths`, `n`, `points`
-    and each of `ns` positive integers, each time step 0 < dt <= t, each
-    list parameter a non-empty list of finite numbers and each of `lambdas`
-    and `r0s` positive."""
+    0 < t < inf, `tol` and `sigma` in (0, inf), 0 <= p_min < 1, `n` and
+    each of `ns` positive integers, `paths` an integer of at least 2, each
+    time step 0 < dt <= t, each list parameter a non-empty list of finite
+    numbers and each of `lambdas` and `r0s` positive."""
     positive = lambda v: 0 < v < math.inf
-    finite = lambda v: -math.inf < v < math.inf
     for key, in_range, bounds in (
             ("t", positive, "0 < t < inf"),
-            ("lam", finite, "-inf < lam < inf"),
-            ("theta_lo", finite, "-inf < theta_lo < inf"),
-            ("theta_hi", finite, "-inf < theta_hi < inf"),
-            *((key, positive, f"0 < {key} < inf")
-              for key in ("tol", "norm_tol", "analytic_tol", "sigma")),
-            ("r0", lambda v: 0 < v < math.pi / 2, "0 < r0 < pi/2"),
+            ("tol", positive, "0 < tol < inf"),
+            ("sigma", positive, "0 < sigma < inf"),
             ("p_min", lambda v: 0 <= v < 1, "0 <= p_min < 1")):
         if key in params and not (_is_number(params[key])
                                   and in_range(params[key])):
             raise ValueError(
                 f"'{key}' must satisfy {bounds}, got {params[key]!r}")
-    if "theta_lo" in params and not params["theta_lo"] < params["theta_hi"]:
+    if "n" in params and not _is_count(params["n"]):
         raise ValueError(
-            f"'theta_lo' must be below 'theta_hi', got theta_lo = "
-            f"{params['theta_lo']!r} with theta_hi = {params['theta_hi']!r}")
-    for key in ("paths", "n", "points"):
-        if key in params and not _is_count(params[key]):
-            raise ValueError(
-                f"'{key}' must be a positive integer, got {params[key]!r}")
+            f"'n' must be a positive integer, got {params['n']!r}")
+    if "paths" in params and not (_is_count(params["paths"])
+                                  and params["paths"] >= 2):
+        # the standard error of one path is 0 or NaN, and z-scores divide
+        # by it
+        raise ValueError(
+            f"'paths' must be an integer of at least 2, got "
+            f"{params['paths']!r}")
     for key in ("dt", "dt_direct", "dt_girsanov"):
         if key in params:
             dt, t = params[key], params["t"]
@@ -435,7 +422,7 @@ def _exp_cp_cauchy_limit(params, seed, threads):
             checks.append(_check_abs(f"z_empirical_vs_limit_n{n}_lam{lam}",
                                      z, sigma))
         checks.append(_check_le(f"analytic_vs_limit_max_err_n{n}", worst_ana,
-                                params["analytic_tol"]))
+                                5e-3))
     table = Table("cp_cauchy_limit",
                   ["n", "lambda", "limit_cf", "analytic_cf", "analytic_err",
                    "empirical_cf", "empirical_se", "z_emp_limit"], rows)
@@ -479,9 +466,8 @@ def _exp_ch_gaussian_limit(params, seed, threads):
 
 
 def _exp_ch1_loop_density(params, seed, threads):
-    t, tol = params["t"], params["tol"]
-    grid = np.linspace(params["theta_lo"], params["theta_hi"],
-                       int(params["points"]))
+    t, tol = params["t"], 1e-4
+    grid = np.linspace(-3.0, 3.0, 21)
     rows = []
     worst = 0.0
     for th in grid:
@@ -501,9 +487,8 @@ def _exp_ch1_loop_density(params, seed, threads):
 
 
 def _exp_berger_homogenisation(params, seed, threads):
-    n = int(params["n"])
-    t = params["t"]
-    lam = params["lam"]
+    # CP^1 at t = 0.5 and fiber stiffness lam = 50; both gates are 1e-6
+    n, t, lam, tol = 1, 0.5, 50.0, 1e-6
     r_grid = np.linspace(0.12, 1.45, 5)
     th_grid = np.linspace(0.0, 2.0 * math.pi, 5, endpoint=False)
     rows = []
@@ -518,7 +503,7 @@ def _exp_berger_homogenisation(params, seed, threads):
     tables = [Table("berger_homogenisation",
                     ["r", "theta", "kernel", "limit_kernel", "abs_diff"],
                     rows)]
-    checks = [_check_le("homogenisation_max_abs_diff", worst, params["tol"])]
+    checks = [_check_le("homogenisation_max_abs_diff", worst, tol)]
     # kernel normalization against its fiber-averaged reference measure
     pref = 2.0 * math.pi ** n / math.gamma(n)
 
@@ -532,7 +517,7 @@ def _exp_berger_homogenisation(params, seed, threads):
                     limit=200)
     total *= 2.0 * math.pi
     checks.append(_check_le("kernel_normalization_err", abs(total - 1.0),
-                            params["norm_tol"]))
+                            tol))
     tables.append(Table("berger_normalization",
                         ["lam", "t", "integral", "abs_err"],
                         [[lam, t, total, abs(total - 1.0)]]))
@@ -540,14 +525,13 @@ def _exp_berger_homogenisation(params, seed, threads):
 
 
 def _exp_winding_cp1(params, seed, threads):
-    t = params["t"]
-    lam = params["lam"]
+    t, r0, lam = params["t"], math.pi / 4.0, 1.0
     w = sample_winding(
-        Geometry.cp(1), params["r0"],
+        Geometry.cp(1), r0,
         SimConfig(t, params["dt"], int(params["paths"]), seed),
         threads=threads)
     emp = empirical_cf(w.phi_end / t, lam)
-    limit = winding_limit_cf(Geometry.cp(1), params["r0"], lam)
+    limit = winding_limit_cf(Geometry.cp(1), r0, lam)
     mean = float(w.phi_end.mean())
     mean_se = float(w.phi_end.std(ddof=1)) / math.sqrt(w.phi_end.size)
     table = Table("winding_cp1",
@@ -585,8 +569,7 @@ def _exp_winding_ch1(params, seed, threads):
 
 
 def _exp_levy_baseline(params, seed, threads):
-    t = params["t"]
-    lam = params["lam"]
+    t, lam = params["t"], 1.0
     z_end, s_end = sample_planar_area(
         SimConfig(t, params["dt"], int(params["paths"]), seed),
         threads=threads)
@@ -616,7 +599,7 @@ EXPERIMENTS = {
     }),
     "cp-cauchy-limit": (_exp_cp_cauchy_limit, {
         "t": 50.0, "ns": (1, 2), "lambdas": (0.25, 0.5, 1.0, 2.0),
-        "paths": 10000, "dt": 0.01, "analytic_tol": 5e-3, "sigma": 3.0,
+        "paths": 10000, "dt": 0.01, "sigma": 3.0,
     }),
     "ch-area-cf": (_exp_ch_area_cf, {
         "n": 1, "t": 1.0, "lambdas": (0.5, 1.0), "paths": 100000,
@@ -626,23 +609,17 @@ EXPERIMENTS = {
         "t": 50.0, "ns": (1, 2, 3), "paths": 10000, "dt": 0.01,
         "p_min": 0.01,
     }),
-    "ch1-loop-density": (_exp_ch1_loop_density, {
-        "t": 1.0, "theta_lo": -3.0, "theta_hi": 3.0, "points": 21,
-        "tol": 1e-4,
-    }),
-    "berger-homogenisation": (_exp_berger_homogenisation, {
-        "n": 1, "t": 0.5, "lam": 50.0, "tol": 1e-6, "norm_tol": 1e-6,
-    }),
+    "ch1-loop-density": (_exp_ch1_loop_density, {"t": 1.0}),
+    "berger-homogenisation": (_exp_berger_homogenisation, {}),
     "winding-cp1": (_exp_winding_cp1, {
-        "t": 30.0, "r0": math.pi / 4.0, "lam": 1.0, "paths": 10000,
-        "dt": 0.01, "tol": 0.05, "sigma": 3.0,
+        "t": 30.0, "paths": 10000, "dt": 0.01, "tol": 0.05, "sigma": 3.0,
     }),
     "winding-ch1": (_exp_winding_ch1, {
         "t": 100.0, "r0s": (0.5, 1.0), "lambdas": (0.5, 1.0, 2.0),
         "paths": 10000, "dt": 0.01, "sigma": 3.0,
     }),
     "levy-baseline": (_exp_levy_baseline, {
-        "t": 1.0, "lam": 1.0, "paths": 100000, "dt": 1e-3, "sigma": 3.0,
+        "t": 1.0, "paths": 100000, "dt": 1e-3, "sigma": 3.0,
     }),
 }
 

@@ -433,6 +433,17 @@ _BULK_DT = _H_FLOOR / 4.0
 _SWEEP_HEADROOM = 64.0
 
 
+def check_ch_winding_r0(r0) -> None:
+    """Raise ValueError unless _winding_phi steps a CH^1 lane from r0 > 0:
+    once log tanh r0 > -_M_FLOOR_CH, from r0 about atanh(exp(-_M_FLOOR_CH))
+    = 9.557 on, every lane retires at t = 0 and the winding has no spread."""
+    if math.log(math.tanh(r0)) > -_M_FLOOR_CH:
+        raise ValueError(
+            f"the CH^1 winding needs r0 below atanh(exp(-{_M_FLOOR_CH:g})) = "
+            f"{math.atanh(math.exp(-_M_FLOOR_CH)):.6g}, where every lane "
+            f"retires at t = 0, got r0 = {r0}")
+
+
 def _fill_normals(rngs: list, blocks, out: np.ndarray) -> None:
     """Fill each listed block's slice of out from that block's stream."""
     for i in blocks:

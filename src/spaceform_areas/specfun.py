@@ -79,24 +79,14 @@ def jacobi_poly(m: int, p: JacobiParams, x):
     return _jacobi_table(m, p.alpha, p.beta, x if x.ndim else float(x))[m]
 
 
-def jacobi_poly_at_one(m: int, alpha: float) -> float:
-    """P_m^{alpha,beta}(1) = binom(m+alpha, m), independent of beta."""
-    if m < 0:
-        raise ValueError(f"degree must be nonnegative, got {m}")
-    return math.exp(log_gamma_ratio(m + alpha + 1.0, alpha + 1.0) - gammaln(m + 1.0))
-
-
 def jacobi_endpoint_bound(m: int, alpha: float, beta: float) -> float:
-    """max(|P_m(1)|, |P_m(-1)|); bounds |P_m| on [-1,1] for alpha,beta >= -1/2."""
-    return max(jacobi_poly_at_one(m, alpha), jacobi_poly_at_one(m, beta))
-
-
-def log_gamma_ratio(a: float, b: float) -> float:
-    """ln(Gamma(a)/Gamma(b)) without overflow, for positive a, b."""
-    if a <= 0 or b <= 0:
-        raise ValueError(f"arguments must be positive, got ({a}, {b})")
-    return float(gammaln(a) - gammaln(b))
-
+    """max(|P_m(1)|, |P_m(-1)|) = max(binom(m+alpha, m), binom(m+beta, m)),
+    by log-gamma without overflow; bounds |P_m| on [-1,1] for
+    alpha,beta >= -1/2."""
+    lg_m = gammaln(m + 1.0)
+    return max(
+        math.exp(gammaln(m + alpha + 1.0) - gammaln(alpha + 1.0) - lg_m),
+        math.exp(gammaln(m + beta + 1.0) - gammaln(beta + 1.0) - lg_m))
 
 
 def _rodrigues_jacobi(m: int, alpha: float, beta: float, x: float) -> float:

@@ -39,7 +39,7 @@ class TestParseConfig:
         assert spec.master_seed == 99
         assert spec.output_dir == Path("results/w")
         assert spec.resolved_params()["paths"] == 500
-        assert spec.resolved_params()["lam"] == 1.0
+        assert spec.resolved_params()["tol"] == 0.05
 
     def test_unknown_top_level_key_named(self):
         with pytest.raises(UnknownKeyError, match="pahts"):
@@ -121,13 +121,18 @@ class TestParseConfig:
         ("cp-area-cf", "lambdas", [0.5, 0.0]),
         ("cp-area-cf", "lambdas", [-0.5]),
         ("winding-ch1", "lambdas", [0.0]),
+        ("levy-baseline", "paths", 1),
+        ("cp-area-cf", "paths", 1),
+        ("ch-area-cf", "paths", 1.0),
+        ("winding-cp1", "paths", 1),
     ])
     def test_bad_sampler_param_named(self, name, key, value, tmp_path):
         # each used to reach the run: a failed `completed` check (exit 1),
         # a silently truncated n (int(2.5) == 2) or, for an empty list, a
         # run with no CF check at all (exit 0); a zero lambda divided by a
         # standard error of 0 and a negative one failed the Girsanov
-        # estimator (exit 1)
+        # estimator (exit 1); one path has a standard error of 0, which a
+        # z-score divided by (exit 1), or of NaN, written as the z-score
         text = json.dumps({"experiment": name, "params": {key: value}})
         with pytest.raises(ValueError, match=f"'{key}'"):
             parse_config(text)
@@ -144,6 +149,8 @@ class TestParseConfig:
         ("winding-cp1", "r0", "0.7"),
         ("winding-ch1", "r0s", [0.5, 0.0]),
         ("winding-ch1", "r0s", [-1.0]),
+        ("winding-ch1", "r0s", [0.5, 9.6]),
+        ("winding-ch1", "r0s", [30.0]),
         ("cp-area-cf", "sigma", 0.0),
         ("levy-baseline", "sigma", -3.0),
         ("winding-cp1", "sigma", float("inf")),
@@ -154,7 +161,9 @@ class TestParseConfig:
     ])
     def test_bad_sampler_scalar_named(self, name, key, value, tmp_path):
         # an r0 outside (0, pi/2) used to fail inside sample_winding (exit
-        # 1); sigma <= 0 or NaN failed every z-check, or none, silently
+        # 1), and a CH^1 r0 from which every lane retires at t = 0 divided
+        # by a standard error of 0 (exit 1); sigma <= 0 or NaN failed every
+        # z-check, or none, silently
         text = json.dumps({"experiment": name, "params": {key: value}})
         with pytest.raises(ValueError, match=f"'{key}'"):
             parse_config(text)
@@ -175,7 +184,8 @@ class TestParseConfig:
     ])
     def test_bad_quadrature_count_named(self, name, key, value, tmp_path):
         # points = 0 used to write a passing verdict that compared nothing
-        # (check value 0.0); points = 2.7 ran 2 points
+        # (check value 0.0) and points = 2.7 ran 2 points; the grid is now
+        # fixed at 21 points, so any `points` is an unknown key
         text = json.dumps({"experiment": name, "params": {key: value}})
         with pytest.raises(ValueError, match=f"'{key}'"):
             parse_config(text)
@@ -215,7 +225,10 @@ class TestParseConfig:
         # tolerance <= 0 failed one that no value could pass, a Berger
         # stiffness <= 0 failed inside berger_kernel and a zero planar lam
         # divided by a standard error of 0 (exit 1); a zero winding lam
-        # passed by comparing 1 with 1
+        # passed by comparing 1 with 1.  lam, theta_lo, theta_hi, norm_tol,
+        # analytic_tol, ch1-loop-density's tol and berger-homogenisation's
+        # t are now literals of their runners, so a config that sets one is
+        # rejected as an unknown key, by name
         text = json.dumps({"experiment": name, "params": {key: value}})
         with pytest.raises(ValueError, match=f"'{key}'"):
             parse_config(text)
@@ -262,19 +275,26 @@ class TestParseConfig:
             ExperimentSpec(name, params)
         assert str(parsed.value) == f"'{key}': {raised.value}"
 
-    @pytest.mark.parametrize("key", ["m_max_oracle", "m_max_eig", "oracle_tol",
-                                     "eig_tol", "norm_tol"])
-    def test_jacobi_selftest_takes_no_parameters(self, key, tmp_path, capsys):
-        # its degrees and tolerances are fixed in the experiment
-        text = json.dumps({"experiment": "jacobi-selftest",
-                           "params": {key: 1}})
+    @pytest.mark.parametrize("name,key", [
+        *(pytest.param("jacobi-selftest", key, id=key) for key in (
+            "m_max_oracle", "m_max_eig", "oracle_tol", "eig_tol",
+            "norm_tol")),
+        *(pytest.param("berger-homogenisation", key,
+                       id=f"berger-homogenisation-{key}")
+          for key in ("n", "t", "lam", "tol", "norm_tol")),
+    ])
+    def test_jacobi_selftest_takes_no_parameters(self, name, key, tmp_path,
+                                                 capsys):
+        # the degrees and tolerances of jacobi-selftest, and the dimension,
+        # time, stiffness and tolerances of berger-homogenisation, are
+        # fixed in the experiment
+        text = json.dumps({"experiment": name, "params": {key: 1}})
         with pytest.raises(UnknownKeyError, match=key):
             parse_config(text)
         cfgp = tmp_path / "c.json"
         cfgp.write_text(text)
         for argv in (["--config", str(cfgp)],
-                     ["--experiment", "jacobi-selftest", "--override",
-                      f"{key}=1"]):
+                     ["--experiment", name, "--override", f"{key}=1"]):
             assert main([*argv, "--out", str(tmp_path / "o")]) == 2
             assert key in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
@@ -309,21 +329,16 @@ class TestParseConfig:
         ExperimentSpec(name, {**params, "dt": 100.0 / (n + lam)})
 
     def test_scalars_accept_edges(self):
-        ExperimentSpec("ch1-loop-density", {"t": 1e-9, "tol": 1e-300,
-                                            "theta_lo": -1e-9,
-                                            "theta_hi": 0.0})
-        ExperimentSpec("winding-cp1", {"lam": -1e-9, "tol": 1e9})
+        ExperimentSpec("ch1-loop-density", {"t": 1e-9})
+        ExperimentSpec("winding-cp1", {"tol": 1e9})
         ExperimentSpec("cp-area-cf", {"lambdas": [1e-9]})
-
-    def test_quadrature_counts_accept_edges(self):
-        ExperimentSpec("ch1-loop-density", {"points": 1})
-        ExperimentSpec("ch1-loop-density", {"points": 21.0})
+        ExperimentSpec("levy-baseline", {"paths": 2.0})
 
     def test_scalar_bounds_accept_edges(self):
-        ExperimentSpec("winding-cp1", {"r0": 1e-9, "sigma": 1e-9})
-        ExperimentSpec("winding-cp1", {"r0": math.pi / 2 - 1e-9})
+        ExperimentSpec("winding-cp1", {"sigma": 1e-9})
         ExperimentSpec("ch-gaussian-limit", {"p_min": 0.0})
-        ExperimentSpec("winding-ch1", {"r0s": [1e-9, 30]})
+        # below atanh(exp(-1e-8)) = 9.557, where every lane retires at t = 0
+        ExperimentSpec("winding-ch1", {"r0s": [1e-9, 9.5]})
 
     def test_dt_bound_uses_overridden_t(self):
         with pytest.raises(ValueError, match="'dt'"):
@@ -333,10 +348,9 @@ class TestParseConfig:
         assert spec.resolved_params()["dt"] == 0.5
 
     @pytest.mark.parametrize("name,params", [
-        ("berger-homogenisation", {"t": 1e-4}),
         ("cp-area-cf", {"t": 5e-4, "dt_direct": 1e-4, "dt_girsanov": 1e-4}),
         ("cp-cauchy-limit", {"t": 5e-4, "dt": 1e-4}),
-    ], ids=["berger-homogenisation", "cp-area-cf", "cp-cauchy-limit"])
+    ], ids=["cp-area-cf", "cp-cauchy-limit"])
     def test_series_time_below_min_time_named(self, name, params, tmp_path):
         # each used to fail its `completed` check with TimeTooSmallError
         # (exit 1) once the spectral series met t < densities.MIN_TIME
@@ -376,6 +390,45 @@ class TestParseConfig:
         spec = parse_config(
             '{"experiment": "levy-baseline", "master_seed": 7.0}')
         assert spec.master_seed == 7 and isinstance(spec.master_seed, int)
+
+
+# Sizes at which each sampler experiment runs in milliseconds; the others
+# run at their defaults.
+_SMALL_PARAMS = {
+    "cp-area-cf": {"t": 0.25, "lambdas": [1.0], "paths": 64,
+                   "dt_direct": 0.05, "dt_girsanov": 0.05},
+    "cp-cauchy-limit": {"t": 1.0, "ns": [1], "lambdas": [1.0], "paths": 64,
+                        "dt": 0.1},
+    "ch-area-cf": {"t": 0.5, "lambdas": [0.5], "paths": 64, "dt": 0.05},
+    "ch-gaussian-limit": {"t": 1.0, "ns": [1], "paths": 64, "dt": 0.1},
+    "winding-cp1": {"t": 1.0, "paths": 64, "dt": 0.1},
+    "winding-ch1": {"t": 1.0, "r0s": [0.5], "lambdas": [1.0], "paths": 64,
+                    "dt": 0.1},
+    "levy-baseline": {"paths": 64, "dt": 0.1},
+}
+
+
+class _ReadRecorder(dict):
+    """A parameter mapping that records every key read from it."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+class TestExperimentTable:
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_runner_reads_every_default_key(self, name):
+        # a key that no runner reads is a setting that changes nothing
+        runner, defaults = EXPERIMENTS[name]
+        spec = ExperimentSpec(name, _SMALL_PARAMS.get(name, {}))
+        params = _ReadRecorder(spec.resolved_params())
+        runner(params, spec.master_seed, 1)
+        assert params.read == set(defaults)
 
 
 class TestOverrides:
@@ -605,10 +658,10 @@ class TestMain:
             "master_seed": 5,
         }))
         rc = main(["--config", str(cfgp), "--out", str(tmp_path / "o"),
-                   "--seed", "11", "--override", "lam=0.5"])
+                   "--seed", "11", "--override", "sigma=4.0"])
         assert rc == 0
         man = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert man["master_seed"] == 11
-        assert man["config"]["lam"] == 0.5
+        assert man["config"]["sigma"] == 4.0
         assert man["config"]["paths"] == 4096
 

@@ -41,7 +41,7 @@ GOLDEN_CSV = {
 
 GOLDEN_MANIFEST = {
     "berger-homogenisation":
-        "95153ec58a5c2f90f242767f0b0cb9ccae1265cf456226a0cbecfb41b9c1ac4a",
+        "884631cae601feafc8da3daf9044f589ea4d05e39d3cf6635cd570a365b2e597",
     "jacobi-selftest":
         "8b0fd65fd56e44e929034eb1d5fe87a504db49446485f7eaa0d67d0782f28d09",
 }
@@ -115,7 +115,7 @@ GOLDEN_SAMPLER_MANIFEST = {
     "cp-area-cf":
         "af5b67456c0dd0501e57377c6a500c1ce53fcc48c464863732475f860f15228c",
     "cp-cauchy-limit":
-        "c2728a9e3d41b9721ce091b1ec5301d088c9288f735d4bfaaffffabba2abfa40",
+        "8e874d412df5699f4a83e9e8f3d1a6df9b456a821b3fe8344b79aa2e08179c03",
     "ch-area-cf":
         "1324f7f23e734a881f484b1752da724b9fb88691f6702eb6265e9b10aaf77ea3",
     "ch-area-cf/n2":
@@ -123,11 +123,11 @@ GOLDEN_SAMPLER_MANIFEST = {
     "ch-gaussian-limit":
         "2fe3a4de452471d0be8f24479ce3154510ffd3b14b04ea5104ffe27d778fbdb0",
     "winding-cp1":
-        "6596e051b8f605787b6236ac4cc65afb088aaaab9856b9260701268bed301160",
+        "0e7faa32d08514b4a1a21695c712449b73564c5607b958c048f686963702fb6b",
     "winding-ch1":
         "d4b820a15a3d21bead5ffbcdb6219bb916a5c412e76a6daa3d802aae09e2e66e",
     "levy-baseline":
-        "0ed052791a8e9870dfdc57d3715f6ccc635e0cd12ab6de8ec6ad7cbd1412e03e",
+        "a529031ddfeb13bb6120c2ebae90df411e2c543c22969f590e90af77f054516a",
 }
 
 # The long-time regime, one block each: the CH samplers finish their far
@@ -161,11 +161,11 @@ GOLDEN_LONG_SAMPLER_CSV = {
 
 GOLDEN_LONG_SAMPLER_MANIFEST = {
     "cp-cauchy-limit":
-        "1a9472e21aadd480b8e21bfe32ef499e7ec25202c77693f2af6578d9c5602f33",
+        "034ab1848d09f1542e71ea636b51dfdd761296ee94be28b7f5206b6597fa97df",
     "ch-gaussian-limit":
         "21ba4ad60e93bd1c1e6bf18cbda021ec091e6015b7080a2029d7952cf370ed9d",
     "winding-cp1":
-        "8bb79dff3bb9f6369614740d5ac9338abd607e4fe0920a4aeb9bdcf1963d9957",
+        "d521eba783d895e870b2b108519f871bdf0e849cf72748f14f6d2121e9cfa9bb",
     "winding-ch1":
         "2a4da5e380aa060653630815c8beb5d99a877903aa4802d17b59a6ea02d0f8d2",
 }

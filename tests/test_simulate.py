@@ -91,6 +91,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             sample_winding(Geometry.ch(1), -0.3, cfg)
 
+    @pytest.mark.parametrize("r0,stepped", [(9.5, True), (9.6, False)])
+    def test_ch_winding_r0_limit_is_where_every_lane_retires(self, r0,
+                                                             stepped):
+        # check_ch_winding_r0 rejects exactly the r0 from which the sampler
+        # retires every CH^1 lane at t = 0, leaving a clock of 0
+        w = sample_winding(Geometry.ch(1), r0, SimConfig(1.0, 1e-2, 64, 3))
+        assert bool(np.any(w.clock > 0.0)) == stepped
+        if stepped:
+            simulate.check_ch_winding_r0(r0)
+        else:
+            with pytest.raises(ValueError, match="every lane retires"):
+                simulate.check_ch_winding_r0(r0)
+
 
 class TestDeterminism:
     def test_area_byte_identical_across_threads(self):

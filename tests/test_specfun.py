@@ -7,11 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spaceform_areas import JacobiParams, jacobi_poly
-from spaceform_areas.specfun import (
-    _rodrigues_jacobi,
-    jacobi_poly_at_one,
-    log_gamma_ratio,
-)
+from spaceform_areas.specfun import _rodrigues_jacobi, jacobi_endpoint_bound
 
 
 class TestJacobiParams:
@@ -44,10 +40,15 @@ class TestJacobiPoly:
             expected, abs=1e-10)
 
     def test_value_at_one_matches_closed_form(self):
+        # the endpoint bound is the larger of |P_m(1)| = binom(m+alpha, m)
+        # and |P_m(-1)| = binom(m+beta, m)
         for m in range(9):
             p = JacobiParams(1.3, 0.4)
-            assert jacobi_poly(m, p, 1.0) == pytest.approx(
-                jacobi_poly_at_one(m, p.alpha), rel=1e-12)
+            ends = max(abs(jacobi_poly(m, p, 1.0)),
+                       abs(jacobi_poly(m, p, -1.0)))
+            assert jacobi_poly(m, p, 1.0) == ends
+            assert ends == pytest.approx(
+                jacobi_endpoint_bound(m, p.alpha, p.beta), rel=1e-12)
 
     def test_domain_errors(self):
         p = JacobiParams(0.0, 0.0)
@@ -93,17 +94,6 @@ class TestJacobiPoly:
             arr = jacobi_poly(m, p, xs)
             assert arr.shape == xs.shape
             assert arr.tolist() == [jacobi_poly(m, p, float(x)) for x in xs]
-
-
-class TestLogGammaRatio:
-    def test_matches_lgamma_difference(self):
-        for a, b in ((1.0, 2.0), (10.5, 0.3), (300.0, 299.0)):
-            assert log_gamma_ratio(a, b) == pytest.approx(
-                math.lgamma(a) - math.lgamma(b), rel=1e-13, abs=1e-13)
-
-    def test_large_arguments_do_not_overflow(self):
-        v = log_gamma_ratio(500.5, 2.0)
-        assert math.isfinite(v)
 
 
 class TestRodriguesOracle:
