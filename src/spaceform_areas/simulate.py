@@ -4,8 +4,9 @@ The CH^n radius and the tilted CP^n radius of the Girsanov route take a
 fixed-grid splitting step of exact flows (_split_step); the CP^n area and
 the heavy-tailed n = 1 winding clocks step in clock time.
 
-All samplers draw from counter-based (Philox) substreams keyed by
-(master_seed, block index), with paths partitioned into fixed-size blocks.
+All samplers draw from SFC64 streams, one per block of a fixed-size
+partition of the paths: block i's stream is seeded by the SeedSequence of
+master_seed with spawn key (i,), numpy's spawned child i.
 _run_blocks runs the blocks of a call in at most `threads` contiguous
 groups, one thread each: a clock-time sampler steps a group in sweep loops
 (_clock_sweeps) of at most 4 blocks, a fixed-grid one block by block.
@@ -96,14 +97,15 @@ class WindingSamples:
 
 
 def _block_rng(master_seed: int, block_index: int) -> np.random.Generator:
-    # int(): a numpy integer would shift and or in a fixed-width type
-    return np.random.Generator(
-        np.random.Philox(key=(int(block_index) << 64) | int(master_seed)))
+    """SFC64 seeded by child block_index of SeedSequence(master_seed), as
+    SeedSequence(master_seed).spawn(block_index + 1)[block_index]."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(
+        int(master_seed), spawn_key=(int(block_index),))))
 
 
 def _block_rngs(cfg: SimConfig, offset: int = 0) -> list:
-    """The Philox stream of every block of cfg.paths, keyed by offset plus
-    the block index."""
+    """The stream of every block of cfg.paths, spawn key offset plus the
+    block index."""
     return [_block_rng(cfg.master_seed, offset + i)
             for i in range(-(-cfg.paths // BLOCK_SIZE))]
 
@@ -121,7 +123,7 @@ def _time_grid(cfg: SimConfig) -> np.ndarray:
 def _run_blocks(cfg: SimConfig, step, threads: int, sweep=False) -> tuple:
     """Concatenate, in block order, each value that step(sub, rngs)
     returns over the blocks of cfg.paths, sub being the SimConfig of the
-    lanes stepped and rngs their blocks' Philox streams.
+    lanes stepped and rngs their blocks' streams (_block_rngs).
 
     The blocks run in at most `threads` contiguous groups, the first on
     the calling thread and the others on a pool.  Without sweep, step runs
@@ -450,6 +452,16 @@ def _fill_normals(rngs: list, blocks, out: np.ndarray) -> None:
         rngs[i].standard_normal(out=out[i * BLOCK_SIZE:(i + 1) * BLOCK_SIZE])
 
 
+def _angle_normals(cfg: SimConfig) -> np.ndarray:
+    """One normal per path of cfg, block i's from the stream of spawn key
+    (1 << 62) + i, so that an angle drawn given the radial path does not
+    depend on how the radial sampler consumed its block's stream."""
+    rngs = _block_rngs(cfg, offset=1 << 62)
+    z = np.empty(cfg.paths)
+    _fill_normals(rngs, range(len(rngs)), z)
+    return z
+
+
 def _clock_sweeps(cfg: SimConfig, rngs: list, tau: np.ndarray,
                   z: np.ndarray, fine_sweeps: float = 0.0):
     """Yield the live mask tau < cfg.horizon of each sweep over every path
@@ -640,22 +652,20 @@ def sample_area(geometry: Geometry, cfg: SimConfig,
 
     Given the radial path, theta is a Brownian motion run at the clock A_t
     (the integral of tan^2 r or tanh^2 r), so it is drawn exactly as
-    sqrt(A_t) * Z, Z drawn from the block's stream after its radial path.
+    sqrt(A_t) * Z, Z from _angle_normals.
     """
     cp = geometry.kind == "cp"
     dts = None if cp else _time_grid(cfg)
 
     def step(sub, rngs):
         if cp:
-            r_end, clock = _cp_area_phi(geometry.n, sub, rngs)
-        else:
-            r_end, clock, _ = _hyperbolic_block(
-                geometry.n, 0.0, 0.0, dts, rngs[0], sub.paths, True, False)
-        z = np.empty(sub.paths)
-        _fill_normals(rngs, range(len(rngs)), z)
-        return r_end, np.sqrt(clock) * z, clock
+            return _cp_area_phi(geometry.n, sub, rngs)
+        r_end, clock, _ = _hyperbolic_block(
+            geometry.n, 0.0, 0.0, dts, rngs[0], sub.paths, True, False)
+        return r_end, clock
 
-    return AreaSamples(*_run_blocks(cfg, step, threads, sweep=cp))
+    r_end, clock = _run_blocks(cfg, step, threads, sweep=cp)
+    return AreaSamples(r_end, np.sqrt(clock) * _angle_normals(cfg), clock)
 
 
 def girsanov_cf_estimator(geometry: Geometry, lam: float, cfg: SimConfig,
@@ -699,7 +709,8 @@ def sample_winding(geometry: Geometry, r0: float, cfg: SimConfig,
 
     cp1: radial generator (1/2)(d^2 + 2 cot 2r d), clock integrand 4/sin^2 2r;
     ch1: radial generator (1/2)(d^2 + 2 coth 2r d), clock integrand 4/sinh^2 2r.
-    The angle is drawn as sqrt(clock) * Z (exact given the radial path).
+    The angle is drawn as sqrt(clock) * Z (exact given the radial path), Z
+    from _angle_normals.
     """
     if geometry.n != 1:
         raise ValueError("winding samplers are defined for n = 1 only")
@@ -712,12 +723,7 @@ def sample_winding(geometry: Geometry, r0: float, cfg: SimConfig,
     clock, = _run_blocks(
         cfg, lambda sub, rngs: (_winding_phi(geometry.kind, r0, sub, rngs),),
         threads, sweep=True)
-    # the winding draw must not depend on how the radial sampler consumed
-    # randomness, so each block uses a dedicated offset substream
-    angle_rngs = _block_rngs(cfg, offset=1 << 62)
-    z = np.empty(cfg.paths)
-    _fill_normals(angle_rngs, range(len(angle_rngs)), z)
-    return WindingSamples(z * np.sqrt(clock), clock)
+    return WindingSamples(_angle_normals(cfg) * np.sqrt(clock), clock)
 
 
 def sample_planar_area(cfg: SimConfig, threads: int = 1):

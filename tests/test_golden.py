@@ -79,55 +79,55 @@ SAMPLER_PARAMS = {
 GOLDEN_SAMPLER_CSV = {
     "cp-area-cf": {
         "cp_area_cf.csv":
-            "903fdb761f5d714a8e5a1270e32a5eb7b3c86160f75cf164ad38ed563506806d",
+            "7a33ace06e4da0c7e785b783cca6dc63763c2ee0647b6d64ac6311771d2faa5e",
     },
     "cp-cauchy-limit": {
         "cp_cauchy_limit.csv":
-            "0fda608596b70330bb9a5a7231eb18b418db6e97531cb795df6d92cb8a786dc7",
+            "60f6d097358952181d1de4ebcec703bf03605e8a7ca97fcdbad17d6ac18242c8",
     },
     "ch-area-cf": {
         "ch_area_cf.csv":
-            "d85c662d2259f82a9f28d5a89af0fe1c3b54404d0a7c9482a79a9a82de2ec55c",
+            "493ea29f4489c99c9d06cf81b5bbbf3398ad92f129b1003e1436ddcd98ddd48d",
     },
     "ch-area-cf/n2": {
         "ch_area_cf.csv":
-            "2223e4b3681c3370567561dc7ef4f613851871eaeeba5e7c356c1d83b5459711",
+            "12bafbc9cd5aece3547e2fdce544dc88dd7623e440d37d874508fa3d807a21d4",
     },
     "ch-gaussian-limit": {
         "ch_gaussian_limit.csv":
-            "e8e092f389a0d4c9aee0aaaf1283e7980841b9525d2f20a94d6bad54b7ec6e43",
+            "f8470ba3474f624f9eaec109cdc1261863467493487bbe50fea336164e21f338",
     },
     "winding-cp1": {
         "winding_cp1.csv":
-            "29280aa3ca243b6cb5119612da857b23f4c3289083c8ea33806639f40fe4c411",
+            "12ea705f2b306b452e3c6c873f7afd41cfca25809736e6953ec926a101289bac",
     },
     "winding-ch1": {
         "winding_ch1.csv":
-            "3502452c4f6fdbd5a4c39ecd64cb4120b7e2c7bf0ee0ea6f8ec2278d286643ec",
+            "bc3d728bc0f857991c9a5a44edfb7d9ea51e18e4c3ff3f8722b4093cae7c05e6",
     },
     "levy-baseline": {
         "levy_baseline.csv":
-            "e021b70a93c8d15a4bcce9f767840215958df4bee53bd2b968762938f44f181f",
+            "482d31448f5345db4a2941c62787e5a5a398d69525ffe210787296714aab2fb8",
     },
 }
 
 GOLDEN_SAMPLER_MANIFEST = {
     "cp-area-cf":
-        "af5b67456c0dd0501e57377c6a500c1ce53fcc48c464863732475f860f15228c",
+        "e843832c61a6a126bff68b2f94ddce40987484e6ab885cb62d7710604259672d",
     "cp-cauchy-limit":
-        "8e874d412df5699f4a83e9e8f3d1a6df9b456a821b3fe8344b79aa2e08179c03",
+        "ad67c0e97076879e38e256b12a346ae7c8b93fc98fc21668f02e94556450d61d",
     "ch-area-cf":
-        "1324f7f23e734a881f484b1752da724b9fb88691f6702eb6265e9b10aaf77ea3",
+        "79d3a025dc3423684ea3bdbee8b9c031d6659da5708a1066e728e3c8189f9c88",
     "ch-area-cf/n2":
-        "0f094b48161599936b2ef2acc0d463ddfa0b5425deae518635262f672d55d436",
+        "e16d9c49f3ed7b380c708041e6996b23a0069fed457603fffa31bdda08098878",
     "ch-gaussian-limit":
-        "2fe3a4de452471d0be8f24479ce3154510ffd3b14b04ea5104ffe27d778fbdb0",
+        "e6858caa5a2fe8d95a683c3922e8faa704db9c6dad6472c63952da94f3aff854",
     "winding-cp1":
-        "0e7faa32d08514b4a1a21695c712449b73564c5607b958c048f686963702fb6b",
+        "b640e8b98a1c254ef594205ed675e7ed4724a0ba6a3bc9325a535646c916e110",
     "winding-ch1":
-        "d4b820a15a3d21bead5ffbcdb6219bb916a5c412e76a6daa3d802aae09e2e66e",
+        "56df69e062a140a3bee28d64b1c22900af492a6186addc46f690b82c94c48c7e",
     "levy-baseline":
-        "a529031ddfeb13bb6120c2ebae90df411e2c543c22969f590e90af77f054516a",
+        "e2cbc595a48def75b3098b01aa17ed188c0630305714195ea24837ade426e913",
 }
 
 # The long-time regime, one block each: the CH samplers finish their far
@@ -143,31 +143,31 @@ LONG_SAMPLER_PARAMS = {
 GOLDEN_LONG_SAMPLER_CSV = {
     "cp-cauchy-limit": {
         "cp_cauchy_limit.csv":
-            "b7089ce78191148f5e45ccb74f14ee693c83c4e9aa0fac8b369a68a02da4fa9e",
+            "751d4cae20df99de263e5919373449ae32d528e3151079b5e149447da98b4455",
     },
     "ch-gaussian-limit": {
         "ch_gaussian_limit.csv":
-            "e0d1e39d75ff197704cd5a29e84f1ed99ef6e795abc5a7735cf2770f43307e4b",
+            "abdd90ac4904fc12bd9c76def5f6905346e9bf6fdc5f3e7756f70b0fe7ea3d70",
     },
     "winding-cp1": {
         "winding_cp1.csv":
-            "cc3f9e7d2ef224ce7e7601d3c19f9feba6b2c548f6068d23a911dcf507a86ff4",
+            "ee5ef0b99198ce88eca689672b7c0b0b359c6da2cc50e4c67cf41db8e1bcc055",
     },
     "winding-ch1": {
         "winding_ch1.csv":
-            "29c911e5519cea63c90689556d1243b37d80f4ad8dd275c3b97eff65aa84f74d",
+            "c04ac146139696b83e03ad456168be569a75556096da58fdac02177e8b10afe8",
     },
 }
 
 GOLDEN_LONG_SAMPLER_MANIFEST = {
     "cp-cauchy-limit":
-        "034ab1848d09f1542e71ea636b51dfdd761296ee94be28b7f5206b6597fa97df",
+        "b3e72fd4ef7d8222d8fcb8a55bb091700c2686ee2fd236fa7f6de803f2fbf474",
     "ch-gaussian-limit":
-        "21ba4ad60e93bd1c1e6bf18cbda021ec091e6015b7080a2029d7952cf370ed9d",
+        "be0d64722f880e42b337bcf31cdb48b9f0a94a65af4606159e164084fa02a417",
     "winding-cp1":
-        "d521eba783d895e870b2b108519f871bdf0e849cf72748f14f6d2121e9cfa9bb",
+        "0ddae332e732170a5295057683c498bc9f9c0f848aa4a1c65ba579ce7f031df8",
     "winding-ch1":
-        "2a4da5e380aa060653630815c8beb5d99a877903aa4802d17b59a6ea02d0f8d2",
+        "1f36dc4806784b91abfec5696c98324e241329dbe4a67d27060a144041c7e56b",
 }
 
 

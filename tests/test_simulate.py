@@ -171,6 +171,40 @@ class TestDeterminism:
         assert not np.array_equal(a.r_end, b.r_end)
 
 
+class TestBlockStreams:
+    @pytest.mark.parametrize("seed,block", [
+        (0, 0), (20240601, 1), (2 ** 64 - 1, 7), (3, 9)])
+    def test_block_rng_is_spawned_sfc64(self, seed, block):
+        # block i draws from SFC64 seeded by child i of SeedSequence(seed)
+        want = np.random.Generator(np.random.SFC64(
+            np.random.SeedSequence(seed).spawn(block + 1)[block]))
+        got = simulate._block_rng(seed, block)
+        assert isinstance(got.bit_generator, np.random.SFC64)
+        np.testing.assert_array_equal(got.standard_normal(64),
+                                      want.standard_normal(64))
+
+    def test_angle_stream_differs_from_radial(self):
+        for block in (0, 1, 5):
+            radial = simulate._block_rng(11, block).standard_normal(64)
+            angle = simulate._block_rng(11, (1 << 62) + block)
+            assert not np.any(radial == angle.standard_normal(64))
+
+    @pytest.mark.parametrize("geom", [Geometry.cp(1), Geometry.ch(1)],
+                             ids=["cp1", "ch1"])
+    def test_area_theta_from_angle_substream(self, geom):
+        # theta = sqrt(A_t) Z with Z from block i's stream of spawn key
+        # (1 << 62) + i, whatever the radial sampler drew
+        m, extra, seed = simulate.BLOCK_SIZE, 300, 41
+        a = sample_area(geom, SimConfig(0.1, 1e-2, m + extra, seed),
+                        threads=2)
+        z = np.concatenate([
+            simulate._block_rng(seed, (1 << 62) + i).standard_normal(k)
+            for i, k in enumerate((m, extra))])
+        assert np.all(a.time_change > 0)
+        np.testing.assert_allclose(a.theta_end / np.sqrt(a.time_change), z,
+                                   rtol=1e-15, atol=0)
+
+
 def _fields(result):
     """The values of a sampler's result, a tuple or a dataclass."""
     if isinstance(result, tuple):
@@ -338,7 +372,8 @@ class TestRunBlocks:
 
     @pytest.mark.parametrize("geom", [Geometry.cp(1), Geometry.ch(1)])
     def test_numpy_integer_paths_and_seed(self, geom):
-        # numpy integers reach the Philox key as block indices and seed
+        # numpy integers reach the SeedSequence as its entropy and as
+        # block indices in its spawn key
         paths = 9 * simulate.BLOCK_SIZE
         ref = sample_area(geom, SimConfig(0.02, 1e-2, paths, 3))
         got = sample_area(geom, SimConfig(0.02, 1e-2, np.int64(paths),
