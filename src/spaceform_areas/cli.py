@@ -570,10 +570,9 @@ def _exp_winding_ch1(params, seed, threads):
 
 def _exp_levy_baseline(params, seed, threads):
     t, lam = params["t"], 1.0
-    z_end, s_end = sample_planar_area(
+    emp = empirical_cf(sample_planar_area(
         SimConfig(t, params["dt"], int(params["paths"]), seed),
-        threads=threads)
-    emp = empirical_cf(s_end, lam)
+        threads=threads).theta_end, lam)
     quad_cf = _quad_cf_planar(lam, t)
     closed = 1.0 / math.cosh(lam * t)
     z = (emp.value.real - quad_cf) / emp.std_error

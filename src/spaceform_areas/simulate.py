@@ -1,8 +1,8 @@
 """SDE path samplers for the radial diffusions, stochastic areas, and windings.
 
-The CH^n radius and the tilted CP^n radius of the Girsanov route take a
-fixed-grid splitting step of exact flows (_split_step); the CP^n area and
-the heavy-tailed n = 1 winding clocks step in clock time.
+The CH^n radius, the Girsanov route's tilted CP^n radius and the planar
+radius |Z| take a fixed-grid splitting step of exact flows (_split_step);
+the CP^n area and the heavy-tailed n = 1 winding clocks step in clock time.
 
 All samplers draw from SFC64 streams, one per block of a fixed-size
 partition of the paths: block i's stream is seeded by the SeedSequence of
@@ -231,21 +231,23 @@ def _drift_flow(w: np.ndarray, n: int, k: float, s: float) -> np.ndarray:
     the same with k = -2(n + lam).  So w <- w e^{k s} + (2n - 1)/k
     expm1(k s).  On CH^n this keeps w >= 0 and, as the drift is at least
     n - 1/2, raises r by at least (n - 1/2) s; on CP^n it keeps w in [0, 1),
-    moving it toward (2n - 1)/(2n + 2 lam) < 1.
+    moving it toward (2n - 1)/(2n + 2 lam) < 1.  At k = 0 it is the limit
+    w <- w + (2n - 1) s, the flat drift (2n - 1)/(2r) on w = r^2.
     """
     w *= math.exp(k * s)
-    w += (2.0 * n - 1.0) / k * math.expm1(k * s)
+    w += ((2.0 * n - 1.0) / k * math.expm1(k * s) if k
+          else (2.0 * n - 1.0) * s)
     return w
 
 
 def _split_step(w, r, dw, n: int, k: float, h: float, rng, arc, fn) -> None:
-    """One Ninomiya-Victoir step of size h, in place on w = fn(r)^2, with
-    (arc, fn) = (np.arcsinh, np.sinh) on CH^n and (np.arcsin, np.sin) on
-    CP^n: half a drift flow (_drift_flow with rate k), the noise flow
-    r -> r + sqrt(h) Z on r = arc(sqrt(w)), and half a drift flow, each
-    exact.  w = fn(r)^2 reflects the path at the pole (and on CP^n at
-    r = pi/2) by itself.  r and dw are scratch; dw keeps sqrt(h) Z.  Each
-    lane depends only on its own inputs.
+    """One Ninomiya-Victoir step of size h, in place on w = fn(r)^2: half a
+    drift flow (_drift_flow with rate k), the noise flow r -> r + sqrt(h) Z
+    on r = arc(sqrt(w)), and half a drift flow, each exact.  (arc, fn) is
+    (np.arcsinh, np.sinh) on CH^n, (np.arcsin, np.sin) on CP^n and
+    (np.positive, np.positive) in the plane.  w = fn(r)^2 reflects the path
+    at the pole (and on CP^n at r = pi/2) by itself.  r and dw are scratch;
+    dw keeps sqrt(h) Z.  Each lane depends only on its own inputs.
     """
     _drift_flow(w, n, k, 0.5 * h)
     arc(np.sqrt(w, out=r), out=r)
@@ -726,25 +728,24 @@ def sample_winding(geometry: Geometry, r0: float, cfg: SimConfig,
     return WindingSamples(_angle_normals(cfg) * np.sqrt(clock), clock)
 
 
-def sample_planar_area(cfg: SimConfig, threads: int = 1):
-    """Planar Brownian motion to cfg.horizon, Levy area by the midpoint rule.
-
-    Returns (z_end complex array, s_end real array).
+def sample_planar_area(cfg: SimConfig, threads: int = 1) -> AreaSamples:
+    """Samples of (|Z_t|, S_t), S_t = int x dy - y dx the Levy area of a
+    planar Brownian motion Z from 0: sample_area's flat case.  w = |Z|^2,
+    a squared 2-d Bessel process, takes _split_step at n = 1 and k = 0;
+    S_t is drawn as sqrt(A_t) * N given the clock A_t = int w ds, by the
+    trapezoid rule.  Each step keeps E[w] = 2t, so E[A_t] = t^2 exactly.
     """
     dts = _time_grid(cfg)
+    # trapezoid weights of the grid points after the start, where w = 0
+    weights = 0.5 * (dts + np.append(dts[1:], 0.0))
 
     def block(sub, rngs):
-        rng, m = rngs[0], sub.paths
-        x = np.zeros(m)
-        y = np.zeros(m)
-        s = np.zeros(m)
-        for dt in dts:
-            sq = math.sqrt(dt)
-            dx = rng.standard_normal(m) * sq
-            dy = rng.standard_normal(m) * sq
-            s += (x + 0.5 * dx) * dy - (y + 0.5 * dy) * dx
-            x += dx
-            y += dy
-        return x + 1j * y, s
+        w, clock, r, dw = np.zeros((4, sub.paths))
+        for h, c in zip(dts, weights):
+            _split_step(w, r, dw, 1, 0.0, h, rngs[0], np.positive,
+                        np.positive)
+            clock += np.multiply(w, c, out=r)
+        return np.sqrt(w), clock
 
-    return _run_blocks(cfg, block, threads)
+    r_end, clock = _run_blocks(cfg, block, threads)
+    return AreaSamples(r_end, np.sqrt(clock) * _angle_normals(cfg), clock)

@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import math
 import time
 from pathlib import Path
 
@@ -143,27 +142,24 @@ class TestParseConfig:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("name,key,value", [
-        ("winding-cp1", "r0", 0.0),
-        ("winding-cp1", "r0", math.pi / 2),
-        ("winding-cp1", "r0", 2.0),
-        ("winding-cp1", "r0", "0.7"),
-        ("winding-ch1", "r0s", [0.5, 0.0]),
-        ("winding-ch1", "r0s", [-1.0]),
-        ("winding-ch1", "r0s", [0.5, 9.6]),
-        ("winding-ch1", "r0s", [30.0]),
         ("cp-area-cf", "sigma", 0.0),
         ("levy-baseline", "sigma", -3.0),
         ("winding-cp1", "sigma", float("inf")),
         ("winding-ch1", "sigma", float("nan")),
+        ("winding-ch1", "r0s", [0.5, 0.0]),
+        ("winding-ch1", "r0s", [-1.0]),
+        ("winding-ch1", "r0s", [0.5, 9.6]),
+        ("winding-ch1", "r0s", [30.0]),
         ("ch-gaussian-limit", "p_min", 1.0),
         ("ch-gaussian-limit", "p_min", -0.01),
         ("ch-gaussian-limit", "p_min", None),
     ])
     def test_bad_sampler_scalar_named(self, name, key, value, tmp_path):
-        # an r0 outside (0, pi/2) used to fail inside sample_winding (exit
-        # 1), and a CH^1 r0 from which every lane retires at t = 0 divided
-        # by a standard error of 0 (exit 1); sigma <= 0 or NaN failed every
-        # z-check, or none, silently
+        # sigma <= 0 or NaN failed every z-check, or none, silently; a CH^1
+        # r0 <= 0 used to fail inside sample_winding (exit 1), and one from
+        # which every lane retires at t = 0 divided by a standard error of
+        # 0 (exit 1); a p_min outside [0, 1) made the KS checks fail or
+        # pass whatever the sample, and None failed to compare (exit 1)
         text = json.dumps({"experiment": name, "params": {key: value}})
         with pytest.raises(ValueError, match=f"'{key}'"):
             parse_config(text)

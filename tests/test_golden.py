@@ -107,7 +107,7 @@ GOLDEN_SAMPLER_CSV = {
     },
     "levy-baseline": {
         "levy_baseline.csv":
-            "482d31448f5345db4a2941c62787e5a5a398d69525ffe210787296714aab2fb8",
+            "4d61991602b350ae14dfbd4f252f270d2b44256d7ea02543e80272b33d73984f",
     },
 }
 
@@ -127,7 +127,7 @@ GOLDEN_SAMPLER_MANIFEST = {
     "winding-ch1":
         "56df69e062a140a3bee28d64b1c22900af492a6186addc46f690b82c94c48c7e",
     "levy-baseline":
-        "e2cbc595a48def75b3098b01aa17ed188c0630305714195ea24837ade426e913",
+        "61464ba171c9353232e115ec89b88987d9a8def9876bc7f9a996385e7f31d872",
 }
 
 # The long-time regime, one block each: the CH samplers finish their far

@@ -237,6 +237,56 @@ def test_one_scheduling_site(path):
     assert runner.lineno <= found[1][0] <= runner.end_lineno
 
 
+# Normals are drawn at three sites of simulate.py: the splitting step of
+# every fixed-grid sampler (_split_step), the closed-form far finish of
+# _hyperbolic_block and the per-block fill of the clock-time sweeps and the
+# angles (_fill_normals).  A second fixed-grid scheme would need a fourth.
+DRAW_NAMES = {"standard_normal", "normal"}
+
+
+def _draw_sites(source: str) -> list:
+    """(line, function) of every call of a method named standard_normal or
+    normal in source, function being the innermost enclosing def, or
+    "<module>"."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Attribute)
+                    and child.func.attr in DRAW_NAMES):
+                found.append((child.lineno, where))
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_draw_check_flags_every_normal_call():
+    source = ("import numpy as np\nz = np.random.default_rng(1).normal()\n"
+              "def f(rng, out):\n    rng.standard_normal(out=out)\n"
+              "    def g():\n        return rng.normal(size=3)\n"
+              "    return g, rng.uniform(), rng.standard_normal\n"
+              "class A:\n    def h(self, rng):\n"
+              "        return np.sqrt(rng.standard_normal(2))\n")
+    assert _draw_sites(source) == [
+        (2, "<module>"), (4, "f"), (6, "g"), (10, "h")]
+
+
+def test_three_draw_sites():
+    for path in SOURCES:
+        sites = [where for _, where in
+                 _draw_sites(path.read_text(encoding="utf-8"))]
+        if path.name != "simulate.py":
+            assert sites == [], f"{path.name}: draws normals in {sites}"
+            continue
+        assert sorted(sites) == ["_fill_normals", "_hyperbolic_block",
+                                 "_split_step"]
+
+
 # The benchmark's setup_s times a fresh import of the package against a
 # 0.25 s bound.  Importing scipy.stats adds 136 modules and about 0.33 s to
 # it on a 2-core host, so no module may import it; the KS p-value comes
