@@ -36,7 +36,6 @@ from .simulate import (
     SimConfig,
     check_ch_step,
     check_ch_winding_r0,
-    check_cp_step,
     girsanov_cf_estimator,
     sample_area,
     sample_planar_area,
@@ -89,15 +88,11 @@ class ExperimentSpec:
             raise ValueError(
                 f"'t' must be at least {densities.MIN_TIME} for {self.name}, "
                 f"got {params['t']!r}")
-        # the samplers' own limits, under the config key: the CP step limit
-        # binds the direct area sampler (the CP Girsanov step has none)
-        key = {"cp-area-cf": "dt_direct",
-               "winding-ch1": "r0s"}.get(self.name, "dt")
+        # the samplers' own limits, under the config key
+        key = "r0s" if self.name == "winding-ch1" else "dt"
         n = int(max(params.get("ns", [params.get("n", 1)])))
         try:
-            if self.name in ("cp-area-cf", "cp-cauchy-limit"):
-                check_cp_step(n, params[key])
-            elif self.name == "ch-area-cf":
+            if self.name == "ch-area-cf":
                 check_ch_step(n, max(params["lambdas"]), params[key])
             elif self.name == "ch-gaussian-limit":
                 check_ch_step(n, 0.0, params[key])

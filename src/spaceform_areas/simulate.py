@@ -1,8 +1,11 @@
 """SDE path samplers for the radial diffusions, stochastic areas, and windings.
 
 The CH^n radius, the Girsanov route's tilted CP^n radius and the planar
-radius |Z| take a fixed-grid splitting step of exact flows (_split_step);
-the CP^n area and the heavy-tailed n = 1 winding clocks step in clock time.
+radius |Z| take a fixed-grid splitting step of exact flows (_split_step).
+The heavy-tailed clocks step in clock time: the n = 1 windings in their own
+clocks, and the CP^n area in S = t + A_t, in which v = arcsinh(tan r) is
+the CH^n radius tilted by lam = -n and takes the same splitting step at
+k = 0 (_cp_area_phi).
 
 All samplers draw from SFC64 streams, one per block of a fixed-size
 partition of the paths: block i's stream is seeded by the SeedSequence of
@@ -26,8 +29,6 @@ from .specfun import _check_dimension, _is_int_in
 from .stats import CfEstimate
 
 BLOCK_SIZE = 4096
-EPS_START = 1e-6
-FINE_DT = 1e-4
 
 
 @dataclass(frozen=True)
@@ -153,74 +154,6 @@ def _run_blocks(cfg: SimConfig, step, threads: int, sweep=False) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# closed-form r-mode step of the CP^n area sampler (_cp_area_phi)
-
-# The step keeps its lanes inside (0, pi/2) while both coefficients are
-# below this: then Q(pi/4) < pi/2 (see _cot_tan_step).
-CP_STEP_LIMIT = math.pi ** 2 / 8.0
-
-
-def check_cp_step(n, dt) -> None:
-    """Raise ValueError unless (n - 1/2) dt and dt/2, the coefficients of
-    the r-mode step of the untilted CP^n area sampler, are below
-    CP_STEP_LIMIT."""
-    # n < limit + 1/2 compares an integer n of any size exactly
-    limit = CP_STEP_LIMIT / dt
-    if not (n < limit + 0.5 and limit > 0.5):
-        raise ValueError(
-            f"the CP r-step needs (n - 1/2) dt and dt/2 below "
-            f"pi^2/8 = {CP_STEP_LIMIT:.6g}, got n = {n} and dt = {dt}")
-
-
-def _cot_tan_map(y, a, p, p4, q):
-    """F(y) = Q(a - p g(y) - q tan y), with g(y) = 1/y - cot y and Q(c) =
-    (c + sqrt(c^2 + 4p))/2; p4 is 4p."""
-    t = np.tan(y)
-    c = p / t
-    c -= q * t
-    c -= p / y
-    c += a
-    y_new = np.sqrt(c * c + p4)
-    y_new += c
-    y_new *= 0.5
-    return y_new
-
-
-def _cot_tan_step(arg: np.ndarray, b1, b2) -> np.ndarray:
-    """The implicit step x = arg + b1 cot x - b2 tan x, b1, b2 > 0, in
-    closed form on (0, pi/2).
-
-    It works in the variable nearer the singular end: y = x, p = b1,
-    q = b2 and a = arg when arg < pi/4, else y = pi/2 - x, p = b2, q = b1
-    and a = pi/2 - arg.  There the equation reads y = a + p/y - p g(y)
-    - q tan y, with g(y) = 1/y - cot y increasing and 0 <= g < 2/pi.  The
-    p/y part stays implicit through Q(c) = (c + sqrt(c^2 + 4p))/2, the
-    positive root of y = c + p/y, so the root y* is the fixed point of the
-    decreasing map F(y) = Q(a - p g(y) - q tan y).  From y_up = Q(a) >= y*
-    two evaluations give y1 = F(y_up) <= y* and y = F(y1), so y1 <= y* <=
-    y <= y_up and y - y* = O(b^3), b = max(b1, b2).  Since a <= pi/4,
-    y_up < pi/2 whenever p < CP_STEP_LIMIT, and x stays in (0, pi/2) with
-    no clamp.  Each lane depends only on its own inputs.  b1 and b2 are
-    arrays over the lanes or floats; equal floats (CP^1) need no per-lane
-    choice of p and q.
-    """
-    near = arg < math.pi / 4.0
-    # the a of np.where(near, arg, pi/2 - arg): math.pi / 2.0 is exactly
-    # twice math.pi / 4.0 and rounding is monotone, so pi/2 - arg is at
-    # least arg below pi/4 and at most arg from pi/4 on
-    a = np.minimum(arg, math.pi / 2.0 - arg)
-    if isinstance(b1, float) and b1 == b2:
-        p = q = b1
-    else:
-        p = np.where(near, b1, b2)
-        q = np.where(near, b2, b1)
-    p4 = 4.0 * p
-    y_up = 0.5 * (a + np.sqrt(a * a + p4))
-    y = _cot_tan_map(_cot_tan_map(y_up, a, p, p4, q), a, p, p4, q)
-    return np.where(near, y, math.pi / 2.0 - y)
-
-
-# ---------------------------------------------------------------------------
 # splitting step of the fixed-grid radial samplers
 
 def _drift_flow(w: np.ndarray, n: int, k: float, s: float) -> np.ndarray:
@@ -232,11 +165,14 @@ def _drift_flow(w: np.ndarray, n: int, k: float, s: float) -> np.ndarray:
     expm1(k s).  On CH^n this keeps w >= 0 and, as the drift is at least
     n - 1/2, raises r by at least (n - 1/2) s; on CP^n it keeps w in [0, 1),
     moving it toward (2n - 1)/(2n + 2 lam) < 1.  At k = 0 it is the limit
-    w <- w + (2n - 1) s, the flat drift (2n - 1)/(2r) on w = r^2.
+    w <- w + (2n - 1) s, the flat drift (2n - 1)/(2r) on w = r^2; there s
+    may also be an array over the lanes.
     """
-    w *= math.exp(k * s)
-    w += ((2.0 * n - 1.0) / k * math.expm1(k * s) if k
-          else (2.0 * n - 1.0) * s)
+    if k:
+        w *= math.exp(k * s)
+        w += (2.0 * n - 1.0) / k * math.expm1(k * s)
+    else:
+        w += (2.0 * n - 1.0) * s
     return w
 
 
@@ -385,54 +321,58 @@ def sample_radial_hyperbolic(n: int, girsanov_lambda: float, r0: float,
 # The heavy-tailed clocks (tan^2 r near r = pi/2, 4/sin^2 2r and
 # 4/sinh^2 2r near the axes) are dominated by excursions that approach the
 # singular radius to within exp(-O(t)) -- far beyond the reach of any fixed
-# step size in r.  In clock time Phi (the accumulated clock itself), the
-# transformed radial coordinate becomes an exact driftless Brownian motion
-# for the n=1 winding diffusions (m = log tan r, resp. m = log tanh r),
-# and a Brownian motion with explicitly integrable drift for the projective
-# area diffusion (psi = -log cos r, where d psi = n dt + tan r dW).  These
-# samplers therefore step in Phi with an adaptive step: sized so that real
-# time advances by ~dt in the bulk, and capped at m^2/_DIVE_STEPS during
-# deep excursions so that arbitrarily deep dives are resolved in a bounded
-# number of exact-in-law Brownian steps.  Only the real-time integral
+# step size in r.  So these samplers step in a clock Phi that runs fast
+# where the clock rate is large.  For the n = 1 windings Phi is the
+# winding clock itself, in which m = log tan r (resp. m = log tanh r) is an
+# exact driftless Brownian motion.  For the CP^n area Phi is S = t + A_t =
+# int sec^2 r ds, in which v = arcsinh(tan r) has generator (1/2) d^2 +
+# (n - 1/2)(coth v - tanh v) d: the CH^n radius tilted by lam = -n, whose
+# drift flow on w = sinh^2 v is exact (_drift_flow at k = 0), so one
+# splitting step carries v from the pole to the deepest dive.  The step is
+# adaptive: sized so that real time advances by ~dt in the bulk, and
+# capped at m^2/_DIVE_STEPS (v^2/_DIVE_STEPS) during deep excursions, so
+# that arbitrarily deep dives are resolved in a bounded number of steps.
+# Besides the splitting of the CP area's step, only the real-time integral
 # tau = int dPhi / clockrate is discretized, by the trapezoid rule: the
-# step is sized from the rate at its start, so an increment exceeds dt when
-# the rate falls over the step, and the final step credits only the
+# step is sized from the rate at its start, so an increment exceeds dt
+# when the rate falls over the step, and the final step credits only the
 # fraction of its clock that lies inside the horizon.
 #
 # A sweep gathers its live lanes, steps them and scatters them back; at
 # workload sizes its cost is the count of its numpy calls and the lanes
-# they copy, not their arithmetic.  So a sweep in which every lane is
-# stepped (live, and in r-mode for the CP area) works on views of the whole
-# arrays, not on gathered copies; and a value that is the same on every
-# lane stays a float: the CP r-step is dt on every r-mode lane once all
-# lanes are past the fine start and none is within dt of the horizon, and
-# the sweep then passes dt, sqrt(dt) and the step's coefficients as floats.
-# The winding kernel keeps each lane's clock rate from the sweep that moved
-# its m.  Either way each lane goes through the same IEEE operations, bit
-# for bit.
+# they copy, not their arithmetic.  So a sweep in which every lane is live
+# works on views of the whole arrays, not on gathered copies, and each
+# kernel keeps each lane's clock rate from the sweep that moved it.  Either
+# way each lane goes through the same IEEE operations, bit for bit.
 
 _H_FLOOR = 0.04          # clock-time step ceiling in the bulk
 _DIVE_STEPS = 16.0       # dive step cap m^2/_DIVE_STEPS (kick ~ |m|/4)
-_M_CAP = 2000.0          # log-depth cutoff; chosen far beyond any depth a
-#                          Brownian dive can reach within the clock spans we
-#                          simulate, so the excursion law is never truncated
-#                          (rates overflow to inf past ~355, which the
-#                          trapezoid handles: 1/inf = 0, min(inf, cap) = cap)
+# The depth clamp of |m| and v.  Rates overflow to inf past ~355, which the
+# trapezoid handles: 1/inf = 0, min(inf, cap) = cap.  Lanes do reach it:
+# at dt 0.01, 10,000 paths and seed 7 it clamped 2.04% (CP^1) and 4.05%
+# (CP^2) of the area sampler's lanes by t = 50 and 2.67% of winding-cp1's
+# by t = 30, each with a clock of at least 1.2e6, and 0.02% of
+# winding-ch1's by t = 100, with clocks of at least 3.4e6.  No check sees
+# them: in those runs the term e^{-lam^2 clock/2} of each such lane, at
+# every lam and scale the verdict reads, is below 1e-6.
+_M_CAP = 2000.0
 _M_FLOOR_CH = 1e-8       # ch1: residual clock above this m is negligible
-_R_UP = math.pi / 4.0    # r-mode -> psi-mode handoff radius
-_PSI_SWITCH = 0.30       # psi-mode -> r-mode handoff level (below -log cos
-#                          of _R_UP, giving hysteresis so lanes near the
-#                          boundary do not flip modes every sweep)
-_T2_SWITCH = math.expm1(2.0 * _PSI_SWITCH)  # tan^2 r at the down-handoff
+# Past this v = arcsinh(tan r) a half flow moves v by about (2n - 1) s /
+# sinh 2v, less than an ulp of v at any step s the CP area sampler takes,
+# so v is left as it is; sinh^2 v overflows from v = 355 on.
+_V_FLAT = 300.0
 # A clock-time group raises once its sweeps exceed _SWEEP_HEADROOM times a
-# base count: (fine stretch)/(fine step) + horizon/min(dt, _BULK_DT).
-# Whatever dt is, a bulk step of the CP^1 winding covers at most about
-# _BULK_DT of real time: _H_FLOOR of clock at the least rate 4 cosh^2 0.
-# Kernels whose steps can be longer only get a looser cap.  Over the
-# golden sizes, the acceptance runs and the benchmark workloads the most
-# sweeps a call took was 5.14 times its base (winding-cp1 at t = 2,
-# dt = 0.05), so a stuck sampler fails after about 12 times the sweeps a
-# call can need.
+# base count, horizon/min(dt, _BULK_DT).  Whatever dt is, a bulk step of
+# the CP^1 winding covers at most about _BULK_DT of real time: _H_FLOOR of
+# clock at the least rate 4 cosh^2 0.  Kernels whose steps can be longer,
+# such as the CP area's at the least rate cosh^2 0 = 1, only get a looser
+# cap.  On a grid of 11 sizes (t 0.125 to 50, dt 1e-3 to 0.02) at n = 1-3
+# and 16,384 paths the CP area call took at most 10.3 times its base, and
+# the sweep loops of a 100,000-path call at most 20.2 times (t = 0.25,
+# dt = 0.01, n = 3).  Over the golden sizes, the acceptance runs and the
+# benchmark workloads the windings took at most 5.14 times theirs
+# (winding-cp1 at t = 2, dt = 0.05).  So a stuck sampler fails after about
+# 3 times the sweeps a call can need.
 _BULK_DT = _H_FLOOR / 4.0
 _SWEEP_HEADROOM = 64.0
 
@@ -465,7 +405,7 @@ def _angle_normals(cfg: SimConfig) -> np.ndarray:
 
 
 def _clock_sweeps(cfg: SimConfig, rngs: list, tau: np.ndarray,
-                  z: np.ndarray, fine_sweeps: float = 0.0):
+                  z: np.ndarray):
     """Yield the live mask tau < cfg.horizon of each sweep over every path
     of a clock-time group, until no lane is live.
 
@@ -476,12 +416,12 @@ def _clock_sweeps(cfg: SimConfig, rngs: list, tau: np.ndarray,
     on its own inputs, no lane's path depends on the other lanes of the
     group.  The output is therefore the same as stepping each block alone.
     The caller advances tau in place.  Raises RuntimeError after
-    _SWEEP_HEADROOM times the base count of sweeps, fine_sweeps +
-    horizon/min(dt, _BULK_DT).
+    _SWEEP_HEADROOM times the base count of sweeps, horizon/min(dt,
+    _BULK_DT).
     """
     starts = np.arange(0, cfg.paths, BLOCK_SIZE)
-    min_sweeps = fine_sweeps + cfg.horizon / min(cfg.dt, _BULK_DT)
-    max_sweeps = math.ceil(_SWEEP_HEADROOM * min_sweeps)
+    max_sweeps = math.ceil(
+        _SWEEP_HEADROOM * cfg.horizon / min(cfg.dt, _BULK_DT))
     for _ in range(max_sweeps):
         active = tau < cfg.horizon
         live = np.logical_or.reduceat(active, starts).nonzero()[0]
@@ -554,95 +494,62 @@ def _winding_phi(kind: str, r0: float, cfg: SimConfig, rngs: list):
     return clock
 
 
-def _cp_area_phi(n: int, cfg: SimConfig, rngs: list):
-    """Projective radial/area paths, hybrid r- and psi-mode, every block of
-    cfg in one sweep loop.
+def _cp_half_flow(v: np.ndarray, n: int, s: np.ndarray) -> tuple:
+    """Half a drift flow of the S-clock radius v = arcsinh(tan r), in new
+    arrays: _drift_flow at k = 0 on w = sinh^2 v, below _V_FLAT; past it v
+    is left as it is.  Returns (v, w), w being sinh^2 v after the flow (inf
+    once sinh^2 v overflows)."""
+    w = np.sinh(v)
+    _drift_flow(np.square(w, out=w), n, 0.0, s)
+    u = np.arcsinh(np.sqrt(w))
+    return np.where(v > _V_FLAT, v, u), w
 
-    Near the pole the path is stepped in r by the closed-form implicit
-    step _cot_tan_step; past r ~ pi/4 it switches to psi = -log cos r
-    stepped in clock time, where the area clock is exact (clock increment
-    = Phi-step) and boundary dives are Brownian.  Returns (r_end, clock),
-    the clock being int tan^2 r ds.  Raises check_cp_step's ValueError.
+
+def _cp_area_phi(n: int, cfg: SimConfig, rngs: list):
+    """The CP^n radius and area clock from the pole, every block of cfg in
+    one sweep loop, stepped in the clock S = t + A_t = int sec^2 r ds.
+
+    In S, v = arcsinh(tan r) >= 0 is the CH^n radius tilted by lam = -n
+    (see the clock-time notes above).  A sweep steps each live lane by h =
+    min(min(T - tau, dt) cosh^2 v, max(_H_FLOOR, v^2/_DIVE_STEPS)) of S:
+    half a flow (_cp_half_flow), the noise v -> |v + sqrt(h) Z| clamped at
+    _M_CAP, and half a flow.  Real time tau grows by the trapezoid rule on
+    dt/dS = 1/cosh^2 v, and the area clock by the rest of h.  Returns
+    (r_end, clock), the clock being int tan^2 r ds.
     """
     horizon, dt, lanes = cfg.horizon, cfg.dt, cfg.paths
-    b1 = n - 0.5
-    check_cp_step(n, dt)
-    t_fine = min(0.01 * horizon, 0.05)
-    fine = min(dt, FINE_DT)
-    # a bulk r-step: dt, its root and its two coefficients as floats
-    bulk_step = (dt, math.sqrt(dt), b1 * dt, 0.5 * dt)
-    past_fine = False  # every lane has tau >= t_fine; tau only grows
-    r = np.full(lanes, EPS_START)
-    psi = np.zeros(lanes)
-    in_psi = np.zeros(lanes, dtype=bool)
+    vv = np.zeros(lanes)
+    rate = np.ones(lanes)  # dS/dt = cosh^2 v at each lane's v
     tau = np.zeros(lanes)
     clock = np.zeros(lanes)
     z = np.zeros(lanes)
     with np.errstate(over="ignore"):
-        for active in _clock_sweeps(cfg, rngs, tau, z, t_fine / fine):
-            # lanes promoted from r-mode below are stepped in psi-mode from
-            # the next sweep on, so no lane moves (or consumes its Gaussian)
-            # twice per sweep
-            stepped_in_psi = active & in_psi
-            jdx = stepped_in_psi.nonzero()[0]
-            idx = (active ^ stepped_in_psi).nonzero()[0]
-            if idx.size:
-                # while every lane is live and in r-mode, views stand in for
-                # the gathers
-                sel = idx if idx.size < lanes else slice(None)
-                ti = tau[sel]  # < horizon on a live lane
-                past_fine = past_fine or tau.min() >= t_fine
-                if past_fine and horizon - ti.max() >= dt:
-                    # every lane's step below is dt
-                    dti, sq, p_dt, q_dt = bulk_step
-                else:
-                    dti = np.minimum(np.where(ti < t_fine, fine, dt),
-                                     horizon - ti)
-                    sq = np.sqrt(dti)
-                    p_dt, q_dt = b1 * dti, 0.5 * dti
-                r_old = r[sel]
-                r_new = _cot_tan_step(r_old + sq * z[sel], p_dt, q_dt)
-                tan_old, tan_new = np.tan(r_old), np.tan(r_new)
-                clock[sel] += (0.5 * (tan_old * tan_old + tan_new * tan_new)
-                               * dti)
-                tau[sel] = ti + dti
-                r[sel] = r_new
-                up = r_new > _R_UP
-                if np.count_nonzero(up):
-                    j = idx[up]
-                    psi[j] = -np.log(np.cos(r_new[up]))
-                    in_psi[j] = True
-            if jdx.size:
-                p_old, tj = psi[jdx], tau[jdx]
-                t2 = np.expm1(2.0 * p_old)
-                t_rem = horizon - tj
-                cap = np.maximum(_H_FLOOR, p_old * p_old / _DIVE_STEPS)
-                h = np.minimum(np.minimum(t_rem, dt) * t2, cap)
-                p_mart = p_old + np.sqrt(h) * z[jdx]
-                np.minimum(np.maximum(p_mart, 1e-12, out=p_mart), _M_CAP,
-                           out=p_mart)
-                # trapezoid real-time estimate over the Phi-step; any part of
-                # the step below the handoff level runs at the handoff rate
-                # (the lane exits to r-mode there, so 1/t2 stays bounded)
-                t2_new = np.maximum(np.expm1(2.0 * p_mart), _T2_SWITCH)
-                dtau = 0.5 * h * (1.0 / t2 + 1.0 / t2_new)
-                p_new = np.minimum(np.maximum(p_mart + n * dtau, 1e-12),
-                                   _M_CAP)
-                # final step: credit clock only for the fraction inside the
-                # horizon
-                last = dtau > t_rem
-                if np.count_nonzero(last):
-                    h[last] *= t_rem[last] / np.maximum(dtau[last], 1e-300)
-                clock[jdx] += h
-                tau[jdx] = tj + dtau
-                psi[jdx] = p_new
-                down = p_new < _PSI_SWITCH
-                if np.count_nonzero(down):
-                    k = jdx[down]
-                    r[k] = np.arccos(np.exp(-p_new[down]))
-                    in_psi[k] = False
-    r_end = np.where(in_psi, np.arccos(np.minimum(np.exp(-psi), 1.0)), r)
-    return r_end, clock
+        for active in _clock_sweeps(cfg, rngs, tau, z):
+            idx = active.nonzero()[0]
+            # while every lane is live, views stand in for the gathers
+            sel = idx if idx.size < lanes else slice(None)
+            v, t, q = vv[sel], tau[sel], rate[sel]
+            t_rem = horizon - t  # > 0, since a live lane has tau < horizon
+            h = np.minimum(np.minimum(t_rem, dt) * q,
+                           np.maximum(_H_FLOOR, v * v / _DIVE_STEPS))
+            s = 0.5 * h
+            v, _ = _cp_half_flow(v, n, s)
+            v += np.sqrt(h) * z[sel]
+            np.minimum(np.abs(v, out=v), _M_CAP, out=v)
+            v, w = _cp_half_flow(v, n, s)
+            q_new = np.add(w, 1.0, out=w)
+            dtau = s * (1.0 / q + 1.0 / q_new)
+            area = h - dtau
+            # final step: credit clock only for the fraction inside the
+            # horizon
+            last = dtau > t_rem
+            if np.count_nonzero(last):
+                area[last] *= t_rem[last] / dtau[last]
+            vv[sel] = v
+            rate[sel] = q_new
+            tau[sel] = t + dtau
+            clock[sel] += area
+    return np.arctan(np.sinh(np.minimum(vv, _V_FLAT))), clock
 
 
 # ---------------------------------------------------------------------------

@@ -108,18 +108,25 @@ class TestParseConfig:
         ("cp-area-cf", "dt_direct", -1e-3),
         ("cp-area-cf", "dt_girsanov", 1.5),
         ("ch-area-cf", "dt", float("nan")),
-        ("cp-area-cf", "lambdas", []),
+        pytest.param("cp-area-cf", "lambdas", [],
+                     id="cp-area-cf-lambdas-empty"),
         ("cp-area-cf", "lambdas", 0.5),
-        ("cp-cauchy-limit", "ns", []),
-        ("cp-cauchy-limit", "ns", [1, 2.5]),
-        ("cp-cauchy-limit", "ns", [0]),
+        pytest.param("cp-cauchy-limit", "ns", [],
+                     id="cp-cauchy-limit-ns-empty"),
+        pytest.param("cp-cauchy-limit", "ns", [1, 2.5],
+                     id="cp-cauchy-limit-ns-1,2.5"),
+        pytest.param("cp-cauchy-limit", "ns", [0], id="cp-cauchy-limit-ns-0"),
         ("cp-area-cf", "n", 0),
-        ("berger-homogenisation", "n", 1.5),
-        ("winding-ch1", "lambdas", ["1.0"]),
-        ("winding-ch1", "r0s", [0.5, float("inf")]),
-        ("cp-area-cf", "lambdas", [0.5, 0.0]),
-        ("cp-area-cf", "lambdas", [-0.5]),
-        ("winding-ch1", "lambdas", [0.0]),
+        pytest.param("winding-ch1", "lambdas", ["1.0"],
+                     id="winding-ch1-lambdas-str"),
+        pytest.param("winding-ch1", "r0s", [0.5, float("inf")],
+                     id="winding-ch1-r0s-0.5,inf"),
+        pytest.param("cp-area-cf", "lambdas", [0.5, 0.0],
+                     id="cp-area-cf-lambdas-0.5,0.0"),
+        pytest.param("cp-area-cf", "lambdas", [-0.5],
+                     id="cp-area-cf-lambdas--0.5"),
+        pytest.param("winding-ch1", "lambdas", [0.0],
+                     id="winding-ch1-lambdas-0.0"),
         ("levy-baseline", "paths", 1),
         ("cp-area-cf", "paths", 1),
         ("ch-area-cf", "paths", 1.0),
@@ -146,10 +153,12 @@ class TestParseConfig:
         ("levy-baseline", "sigma", -3.0),
         ("winding-cp1", "sigma", float("inf")),
         ("winding-ch1", "sigma", float("nan")),
-        ("winding-ch1", "r0s", [0.5, 0.0]),
-        ("winding-ch1", "r0s", [-1.0]),
-        ("winding-ch1", "r0s", [0.5, 9.6]),
-        ("winding-ch1", "r0s", [30.0]),
+        pytest.param("winding-ch1", "r0s", [0.5, 0.0],
+                     id="winding-ch1-r0s-0.5,0.0"),
+        pytest.param("winding-ch1", "r0s", [-1.0], id="winding-ch1-r0s--1.0"),
+        pytest.param("winding-ch1", "r0s", [0.5, 9.6],
+                     id="winding-ch1-r0s-0.5,9.6"),
+        pytest.param("winding-ch1", "r0s", [30.0], id="winding-ch1-r0s-30.0"),
         ("ch-gaussian-limit", "p_min", 1.0),
         ("ch-gaussian-limit", "p_min", -0.01),
         ("ch-gaussian-limit", "p_min", None),
@@ -174,14 +183,10 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("name,key,value", [
         ("ch1-loop-density", "t", -1.0),
-        ("berger-homogenisation", "t", 0.0),
         ("levy-baseline", "t", float("inf")),
         ("winding-ch1", "t", "100"),
         ("winding-cp1", "lam", float("nan")),
         ("levy-baseline", "lam", float("inf")),
-        ("berger-homogenisation", "lam", None),
-        ("berger-homogenisation", "lam", 0.0),
-        ("berger-homogenisation", "lam", -1.0),
         ("levy-baseline", "lam", 0.0),
         ("winding-cp1", "lam", 0),
         ("ch1-loop-density", "theta_lo", float("nan")),
@@ -190,19 +195,17 @@ class TestParseConfig:
         ("ch1-loop-density", "theta_hi", -4.0),
         ("ch1-loop-density", "tol", -1.0),
         ("winding-cp1", "tol", 0.0),
-        ("berger-homogenisation", "norm_tol", float("inf")),
         ("cp-cauchy-limit", "analytic_tol", 0.0),
     ])
     def test_bad_scalar_named(self, name, key, value, tmp_path):
         # each used to reach the run: t <= 0 failed its `completed` check,
         # a NaN lam or an inverted theta range failed a comparison, a
-        # tolerance <= 0 failed one that no value could pass, a Berger
-        # stiffness <= 0 failed inside berger_kernel and a zero planar lam
-        # divided by a standard error of 0 (exit 1); a zero winding lam
-        # passed by comparing 1 with 1.  lam, theta_lo, theta_hi, norm_tol,
-        # analytic_tol, ch1-loop-density's tol and berger-homogenisation's
-        # t are now literals of their runners, so a config that sets one is
-        # rejected as an unknown key, by name
+        # tolerance <= 0 failed one that no value could pass and a zero
+        # planar lam divided by a standard error of 0 (exit 1); a zero
+        # winding lam passed by comparing 1 with 1.  lam, theta_lo,
+        # theta_hi, analytic_tol and ch1-loop-density's tol are now
+        # literals of their runners, so a config that sets one is rejected
+        # as an unknown key, by name
         text = json.dumps({"experiment": name, "params": {key: value}})
         with pytest.raises(ValueError, match=f"'{key}'"):
             parse_config(text)
@@ -215,30 +218,10 @@ class TestParseConfig:
                      "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("name,key,params", [
-        ("cp-area-cf", "dt_direct", {"n": 3, "dt_direct": 0.5}),
-        ("cp-cauchy-limit", "dt", {"ns": [1, 3], "dt": 0.5}),
-    ])
-    def test_cp_step_limit_named(self, name, key, params, tmp_path):
-        # the closed-form CP r-step of the direct route needs (n - 1/2) dt
-        # and dt/2 below pi^2/8 = 1.2337; here (n - 1/2) dt is 1.25
-        text = json.dumps({"experiment": name, "params": params})
-        with pytest.raises(ValueError, match=f"'{key}'"):
-            parse_config(text)
-        cfgp = tmp_path / "c.json"
-        cfgp.write_text(text)
-        assert main(["--config", str(cfgp),
-                     "--out", str(tmp_path / "o")]) == 2
-        assert not (tmp_path / "o").exists()
-        # the same step with every coefficient below the limit is accepted
-        ExperimentSpec(name, {**params, key: 0.49})
-
     @pytest.mark.parametrize("name,key,params,sampler", [
-        ("cp-area-cf", "dt_direct", {"n": 3, "dt_direct": 0.5},
-         lambda: sample_area(Geometry.cp(3), SimConfig(1.0, 0.5, 8, 1))),
         ("ch-gaussian-limit", "dt", {"t": 1000.0, "dt": 500.0, "ns": [1]},
          lambda: sample_area(Geometry.ch(1), SimConfig(1000.0, 500.0, 8, 1))),
-    ], ids=["cp", "ch"])
+    ], ids=["ch"])
     def test_step_limit_error_is_the_samplers(self, name, key, params,
                                               sampler):
         # the limits are stated once, in simulate; the spec prefixes the

@@ -79,11 +79,11 @@ SAMPLER_PARAMS = {
 GOLDEN_SAMPLER_CSV = {
     "cp-area-cf": {
         "cp_area_cf.csv":
-            "7a33ace06e4da0c7e785b783cca6dc63763c2ee0647b6d64ac6311771d2faa5e",
+            "d9647216ffd01b744f734f6f24a5d8a859c0d8f9477350dae747f1b8f62fda78",
     },
     "cp-cauchy-limit": {
         "cp_cauchy_limit.csv":
-            "60f6d097358952181d1de4ebcec703bf03605e8a7ca97fcdbad17d6ac18242c8",
+            "d48773a91d9b4767672fae3867976fa5acac75b377b898530bf2d9df05258481",
     },
     "ch-area-cf": {
         "ch_area_cf.csv":
@@ -113,9 +113,9 @@ GOLDEN_SAMPLER_CSV = {
 
 GOLDEN_SAMPLER_MANIFEST = {
     "cp-area-cf":
-        "e843832c61a6a126bff68b2f94ddce40987484e6ab885cb62d7710604259672d",
+        "5053df4f1d3e9850093fb477e0d3d675ffef0a684254c870e3c6dc3db03a69c1",
     "cp-cauchy-limit":
-        "ad67c0e97076879e38e256b12a346ae7c8b93fc98fc21668f02e94556450d61d",
+        "764655a1bad8f8aac786264759c7c0cbb2c5a0779456af5facbce6da085f3eb1",
     "ch-area-cf":
         "79d3a025dc3423684ea3bdbee8b9c031d6659da5708a1066e728e3c8189f9c88",
     "ch-area-cf/n2":
@@ -143,7 +143,7 @@ LONG_SAMPLER_PARAMS = {
 GOLDEN_LONG_SAMPLER_CSV = {
     "cp-cauchy-limit": {
         "cp_cauchy_limit.csv":
-            "751d4cae20df99de263e5919373449ae32d528e3151079b5e149447da98b4455",
+            "c5a983c8d441b9200342ef3c37c1471cc2d670be62e5cb7b64abb4923c558629",
     },
     "ch-gaussian-limit": {
         "ch_gaussian_limit.csv":
@@ -161,7 +161,7 @@ GOLDEN_LONG_SAMPLER_CSV = {
 
 GOLDEN_LONG_SAMPLER_MANIFEST = {
     "cp-cauchy-limit":
-        "b3e72fd4ef7d8222d8fcb8a55bb091700c2686ee2fd236fa7f6de803f2fbf474",
+        "79a13e571b5fd3dc46c20e545486f11cbbb501a6054e627572cc99ed742a60c2",
     "ch-gaussian-limit":
         "be0d64722f880e42b337bcf31cdb48b9f0a94a65af4606159e164084fa02a417",
     "winding-cp1":

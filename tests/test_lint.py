@@ -287,6 +287,52 @@ def test_three_draw_sites():
                                  "_split_step"]
 
 
+# A module constant that nothing reads is a setting that sets nothing, most
+# often one left behind by the code it configured.
+def _unread_constants(sources: dict) -> list:
+    """(module, line, name) of every module-level UPPER_CASE name assigned
+    in one of sources (module name -> source text) that no module of
+    sources reads, as a name or as an attribute."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                read.add(node.attr)
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign)
+                       else [])
+            found += [(module, node.lineno, t.id) for t in targets
+                      if isinstance(t, ast.Name)
+                      and t.id.lstrip("_")[:1].isupper()
+                      and t.id.isupper() and t.id not in read]
+    return sorted(found)
+
+
+def test_constant_check_flags_unread_constants():
+    sources = {
+        "a": ("import math\nLIMIT = 2.0\n_CAP: float = 3.0\n"
+              "_FLOOR = LIMIT / 2\nUNUSED = 1\nMixed = 4\n"
+              "x = 5\n__all__ = []\nSEEN = 6\n"
+              "def f():\n    LOCAL = 7\n    return _FLOOR\n"),
+        "b": "from . import a\nPAIR = a.SEEN\ny = math.pi\n",
+    }
+    assert _unread_constants(sources) == [
+        ("a", 3, "_CAP"), ("a", 5, "UNUSED"), ("b", 2, "PAIR")]
+
+
+def test_every_module_constant_is_read():
+    unread = _unread_constants(
+        {path.stem: path.read_text(encoding="utf-8") for path in SOURCES})
+    assert unread == [], f"module constants that nothing reads: {unread}"
+
+
 # The benchmark's setup_s times a fresh import of the package against a
 # 0.25 s bound.  Importing scipy.stats adds 136 modules and about 0.33 s to
 # it on a 2-core host, so no module may import it; the KS p-value comes
