@@ -509,7 +509,9 @@ class TestClockKernelsMatchReference:
     """The clock-time kernels give the bits of their references, on 24
     seeds per case.  The horizons are no multiple of dt, so each lane ends
     on a fractional step, after which the kernels step the live lanes
-    alone."""
+    alone.  The CP area cases also run at three _H_FLOOR step ceilings:
+    below, near and far above dt, which change whether the ceiling, the
+    dive cap v^2/_DIVE_STEPS or the real-time cap sets a lane's step."""
 
     SEEDS = range(24)
 
@@ -521,10 +523,12 @@ class TestClockKernelsMatchReference:
                         strict=True):
             np.testing.assert_array_equal(g, w)
 
+    @pytest.mark.parametrize("h_floor", [math.pi / 4.0, 0.02, 0.1])
     @pytest.mark.parametrize("n,horizon,dt", [
         (1, 0.537, 0.02), (2, 1.013, 0.05), (3, 0.29, 0.01),
         (1, 6.3, 0.05)])
-    def test_cp_area_phi(self, n, horizon, dt):
+    def test_cp_area_phi(self, monkeypatch, h_floor, n, horizon, dt):
+        monkeypatch.setattr(simulate, "_H_FLOOR", h_floor)
         for seed in self.SEEDS:
             self._assert_same(
                 lambda cfg, rngs: simulate._cp_area_phi(n, cfg, rngs),
