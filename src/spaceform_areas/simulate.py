@@ -12,9 +12,11 @@ partition of the paths: block i's stream is seeded by the SeedSequence of
 master_seed with spawn key (i,), numpy's spawned child i.
 _run_blocks runs the blocks of a call in at most `threads` contiguous
 groups, one thread each: a clock-time sampler steps a group in sweep loops
-(_clock_sweeps) of at most 4 blocks, a fixed-grid one block by block.
-Either way each path depends only on its block's stream, so results are
-bit-identical regardless of the thread count.
+(_clock_sweeps) of at most 4 blocks, a fixed-grid one block by block.  A
+sweep loop keeps only its live lanes in its arrays: a lane leaves them
+once it reaches the horizon.  Either way each path depends only on its
+block's stream, so results are bit-identical regardless of the thread
+count.
 """
 
 from __future__ import annotations
@@ -180,17 +182,19 @@ def _split_step(w, r, dw, n: int, k: float, h: float, rng, arc, fn) -> None:
     """One Ninomiya-Victoir step of size h, in place on w = fn(r)^2: half a
     drift flow (_drift_flow with rate k), the noise flow r -> r + sqrt(h) Z
     on r = arc(sqrt(w)), and half a drift flow, each exact.  (arc, fn) is
-    (np.arcsinh, np.sinh) on CH^n, (np.arcsin, np.sin) on CP^n and
-    (np.positive, np.positive) in the plane.  w = fn(r)^2 reflects the path
-    at the pole (and on CP^n at r = pi/2) by itself.  r and dw are scratch;
+    (np.arcsinh, np.sinh) on CH^n, (np.arcsin, np.sin) on CP^n and (None,
+    None), the identity, in the plane.  w = fn(r)^2 reflects the path at
+    the pole (and on CP^n at r = pi/2) by itself.  r and dw are scratch;
     dw keeps sqrt(h) Z.  Each lane depends only on its own inputs.
     """
     _drift_flow(w, n, k, 0.5 * h)
-    arc(np.sqrt(w, out=r), out=r)
+    np.sqrt(w, out=r)
+    if arc is not None:
+        arc(r, out=r)
     rng.standard_normal(out=dw)
     dw *= math.sqrt(h)
     r += dw
-    np.square(fn(r, out=w), out=w)
+    np.square(r if fn is None else fn(r, out=w), out=w)
     _drift_flow(w, n, k, 0.5 * h)
 
 
@@ -338,12 +342,14 @@ def sample_radial_hyperbolic(n: int, girsanov_lambda: float, r0: float,
 # when the rate falls over the step, and the final step credits only the
 # fraction of its clock that lies inside the horizon.
 #
-# A sweep gathers its live lanes, steps them and scatters them back; at
-# workload sizes its cost is the count of its numpy calls and the lanes
-# they copy, not their arithmetic.  So a sweep in which every lane is live
-# works on views of the whole arrays, not on gathered copies, and each
-# kernel keeps each lane's clock rate from the sweep that moved it.  Either
-# way each lane goes through the same IEEE operations, bit for bit.
+# One driver, _clock_sweeps, runs both kernels on compacted live lanes, as
+# wavefront path tracers compact their rays (Laine, Karras & Aila, HPG
+# 2013): it holds the sorted indices of the live lanes and one array per
+# state variable over those lanes only.  A lane whose tau reaches the
+# horizon has its outputs written once and leaves every array, so a sweep
+# costs its numpy calls on the live lanes, with no gathers, scatters or
+# scans of finished ones.  Each kernel keeps each lane's clock rate and its
+# reciprocal from the sweep that moved the lane.
 
 _H_FLOOR = 0.04          # clock-time step ceiling in the bulk
 _DIVE_STEPS = 16.0       # dive step cap m^2/_DIVE_STEPS (kick ~ |m|/4)
@@ -404,40 +410,53 @@ def _angle_normals(cfg: SimConfig) -> np.ndarray:
     return z
 
 
-def _clock_sweeps(cfg: SimConfig, rngs: list, tau: np.ndarray,
-                  z: np.ndarray):
-    """Yield the live mask tau < cfg.horizon of each sweep over every path
-    of a clock-time group, until no lane is live.
+def _clock_sweeps(cfg: SimConfig, rngs: list, step, state: tuple,
+                  n_out: int) -> tuple:
+    """Step the lanes of a clock-time group until each reaches the horizon,
+    and return the final values of state[1:1 + n_out], over every path.
 
-    Before each yield, the slices of z of the blocks that still have a
-    live lane are filled from the block's own stream.  A finished block
+    state is a tuple of per-lane arrays over every path of cfg, tau first;
+    the arrays that the first n_out of the others start as receive the
+    outputs.  Each sweep first retires the lanes with tau >= horizon: their
+    outputs are written once, and they are dropped from every state array
+    and from the sorted indices of the live lanes.  It then fills the
+    normals z of the live lanes and sets state = step(z, *state).  step
+    maps each lane's state to its next one, lane by lane.  A finished block
     draws nothing more, so its stream ends where its own sweeps leave it,
-    however long other blocks run; and since each lane's step depends only
-    on its own inputs, no lane's path depends on the other lanes of the
-    group.  The output is therefore the same as stepping each block alone.
-    The caller advances tau in place.  Raises RuntimeError after
-    _SWEEP_HEADROOM times the base count of sweeps, horizon/min(dt,
-    _BULK_DT).
+    however long other blocks run; and no lane's path depends on the other
+    lanes of the group.  The output is therefore the same as stepping each
+    block alone.  Raises RuntimeError after _SWEEP_HEADROOM times the base
+    count of sweeps, horizon/min(dt, _BULK_DT).
     """
-    starts = np.arange(0, cfg.paths, BLOCK_SIZE)
-    max_sweeps = math.ceil(
-        _SWEEP_HEADROOM * cfg.horizon / min(cfg.dt, _BULK_DT))
+    horizon = cfg.horizon
+    out = state[1:1 + n_out]
+    lanes = np.arange(cfg.paths)
+    starts = np.arange(len(rngs) + 1) * BLOCK_SIZE
+    full = np.empty(cfg.paths)
+    max_sweeps = math.ceil(_SWEEP_HEADROOM * horizon / min(cfg.dt, _BULK_DT))
     for _ in range(max_sweeps):
-        active = tau < cfg.horizon
-        live = np.logical_or.reduceat(active, starts).nonzero()[0]
-        if not live.size:
-            return
-        _fill_normals(rngs, live, z)
-        yield active
+        done = state[0] >= horizon
+        if np.count_nonzero(done):
+            gone = lanes[done]
+            for o, a in zip(out, state[1:]):
+                o[gone] = a[done]
+            keep = np.flatnonzero(~done)
+            if not keep.size:
+                return out
+            lanes = lanes[keep]
+            state = tuple(a[keep] for a in state)
+        cuts = np.searchsorted(lanes, starts)
+        _fill_normals(rngs, np.flatnonzero(cuts[1:] > cuts[:-1]), full)
+        state = step(full[lanes], *state)
     raise RuntimeError(
-        f"clock-time sampler failed to reach horizon {cfg.horizon} in "
+        f"clock-time sampler failed to reach horizon {horizon} in "
         f"{max_sweeps} sweeps")
 
 
 def _winding_phi(kind: str, r0: float, cfg: SimConfig, rngs: list):
     """Winding radial paths in clock-time coordinates, every block of cfg
-    in one sweep loop, with m = log tan r (cp, on R) or log tanh r (ch, on
-    (-inf, 0)).  A sweep steps only the live lanes.
+    in one sweep loop (_clock_sweeps), with m = log tan r (cp, on R) or
+    log tanh r (ch, on (-inf, 0)).
 
     Returns the clock int 4 ds / sin^2 2r (cp) or int 4 ds / sinh^2 2r (ch)
     up to the horizon.
@@ -447,50 +466,48 @@ def _winding_phi(kind: str, r0: float, cfg: SimConfig, rngs: list):
     m0 = math.log(math.tan(r0)) if cp else math.log(math.tanh(r0))
     mm = np.full(lanes, m0)
     tau = np.zeros(lanes)
-    clock = np.zeros(lanes)
-    z = np.zeros(lanes)
-    # the clock rate is 4 csh(m)^2: 4 cosh^2 m (cp) or 4 sinh^2 m (ch);
-    # rate holds it for each lane's current m
+    # the clock rate is 4 csh(m)^2: 4 cosh^2 m (cp) or 4 sinh^2 m (ch)
     csh = np.cosh if cp else np.sinh
     # ch transient endgame: for m this close to 0 the remaining clock is
     # below 4 m^2 (horizon - tau), which is negligible, so the lane retires
     if not cp and m0 > -_M_FLOOR_CH:
         tau[:] = horizon
+
+    def step(z, tau, clock, m, q, rq):
+        # q is each lane's rate at its m, and rq its reciprocal (floored)
+        t_rem = horizon - tau  # > 0, since a live lane has tau < horizon
+        h = np.minimum(np.minimum(t_rem, dt) * q,
+                       np.maximum(_H_FLOOR, m * m / _DIVE_STEPS))
+        m_new = m + np.sqrt(h) * z
+        if cp:
+            np.minimum(np.maximum(m_new, -_M_CAP, out=m_new), _M_CAP,
+                       out=m_new)
+        else:
+            above = m_new >= 0.0
+            if np.count_nonzero(above):
+                m_new[above] = 0.5 * m[above]
+            np.maximum(m_new, -_M_CAP, out=m_new)
+        q_new = 4.0 * csh(m_new) ** 2
+        rq_new = 1.0 / np.maximum(q_new, 1e-300)
+        # trapezoid estimate of the real time elapsed over the Phi-step
+        # (the rate 1/q varies exponentially within a step, so the
+        # left-endpoint rule is systematically biased)
+        dtau = 0.5 * h * (rq + rq_new)
+        # final step: credit clock only for the fraction inside the horizon
+        last = dtau > t_rem
+        if np.count_nonzero(last):
+            h[last] *= t_rem[last] / np.maximum(dtau[last], 1e-300)
+        tau += dtau
+        if not cp:
+            tau[m_new > -_M_FLOOR_CH] = horizon
+        clock += h
+        return tau, clock, m_new, q_new, rq_new
+
     with np.errstate(over="ignore"):
         rate = 4.0 * csh(mm) ** 2
-        for active in _clock_sweeps(cfg, rngs, tau, z):
-            idx = active.nonzero()[0]
-            # while every lane is live, views stand in for the gathers
-            sel = idx if idx.size < lanes else slice(None)
-            m, t, q = mm[sel], tau[sel], rate[sel]
-            t_rem = horizon - t  # > 0, since a live lane has tau < horizon
-            h = np.minimum(np.minimum(t_rem, dt) * q,
-                           np.maximum(_H_FLOOR, m * m / _DIVE_STEPS))
-            m_new = m + np.sqrt(h) * z[sel]
-            if cp:
-                np.minimum(np.maximum(m_new, -_M_CAP, out=m_new), _M_CAP,
-                           out=m_new)
-            else:
-                above = m_new >= 0.0
-                if np.count_nonzero(above):
-                    m_new[above] = 0.5 * m[above]
-                np.maximum(m_new, -_M_CAP, out=m_new)
-            q_new = 4.0 * csh(m_new) ** 2
-            # trapezoid estimate of the real time elapsed over the Phi-step
-            # (the rate 1/q varies exponentially within a step, so the
-            # left-endpoint rule is systematically biased)
-            dtau = 0.5 * h * (1.0 / q + 1.0 / np.maximum(q_new, 1e-300))
-            # final step: credit clock only for the fraction inside the horizon
-            last = dtau > t_rem
-            if np.count_nonzero(last):
-                h[last] *= t_rem[last] / np.maximum(dtau[last], 1e-300)
-            t_new = t + dtau
-            if not cp:
-                t_new[m_new > -_M_FLOOR_CH] = horizon
-            mm[sel] = m_new
-            rate[sel] = q_new
-            tau[sel] = t_new
-            clock[sel] += h
+        clock, = _clock_sweeps(cfg, rngs, step, (
+            tau, np.zeros(lanes), mm, rate, 1.0 / np.maximum(rate, 1e-300)),
+            1)
     return clock
 
 
@@ -507,7 +524,8 @@ def _cp_half_flow(v: np.ndarray, n: int, s: np.ndarray) -> tuple:
 
 def _cp_area_phi(n: int, cfg: SimConfig, rngs: list):
     """The CP^n radius and area clock from the pole, every block of cfg in
-    one sweep loop, stepped in the clock S = t + A_t = int sec^2 r ds.
+    one sweep loop (_clock_sweeps), stepped in the clock S = t + A_t =
+    int sec^2 r ds.
 
     In S, v = arcsinh(tan r) >= 0 is the CH^n radius tilted by lam = -n
     (see the clock-time notes above).  A sweep steps each live lane by h =
@@ -518,38 +536,34 @@ def _cp_area_phi(n: int, cfg: SimConfig, rngs: list):
     (r_end, clock), the clock being int tan^2 r ds.
     """
     horizon, dt, lanes = cfg.horizon, cfg.dt, cfg.paths
-    vv = np.zeros(lanes)
-    rate = np.ones(lanes)  # dS/dt = cosh^2 v at each lane's v
-    tau = np.zeros(lanes)
-    clock = np.zeros(lanes)
-    z = np.zeros(lanes)
+
+    def step(z, tau, v, clock, q, rq):
+        # q is each lane's dS/dt = cosh^2 v, and rq its reciprocal
+        t_rem = horizon - tau  # > 0, since a live lane has tau < horizon
+        h = np.minimum(np.minimum(t_rem, dt) * q,
+                       np.maximum(_H_FLOOR, v * v / _DIVE_STEPS))
+        s = 0.5 * h
+        v, _ = _cp_half_flow(v, n, s)
+        v += np.sqrt(h) * z
+        np.minimum(np.abs(v, out=v), _M_CAP, out=v)
+        v, w = _cp_half_flow(v, n, s)
+        q_new = np.add(w, 1.0, out=w)
+        rq_new = 1.0 / q_new
+        dtau = s * (rq + rq_new)
+        area = h - dtau
+        # final step: credit clock only for the fraction inside the horizon
+        last = dtau > t_rem
+        if np.count_nonzero(last):
+            area[last] *= t_rem[last] / dtau[last]
+        tau += dtau
+        clock += area
+        return tau, v, clock, q_new, rq_new
+
     with np.errstate(over="ignore"):
-        for active in _clock_sweeps(cfg, rngs, tau, z):
-            idx = active.nonzero()[0]
-            # while every lane is live, views stand in for the gathers
-            sel = idx if idx.size < lanes else slice(None)
-            v, t, q = vv[sel], tau[sel], rate[sel]
-            t_rem = horizon - t  # > 0, since a live lane has tau < horizon
-            h = np.minimum(np.minimum(t_rem, dt) * q,
-                           np.maximum(_H_FLOOR, v * v / _DIVE_STEPS))
-            s = 0.5 * h
-            v, _ = _cp_half_flow(v, n, s)
-            v += np.sqrt(h) * z[sel]
-            np.minimum(np.abs(v, out=v), _M_CAP, out=v)
-            v, w = _cp_half_flow(v, n, s)
-            q_new = np.add(w, 1.0, out=w)
-            dtau = s * (1.0 / q + 1.0 / q_new)
-            area = h - dtau
-            # final step: credit clock only for the fraction inside the
-            # horizon
-            last = dtau > t_rem
-            if np.count_nonzero(last):
-                area[last] *= t_rem[last] / dtau[last]
-            vv[sel] = v
-            rate[sel] = q_new
-            tau[sel] = t + dtau
-            clock[sel] += area
-    return np.arctan(np.sinh(np.minimum(vv, _V_FLAT))), clock
+        v, clock = _clock_sweeps(cfg, rngs, step, (
+            np.zeros(lanes), np.zeros(lanes), np.zeros(lanes),
+            np.ones(lanes), np.ones(lanes)), 2)
+    return np.arctan(np.sinh(np.minimum(v, _V_FLAT))), clock
 
 
 # ---------------------------------------------------------------------------
@@ -649,8 +663,7 @@ def sample_planar_area(cfg: SimConfig, threads: int = 1) -> AreaSamples:
     def block(sub, rngs):
         w, clock, r, dw = np.zeros((4, sub.paths))
         for h, c in zip(dts, weights):
-            _split_step(w, r, dw, 1, 0.0, h, rngs[0], np.positive,
-                        np.positive)
+            _split_step(w, r, dw, 1, 0.0, h, rngs[0], None, None)
             clock += np.multiply(w, c, out=r)
         return np.sqrt(w), clock
 

@@ -354,8 +354,9 @@ class TestRunBlocks:
     @pytest.mark.parametrize("run", [
         lambda cfg: sample_area(Geometry.cp(1), cfg),
         lambda cfg: sample_area(Geometry.cp(2), cfg),
+        lambda cfg: sample_winding(Geometry.cp(1), 0.7, cfg),
         lambda cfg: sample_winding(Geometry.ch(1), 0.9, cfg),
-    ], ids=["area", "area-cp2", "winding-ch1"])
+    ], ids=["area", "area-cp2", "winding-cp1", "winding-ch1"])
     def test_sweep_loops_match_one_loop(self, monkeypatch, run):
         # ten blocks swept as loops of 4 + 4 + 2 give the bits of one loop
         # over all ten
@@ -384,19 +385,28 @@ class TestRunBlocks:
 
 
 class TestSweepCap:
+    @staticmethod
+    def _count_sweeps(monkeypatch):
+        """The list that gets one entry per clock-time sweep, as each sweep
+        fills its normals once."""
+        sweeps = []
+        fill = simulate._fill_normals
+        monkeypatch.setattr(simulate, "_fill_normals",
+                            lambda *a: sweeps.append(1) or fill(*a))
+        return sweeps
+
     @pytest.mark.parametrize("run", [
         lambda cfg: sample_area(Geometry.cp(1), cfg),
+        lambda cfg: sample_area(Geometry.cp(2), cfg),
         lambda cfg: sample_winding(Geometry.cp(1), 0.7, cfg),
-    ], ids=["area", "winding"])
+        lambda cfg: sample_winding(Geometry.ch(1), 0.7, cfg),
+    ], ids=["area", "area-cp2", "winding", "winding-ch1"])
     def test_stuck_sampler_raises_quickly(self, run, monkeypatch):
         # with no step floor and no dive allowance every clock-time step is
         # h = min(dtau * rate, 0) = 0, so a lane never advances tau
         monkeypatch.setattr(simulate, "_H_FLOOR", 0.0)
         monkeypatch.setattr(simulate, "_DIVE_STEPS", math.inf)
-        sweeps = []
-        fill = simulate._fill_normals
-        monkeypatch.setattr(simulate, "_fill_normals",
-                            lambda *a: sweeps.append(1) or fill(*a))
+        sweeps = self._count_sweeps(monkeypatch)
         cfg = SimConfig(0.5, 1e-2, 64, 5)
         t0 = time.perf_counter()
         with pytest.raises(RuntimeError, match="failed to reach horizon"):
@@ -406,6 +416,20 @@ class TestSweepCap:
         # horizon / dt
         assert len(sweeps) == math.ceil(
             simulate._SWEEP_HEADROOM * cfg.horizon / cfg.dt)
+
+    def test_deep_short_loop_stays_below_half_the_cap(self, monkeypatch):
+        # the sweeps a loop needs follow its deepest dive, while the cap
+        # follows t/dt only, so full 4-block CP^3 loops at short t come
+        # nearest the cap.  This is the slowest loop of a 100,000-path
+        # call at seed 5, blocks 4-7 (it took 504 of 1,600 sweeps)
+        sweeps = self._count_sweeps(monkeypatch)
+        block_rng = simulate._block_rng
+        monkeypatch.setattr(simulate, "_block_rng",
+                            lambda s, i: block_rng(s, i + 4))
+        cfg = SimConfig(0.25, 1e-2, 4 * simulate.BLOCK_SIZE, 5)
+        sample_area(Geometry.cp(3), cfg)
+        cap = math.ceil(simulate._SWEEP_HEADROOM * cfg.horizon / cfg.dt)
+        assert 0 < len(sweeps) < cap / 2
 
 
 class TestTimeGrid:
@@ -421,10 +445,29 @@ class TestTimeGrid:
         assert dts.sum() == pytest.approx(horizon, rel=1e-12)
 
 
-# The clock-time kernels with every lane gathered in every sweep:
-# references that simulate._cp_area_phi and simulate._winding_phi must
-# match bit for bit.  Module constants are read from simulate, so that a
-# test can patch them for both.
+# The clock-time kernels with every lane gathered in every sweep, by a
+# sweep loop of their own: references that simulate._cp_area_phi and
+# simulate._winding_phi must match bit for bit.  Module constants are read
+# from simulate, so that a test can patch them for both.
+
+def _reference_sweeps(cfg, rngs, tau):
+    """Yield (idx, z) for each sweep: the lanes with tau < horizon and
+    their normals.  Each block with a live lane fills its whole slice from
+    its stream, and the live lanes take theirs from it.  The caller
+    advances tau in place."""
+    s = simulate
+    cap = math.ceil(s._SWEEP_HEADROOM * cfg.horizon / min(cfg.dt, s._BULK_DT))
+    z = np.empty(cfg.paths)
+    for _ in range(cap):
+        idx = np.flatnonzero(tau < cfg.horizon)
+        if not idx.size:
+            return
+        for b in np.unique(idx // s.BLOCK_SIZE):
+            rngs[b].standard_normal(
+                out=z[b * s.BLOCK_SIZE:(b + 1) * s.BLOCK_SIZE])
+        yield idx, z[idx]
+    raise RuntimeError("failed to reach horizon")
+
 
 def _reference_cp_area_phi(n, cfg, rngs):
     s = simulate
@@ -433,7 +476,6 @@ def _reference_cp_area_phi(n, cfg, rngs):
     rate = np.ones(lanes)
     tau = np.zeros(lanes)
     clock = np.zeros(lanes)
-    z = np.zeros(lanes)
 
     def half_flow(v, half):
         w = np.sinh(v) ** 2
@@ -441,14 +483,13 @@ def _reference_cp_area_phi(n, cfg, rngs):
         return np.where(v > s._V_FLAT, v, np.arcsinh(np.sqrt(w))), w
 
     with np.errstate(over="ignore"):
-        for active in s._clock_sweeps(cfg, rngs, tau, z):
-            idx = np.flatnonzero(active)
+        for idx, z in _reference_sweeps(cfg, rngs, tau):
             v, t, q = vv[idx], tau[idx], rate[idx]
             t_rem = horizon - t
             h = np.minimum(np.minimum(t_rem, dt) * q,
                            np.maximum(s._H_FLOOR, v * v / s._DIVE_STEPS))
             v, _ = half_flow(v, 0.5 * h)
-            v = np.minimum(np.abs(v + np.sqrt(h) * z[idx]), s._M_CAP)
+            v = np.minimum(np.abs(v + np.sqrt(h) * z), s._M_CAP)
             v, w = half_flow(v, 0.5 * h)
             q_new = w + 1.0
             dtau = 0.5 * h * (1.0 / q + 1.0 / q_new)
@@ -471,19 +512,17 @@ def _reference_winding_phi(kind, r0, cfg, rngs):
     mm = np.full(lanes, m0)
     tau = np.zeros(lanes)
     clock = np.zeros(lanes)
-    z = np.zeros(lanes)
     csh = np.cosh if cp else np.sinh
     if not cp and m0 > -s._M_FLOOR_CH:
         tau[:] = horizon
     with np.errstate(over="ignore"):
-        for active in s._clock_sweeps(cfg, rngs, tau, z):
-            idx = np.flatnonzero(active)
+        for idx, z in _reference_sweeps(cfg, rngs, tau):
             m, t = mm[idx], tau[idx]
             t_rem = horizon - t
             q = 4.0 * csh(m) ** 2
             h = np.minimum(np.minimum(t_rem, dt) * q,
                            np.maximum(s._H_FLOOR, m * m / s._DIVE_STEPS))
-            m_new = m + np.sqrt(h) * z[idx]
+            m_new = m + np.sqrt(h) * z
             if cp:
                 np.minimum(np.maximum(m_new, -s._M_CAP, out=m_new), s._M_CAP,
                            out=m_new)
