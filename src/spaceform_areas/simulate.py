@@ -344,12 +344,9 @@ def sample_radial_hyperbolic(n: int, girsanov_lambda: float, r0: float,
 #
 # One driver, _clock_sweeps, runs both kernels on compacted live lanes, as
 # wavefront path tracers compact their rays (Laine, Karras & Aila, HPG
-# 2013): it holds the sorted indices of the live lanes and one array per
-# state variable over those lanes only.  A lane whose tau reaches the
-# horizon has its outputs written once and leaves every array, so a sweep
-# costs its numpy calls on the live lanes, with no gathers, scatters or
-# scans of finished ones.  Each kernel keeps each lane's clock rate and its
-# reciprocal from the sweep that moved the lane.
+# 2013): a lane whose tau reaches the horizon leaves every state array, so
+# a sweep costs its numpy calls and normals on the live lanes only, with no
+# gathers, scatters or scans of finished ones.
 
 _H_FLOOR = 0.04          # clock-time step ceiling in the bulk
 _DIVE_STEPS = 16.0       # dive step cap m^2/_DIVE_STEPS (kick ~ |m|/4)
@@ -371,14 +368,12 @@ _V_FLAT = 300.0
 # base count, horizon/min(dt, _BULK_DT).  Whatever dt is, a bulk step of
 # the CP^1 winding covers at most about _BULK_DT of real time: _H_FLOOR of
 # clock at the least rate 4 cosh^2 0.  Kernels whose steps can be longer,
-# such as the CP area's at the least rate cosh^2 0 = 1, only get a looser
-# cap.  On a grid of 11 sizes (t 0.125 to 50, dt 1e-3 to 0.02) at n = 1-3
-# and 16,384 paths the CP area call took at most 10.3 times its base, and
-# the sweep loops of a 100,000-path call at most 20.2 times (t = 0.25,
-# dt = 0.01, n = 3).  Over the golden sizes, the acceptance runs and the
-# benchmark workloads the windings took at most 5.14 times theirs
-# (winding-cp1 at t = 2, dt = 0.05).  So a stuck sampler fails after about
-# 3 times the sweeps a call can need.
+# such as the CP area's, only get a looser cap.  The CP area's sweep loops
+# took at most 13.5 times their base on 11 sizes (t 0.125 to 50, dt 1e-3
+# to 0.02, n = 1-3, 16,384 paths) and 26.3 times in a 100,000-path call
+# (t = 0.25, dt = 0.01, n = 3); the windings at most 4.61 times theirs
+# (winding-cp1 at its golden size).  So a stuck sampler fails after about
+# 2.4 times the sweeps a call can need.
 _BULK_DT = _H_FLOOR / 4.0
 _SWEEP_HEADROOM = 64.0
 
@@ -394,20 +389,25 @@ def check_ch_winding_r0(r0) -> None:
             f"retires at t = 0, got r0 = {r0}")
 
 
-def _fill_normals(rngs: list, blocks, out: np.ndarray) -> None:
-    """Fill each listed block's slice of out from that block's stream."""
-    for i in blocks:
-        rngs[i].standard_normal(out=out[i * BLOCK_SIZE:(i + 1) * BLOCK_SIZE])
+def _fill_normals(rngs: list, lanes: np.ndarray) -> np.ndarray:
+    """The normals of the sorted lanes, block by block: the lanes of block
+    i take the next draws of its stream rngs[i], in lane order, one
+    searchsorted finding each block's segment; a block with no lane listed
+    draws nothing."""
+    z = np.empty(lanes.size)
+    cuts = np.searchsorted(lanes, np.arange(len(rngs) + 1) * BLOCK_SIZE)
+    for rng, lo, hi in zip(rngs, cuts.tolist(), cuts[1:].tolist()):
+        if lo < hi:
+            rng.standard_normal(out=z[lo:hi])
+    return z
 
 
 def _angle_normals(cfg: SimConfig) -> np.ndarray:
     """One normal per path of cfg, block i's from the stream of spawn key
     (1 << 62) + i, so that an angle drawn given the radial path does not
     depend on how the radial sampler consumed its block's stream."""
-    rngs = _block_rngs(cfg, offset=1 << 62)
-    z = np.empty(cfg.paths)
-    _fill_normals(rngs, range(len(rngs)), z)
-    return z
+    return _fill_normals(_block_rngs(cfg, offset=1 << 62),
+                         np.arange(cfg.paths))
 
 
 def _clock_sweeps(cfg: SimConfig, rngs: list, step, state: tuple,
@@ -415,24 +415,17 @@ def _clock_sweeps(cfg: SimConfig, rngs: list, step, state: tuple,
     """Step the lanes of a clock-time group until each reaches the horizon,
     and return the final values of state[1:1 + n_out], over every path.
 
-    state is a tuple of per-lane arrays over every path of cfg, tau first;
-    the arrays that the first n_out of the others start as receive the
-    outputs.  Each sweep first retires the lanes with tau >= horizon: their
-    outputs are written once, and they are dropped from every state array
-    and from the sorted indices of the live lanes.  It then fills the
-    normals z of the live lanes and sets state = step(z, *state).  step
-    maps each lane's state to its next one, lane by lane.  A finished block
-    draws nothing more, so its stream ends where its own sweeps leave it,
-    however long other blocks run; and no lane's path depends on the other
-    lanes of the group.  The output is therefore the same as stepping each
-    block alone.  Raises RuntimeError after _SWEEP_HEADROOM times the base
-    count of sweeps, horizon/min(dt, _BULK_DT).
+    state holds one array per variable over every path, tau first, and
+    step(z, *state) maps it to the next state, lane by lane.  A sweep
+    writes the outputs of the lanes with tau >= horizon into the initial
+    arrays once and drops those lanes from every array and from the sorted
+    live indices, then steps the rest on their normals (_fill_normals), so
+    each path is that of its block stepped alone.  Raises RuntimeError
+    after _SWEEP_HEADROOM times the base count, horizon/min(dt, _BULK_DT).
     """
     horizon = cfg.horizon
     out = state[1:1 + n_out]
     lanes = np.arange(cfg.paths)
-    starts = np.arange(len(rngs) + 1) * BLOCK_SIZE
-    full = np.empty(cfg.paths)
     max_sweeps = math.ceil(_SWEEP_HEADROOM * horizon / min(cfg.dt, _BULK_DT))
     for _ in range(max_sweeps):
         done = state[0] >= horizon
@@ -445,9 +438,7 @@ def _clock_sweeps(cfg: SimConfig, rngs: list, step, state: tuple,
                 return out
             lanes = lanes[keep]
             state = tuple(a[keep] for a in state)
-        cuts = np.searchsorted(lanes, starts)
-        _fill_normals(rngs, np.flatnonzero(cuts[1:] > cuts[:-1]), full)
-        state = step(full[lanes], *state)
+        state = step(_fill_normals(rngs, lanes), *state)
     raise RuntimeError(
         f"clock-time sampler failed to reach horizon {horizon} in "
         f"{max_sweeps} sweeps")
@@ -464,14 +455,11 @@ def _winding_phi(kind: str, r0: float, cfg: SimConfig, rngs: list):
     horizon, dt, lanes = cfg.horizon, cfg.dt, cfg.paths
     cp = kind == "cp"
     m0 = math.log(math.tan(r0)) if cp else math.log(math.tanh(r0))
-    mm = np.full(lanes, m0)
-    tau = np.zeros(lanes)
     # the clock rate is 4 csh(m)^2: 4 cosh^2 m (cp) or 4 sinh^2 m (ch)
     csh = np.cosh if cp else np.sinh
     # ch transient endgame: for m this close to 0 the remaining clock is
     # below 4 m^2 (horizon - tau), which is negligible, so the lane retires
-    if not cp and m0 > -_M_FLOOR_CH:
-        tau[:] = horizon
+    tau = np.full(lanes, horizon if not cp and m0 > -_M_FLOOR_CH else 0.0)
 
     def step(z, tau, clock, m, q, rq):
         # q is each lane's rate at its m, and rq its reciprocal (floored)
@@ -504,10 +492,10 @@ def _winding_phi(kind: str, r0: float, cfg: SimConfig, rngs: list):
         return tau, clock, m_new, q_new, rq_new
 
     with np.errstate(over="ignore"):
-        rate = 4.0 * csh(mm) ** 2
+        m = np.full(lanes, m0)
+        q = 4.0 * csh(m) ** 2
         clock, = _clock_sweeps(cfg, rngs, step, (
-            tau, np.zeros(lanes), mm, rate, 1.0 / np.maximum(rate, 1e-300)),
-            1)
+            tau, np.zeros(lanes), m, q, 1.0 / np.maximum(q, 1e-300)), 1)
     return clock
 
 
@@ -561,8 +549,7 @@ def _cp_area_phi(n: int, cfg: SimConfig, rngs: list):
 
     with np.errstate(over="ignore"):
         v, clock = _clock_sweeps(cfg, rngs, step, (
-            np.zeros(lanes), np.zeros(lanes), np.zeros(lanes),
-            np.ones(lanes), np.ones(lanes)), 2)
+            *np.zeros((3, lanes)), *np.ones((2, lanes))), 2)
     return np.arctan(np.sinh(np.minimum(v, _V_FLAT))), clock
 
 

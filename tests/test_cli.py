@@ -185,27 +185,13 @@ class TestParseConfig:
         ("ch1-loop-density", "t", -1.0),
         ("levy-baseline", "t", float("inf")),
         ("winding-ch1", "t", "100"),
-        ("winding-cp1", "lam", float("nan")),
-        ("levy-baseline", "lam", float("inf")),
-        ("levy-baseline", "lam", 0.0),
-        ("winding-cp1", "lam", 0),
-        ("ch1-loop-density", "theta_lo", float("nan")),
-        ("ch1-loop-density", "theta_hi", float("inf")),
-        ("ch1-loop-density", "theta_lo", 3.0),
-        ("ch1-loop-density", "theta_hi", -4.0),
-        ("ch1-loop-density", "tol", -1.0),
         ("winding-cp1", "tol", 0.0),
-        ("cp-cauchy-limit", "analytic_tol", 0.0),
     ])
     def test_bad_scalar_named(self, name, key, value, tmp_path):
-        # each used to reach the run: t <= 0 failed its `completed` check,
-        # a NaN lam or an inverted theta range failed a comparison, a
-        # tolerance <= 0 failed one that no value could pass and a zero
-        # planar lam divided by a standard error of 0 (exit 1); a zero
-        # winding lam passed by comparing 1 with 1.  lam, theta_lo,
-        # theta_hi, analytic_tol and ch1-loop-density's tol are now
-        # literals of their runners, so a config that sets one is rejected
-        # as an unknown key, by name
+        # each is now rejected at parse time, by name: a t that is not a
+        # positive finite float (t <= 0 used to reach the run and fail its
+        # `completed` check) and a winding-cp1 tol <= 0, which used to fail
+        # a check that no value could pass (exit 1)
         text = json.dumps({"experiment": name, "params": {key: value}})
         with pytest.raises(ValueError, match=f"'{key}'"):
             parse_config(text)

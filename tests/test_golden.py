@@ -79,11 +79,11 @@ SAMPLER_PARAMS = {
 GOLDEN_SAMPLER_CSV = {
     "cp-area-cf": {
         "cp_area_cf.csv":
-            "d9647216ffd01b744f734f6f24a5d8a859c0d8f9477350dae747f1b8f62fda78",
+            "adfbc7e0bddd7056adc876f60b45101c25be099efb64e6bcd8906d2e90643dd2",
     },
     "cp-cauchy-limit": {
         "cp_cauchy_limit.csv":
-            "d48773a91d9b4767672fae3867976fa5acac75b377b898530bf2d9df05258481",
+            "3dae661885275fd903f4e7b1d5303795320d9453bdeab8938b17c72703192571",
     },
     "ch-area-cf": {
         "ch_area_cf.csv":
@@ -99,11 +99,11 @@ GOLDEN_SAMPLER_CSV = {
     },
     "winding-cp1": {
         "winding_cp1.csv":
-            "12ea705f2b306b452e3c6c873f7afd41cfca25809736e6953ec926a101289bac",
+            "5a8489c74b446910d0baf25700a98f898bcc361ebdad80848f474483b32691ca",
     },
     "winding-ch1": {
         "winding_ch1.csv":
-            "bc3d728bc0f857991c9a5a44edfb7d9ea51e18e4c3ff3f8722b4093cae7c05e6",
+            "db4595e5c10265eeb7dee4ba33c10c13ffdbb659088046ba9cb8d6b7b96c389e",
     },
     "levy-baseline": {
         "levy_baseline.csv":
@@ -113,9 +113,9 @@ GOLDEN_SAMPLER_CSV = {
 
 GOLDEN_SAMPLER_MANIFEST = {
     "cp-area-cf":
-        "5053df4f1d3e9850093fb477e0d3d675ffef0a684254c870e3c6dc3db03a69c1",
+        "66abba6a82b1bb2af14756eceeb417ca7002fb2319ca1b37e4dd63d48ca34ad8",
     "cp-cauchy-limit":
-        "764655a1bad8f8aac786264759c7c0cbb2c5a0779456af5facbce6da085f3eb1",
+        "13ffa0a3a4574cd200e000f2fbe03127f3c1d388017821e8d5bcfe16a1286c9e",
     "ch-area-cf":
         "79d3a025dc3423684ea3bdbee8b9c031d6659da5708a1066e728e3c8189f9c88",
     "ch-area-cf/n2":
@@ -123,16 +123,18 @@ GOLDEN_SAMPLER_MANIFEST = {
     "ch-gaussian-limit":
         "e6858caa5a2fe8d95a683c3922e8faa704db9c6dad6472c63952da94f3aff854",
     "winding-cp1":
-        "b640e8b98a1c254ef594205ed675e7ed4724a0ba6a3bc9325a535646c916e110",
+        "b291b419443807c96fa1651962de6083b9113b1cbd7b5520eb49e104315a1770",
     "winding-ch1":
-        "56df69e062a140a3bee28d64b1c22900af492a6186addc46f690b82c94c48c7e",
+        "ff3d67e07577ad3442a73ae13dd1e23c407caa0b57b41caa9d417dc9fc5acedc",
     "levy-baseline":
         "61464ba171c9353232e115ec89b88987d9a8def9876bc7f9a996385e7f31d872",
 }
 
 # The long-time regime, one block each: the CH samplers finish their far
 # lanes in closed form past _R_FAR, winding-ch1 retires its lanes at
-# _M_FLOOR_CH, and the CP samplers take thousands of psi-mode dives.
+# _M_FLOOR_CH, and the clock-time CP samplers run thousands of sweeps of
+# deep dives toward the cut locus (4,628 for cp-cauchy-limit, 5,944 for
+# winding-cp1), most of them on a shrinking set of live lanes.
 LONG_SAMPLER_PARAMS = {
     "cp-cauchy-limit": {"t": 50.0, "ns": [1, 2], "paths": 256, "dt": 0.02},
     "ch-gaussian-limit": {"t": 50.0, "ns": [3], "paths": 256},
@@ -143,7 +145,7 @@ LONG_SAMPLER_PARAMS = {
 GOLDEN_LONG_SAMPLER_CSV = {
     "cp-cauchy-limit": {
         "cp_cauchy_limit.csv":
-            "c5a983c8d441b9200342ef3c37c1471cc2d670be62e5cb7b64abb4923c558629",
+            "d914e9a3cfd6a3a5c092b91e5e6f403eb8a20e5ac26787c025c3a2551d08930f",
     },
     "ch-gaussian-limit": {
         "ch_gaussian_limit.csv":
@@ -151,23 +153,23 @@ GOLDEN_LONG_SAMPLER_CSV = {
     },
     "winding-cp1": {
         "winding_cp1.csv":
-            "ee5ef0b99198ce88eca689672b7c0b0b359c6da2cc50e4c67cf41db8e1bcc055",
+            "767883c979b97a0ea08ce375b5f2bff57833043c4cb325828048e115739e2394",
     },
     "winding-ch1": {
         "winding_ch1.csv":
-            "c04ac146139696b83e03ad456168be569a75556096da58fdac02177e8b10afe8",
+            "f40858a07c8db336f19998a32db1848fe7b24e6d93b5ed0bf7ce9c797346b841",
     },
 }
 
 GOLDEN_LONG_SAMPLER_MANIFEST = {
     "cp-cauchy-limit":
-        "79a13e571b5fd3dc46c20e545486f11cbbb501a6054e627572cc99ed742a60c2",
+        "ed9de3910e0891e0f199ba7380de957eda639207c423b5874c0d8c9cb61f5dff",
     "ch-gaussian-limit":
         "be0d64722f880e42b337bcf31cdb48b9f0a94a65af4606159e164084fa02a417",
     "winding-cp1":
-        "0ddae332e732170a5295057683c498bc9f9c0f848aa4a1c65ba579ce7f031df8",
+        "4d5498ee9c858498b9177277737c623753d8e6b31abf7a6d4d0060b32f73ff10",
     "winding-ch1":
-        "1f36dc4806784b91abfec5696c98324e241329dbe4a67d27060a144041c7e56b",
+        "d061ed4c3c9d8d65d2a1ad4170b72f83722993c0fbf34281cefcee26398259f0",
 }
 
 

@@ -421,11 +421,11 @@ class TestSweepCap:
         # the sweeps a loop needs follow its deepest dive, while the cap
         # follows t/dt only, so full 4-block CP^3 loops at short t come
         # nearest the cap.  This is the slowest loop of a 100,000-path
-        # call at seed 5, blocks 4-7 (it took 504 of 1,600 sweeps)
+        # call at seed 5, blocks 20-23 (it took 658 of 1,600 sweeps)
         sweeps = self._count_sweeps(monkeypatch)
         block_rng = simulate._block_rng
         monkeypatch.setattr(simulate, "_block_rng",
-                            lambda s, i: block_rng(s, i + 4))
+                            lambda s, i: block_rng(s, i + 20))
         cfg = SimConfig(0.25, 1e-2, 4 * simulate.BLOCK_SIZE, 5)
         sample_area(Geometry.cp(3), cfg)
         cap = math.ceil(simulate._SWEEP_HEADROOM * cfg.horizon / cfg.dt)
@@ -452,20 +452,19 @@ class TestTimeGrid:
 
 def _reference_sweeps(cfg, rngs, tau):
     """Yield (idx, z) for each sweep: the lanes with tau < horizon and
-    their normals.  Each block with a live lane fills its whole slice from
-    its stream, and the live lanes take theirs from it.  The caller
-    advances tau in place."""
+    their normals, each block's live lanes taking the next draws of its
+    stream in lane order.  The caller advances tau in place."""
     s = simulate
     cap = math.ceil(s._SWEEP_HEADROOM * cfg.horizon / min(cfg.dt, s._BULK_DT))
-    z = np.empty(cfg.paths)
     for _ in range(cap):
         idx = np.flatnonzero(tau < cfg.horizon)
         if not idx.size:
             return
-        for b in np.unique(idx // s.BLOCK_SIZE):
-            rngs[b].standard_normal(
-                out=z[b * s.BLOCK_SIZE:(b + 1) * s.BLOCK_SIZE])
-        yield idx, z[idx]
+        z, blocks = np.empty(idx.size), idx // s.BLOCK_SIZE
+        for b in np.unique(blocks):
+            mine = blocks == b
+            z[mine] = rngs[b].standard_normal(np.count_nonzero(mine))
+        yield idx, z
     raise RuntimeError("failed to reach horizon")
 
 
@@ -582,6 +581,58 @@ class TestClockKernelsMatchReference:
                 lambda cfg, rngs: simulate._winding_phi(kind, r0, cfg, rngs),
                 lambda cfg, rngs: _reference_winding_phi(kind, r0, cfg, rngs),
                 SimConfig(1.37, 0.05, 48, seed))
+
+
+class _CountingStream:
+    """A stand-in for a block's stream that draws from a real one and
+    records the size of each standard_normal(out=...) call."""
+
+    def __init__(self, rng):
+        self.rng, self.sizes = rng, []
+
+    def standard_normal(self, out):
+        self.sizes.append(out.size)
+        return self.rng.standard_normal(out=out)
+
+
+class TestLiveDraws:
+    """A clock-time sweep draws one normal per live lane, from the lane's
+    block's stream; a block whose lanes are all done draws nothing more."""
+
+    @pytest.mark.parametrize("kernel", [
+        lambda cfg, rngs: simulate._cp_area_phi(1, cfg, rngs),
+        lambda cfg, rngs: simulate._cp_area_phi(2, cfg, rngs),
+        lambda cfg, rngs: simulate._winding_phi("cp", 0.7, cfg, rngs),
+        lambda cfg, rngs: simulate._winding_phi("ch", 0.5, cfg, rngs),
+    ], ids=["area", "area-cp2", "winding-cp1", "winding-ch1"])
+    def test_one_normal_per_live_lane_step(self, monkeypatch, kernel):
+        # three blocks, the last partial, in one sweep loop
+        sizes = (simulate.BLOCK_SIZE, simulate.BLOCK_SIZE, 300)
+        cfg = SimConfig(0.3, 1e-2, sum(sizes), 13)
+        rngs = [_CountingStream(r) for r in simulate._block_rngs(cfg)]
+        stepped = []
+        sweeps = simulate._clock_sweeps
+
+        def counted(cfg, rngs, step, state, n_out):
+            def each(z, *state):
+                # every lane stepped is live, and gets one normal
+                assert z.size == state[0].size
+                assert np.all(state[0] < cfg.horizon)
+                stepped.append(z.size)
+                return step(z, *state)
+            return sweeps(cfg, rngs, each, state, n_out)
+
+        monkeypatch.setattr(simulate, "_clock_sweeps", counted)
+        kernel(cfg, rngs)
+        per_sweep = np.zeros((len(rngs), len(stepped)), dtype=int)
+        for row, rng, size in zip(per_sweep, rngs, sizes):
+            # a block draws in each sweep from the first while it has a
+            # live lane, fewer as its lanes finish, then never again
+            assert rng.sizes[0] == size and rng.sizes[-1] > 0
+            assert np.all(np.diff(rng.sizes) <= 0)
+            row[:len(rng.sizes)] = rng.sizes
+        np.testing.assert_array_equal(per_sweep.sum(axis=0), stepped)
+        assert min(len(rng.sizes) for rng in rngs) < len(stepped)
 
 
 class _Normals:
