@@ -13,10 +13,10 @@ master_seed with spawn key (i,), numpy's spawned child i.
 _run_blocks runs the blocks of a call in at most `threads` contiguous
 groups, one thread each: a clock-time sampler steps a group in sweep loops
 (_clock_sweeps) of at most 4 blocks, a fixed-grid one block by block.  A
-sweep loop keeps only its live lanes in its arrays: a lane leaves them
-once it reaches the horizon.  Either way each path depends only on its
-block's stream, so results are bit-identical regardless of the thread
-count.
+sweep loop keeps only its live lanes, steps them in place and finds each
+block's segment of them only when some reach the horizon and leave.
+Either way each path depends only on its block's stream, so results are
+bit-identical regardless of the thread count.
 """
 
 from __future__ import annotations
@@ -345,17 +345,18 @@ def sample_radial_hyperbolic(n: int, girsanov_lambda: float, r0: float,
 # One driver, _clock_sweeps, runs both kernels on compacted live lanes, as
 # wavefront path tracers compact their rays (Laine, Karras & Aila, HPG
 # 2013): a lane whose tau reaches the horizon leaves every state array, so
-# a sweep costs its numpy calls and normals on the live lanes only, with no
-# gathers, scatters or scans of finished ones.
+# a sweep costs its numpy calls and normals on the live lanes only.  The
+# calls, not their arithmetic, set its cost, so each block's draw segment
+# is found only when lanes leave, and a step writes in place.
 
 _H_FLOOR = 0.04          # clock-time step ceiling in the bulk
 _DIVE_STEPS = 16.0       # dive step cap m^2/_DIVE_STEPS (kick ~ |m|/4)
 # The depth clamp of |m| and v.  Rates overflow to inf past ~355, which the
 # trapezoid handles: 1/inf = 0, min(inf, cap) = cap.  Lanes do reach it:
-# at dt 0.01, 10,000 paths and seed 7 it clamped 2.04% (CP^1) and 4.05%
+# at dt 0.01, 10,000 paths and seed 7 it clamped 1.96% (CP^1) and 4.20%
 # (CP^2) of the area sampler's lanes by t = 50 and 2.67% of winding-cp1's
-# by t = 30, each with a clock of at least 1.2e6, and 0.02% of
-# winding-ch1's by t = 100, with clocks of at least 3.4e6.  No check sees
+# by t = 30, each with a clock of at least 9.6e5, and 0.02-0.04% of
+# winding-ch1's by t = 100, with clocks of at least 2.7e6.  No check sees
 # them: in those runs the term e^{-lam^2 clock/2} of each such lane, at
 # every lam and scale the verdict reads, is below 1e-6.
 _M_CAP = 2000.0
@@ -389,16 +390,21 @@ def check_ch_winding_r0(r0) -> None:
             f"retires at t = 0, got r0 = {r0}")
 
 
-def _fill_normals(rngs: list, lanes: np.ndarray) -> np.ndarray:
-    """The normals of the sorted lanes, block by block: the lanes of block
-    i take the next draws of its stream rngs[i], in lane order, one
-    searchsorted finding each block's segment; a block with no lane listed
-    draws nothing."""
-    z = np.empty(lanes.size)
-    cuts = np.searchsorted(lanes, np.arange(len(rngs) + 1) * BLOCK_SIZE)
-    for rng, lo, hi in zip(rngs, cuts.tolist(), cuts[1:].tolist()):
-        if lo < hi:
-            rng.standard_normal(out=z[lo:hi])
+def _segments(rngs: list, lanes: np.ndarray) -> list:
+    """(stream, lo, hi) of each block with a listed lane, in block order:
+    the sorted lanes [lo, hi) are block i's, which draw from rngs[i]."""
+    cuts = np.searchsorted(
+        lanes, np.arange(len(rngs) + 1) * BLOCK_SIZE).tolist()
+    return [(rng, lo, hi) for rng, lo, hi in zip(rngs, cuts, cuts[1:])
+            if lo < hi]
+
+
+def _fill_normals(segments: list, size: int) -> np.ndarray:
+    """The normals of size sorted lanes: segment by segment (_segments),
+    the next draws of the block's stream, in lane order."""
+    z = np.empty(size)
+    for rng, lo, hi in segments:
+        rng.standard_normal(out=z[lo:hi])
     return z
 
 
@@ -406,8 +412,8 @@ def _angle_normals(cfg: SimConfig) -> np.ndarray:
     """One normal per path of cfg, block i's from the stream of spawn key
     (1 << 62) + i, so that an angle drawn given the radial path does not
     depend on how the radial sampler consumed its block's stream."""
-    return _fill_normals(_block_rngs(cfg, offset=1 << 62),
-                         np.arange(cfg.paths))
+    rngs = _block_rngs(cfg, offset=1 << 62)
+    return _fill_normals(_segments(rngs, np.arange(cfg.paths)), cfg.paths)
 
 
 def _clock_sweeps(cfg: SimConfig, rngs: list, step, state: tuple,
@@ -416,16 +422,18 @@ def _clock_sweeps(cfg: SimConfig, rngs: list, step, state: tuple,
     and return the final values of state[1:1 + n_out], over every path.
 
     state holds one array per variable over every path, tau first, and
-    step(z, *state) maps it to the next state, lane by lane.  A sweep
-    writes the outputs of the lanes with tau >= horizon into the initial
-    arrays once and drops those lanes from every array and from the sorted
-    live indices, then steps the rest on their normals (_fill_normals), so
-    each path is that of its block stepped alone.  Raises RuntimeError
-    after _SWEEP_HEADROOM times the base count, horizon/min(dt, _BULK_DT).
+    step(z, *state) maps it to the next state, lane by lane, free to
+    overwrite what it is given.  A sweep writes the outputs of the lanes
+    with tau >= horizon into arrays of its own and drops those lanes from
+    every array and from the sorted live indices, then steps the rest on
+    their normals (_fill_normals, by the _segments found at the start and
+    after each drop), so each path is that of its block stepped alone.  Raises
+    RuntimeError past _SWEEP_HEADROOM times horizon/min(dt, _BULK_DT) sweeps.
     """
     horizon = cfg.horizon
-    out = state[1:1 + n_out]
+    out = tuple(np.empty(cfg.paths) for _ in range(n_out))
     lanes = np.arange(cfg.paths)
+    segments = _segments(rngs, lanes)
     max_sweeps = math.ceil(_SWEEP_HEADROOM * horizon / min(cfg.dt, _BULK_DT))
     for _ in range(max_sweeps):
         done = state[0] >= horizon
@@ -438,7 +446,8 @@ def _clock_sweeps(cfg: SimConfig, rngs: list, step, state: tuple,
                 return out
             lanes = lanes[keep]
             state = tuple(a[keep] for a in state)
-        state = step(_fill_normals(rngs, lanes), *state)
+            segments = _segments(rngs, lanes)
+        state = step(_fill_normals(segments, lanes.size), *state)
     raise RuntimeError(
         f"clock-time sampler failed to reach horizon {horizon} in "
         f"{max_sweeps} sweeps")
@@ -462,11 +471,14 @@ def _winding_phi(kind: str, r0: float, cfg: SimConfig, rngs: list):
     tau = np.full(lanes, horizon if not cp and m0 > -_M_FLOOR_CH else 0.0)
 
     def step(z, tau, clock, m, q, rq):
-        # q is each lane's rate at its m, and rq its reciprocal (floored)
+        # q is each lane's rate at m, rq its reciprocal (floored on CH^1 only)
         t_rem = horizon - tau  # > 0, since a live lane has tau < horizon
-        h = np.minimum(np.minimum(t_rem, dt) * q,
-                       np.maximum(_H_FLOOR, m * m / _DIVE_STEPS))
-        m_new = m + np.sqrt(h) * z
+        kick = np.multiply(m, m)
+        kick /= _DIVE_STEPS
+        h = np.minimum(np.multiply(np.minimum(t_rem, dt), q, out=q),
+                       np.maximum(_H_FLOOR, kick, out=kick), out=q)
+        m_new = np.add(m, np.multiply(np.sqrt(h, out=kick), z, out=kick),
+                       out=z)
         if cp:
             np.minimum(np.maximum(m_new, -_M_CAP, out=m_new), _M_CAP,
                        out=m_new)
@@ -475,12 +487,13 @@ def _winding_phi(kind: str, r0: float, cfg: SimConfig, rngs: list):
             if np.count_nonzero(above):
                 m_new[above] = 0.5 * m[above]
             np.maximum(m_new, -_M_CAP, out=m_new)
-        q_new = 4.0 * csh(m_new) ** 2
-        rq_new = 1.0 / np.maximum(q_new, 1e-300)
+        q_new = np.multiply(4.0, np.square(csh(m_new, out=m), out=m), out=m)
+        rq_new = np.divide(1.0, q_new if cp else np.maximum(
+            q_new, 1e-300, out=kick), out=kick)
         # trapezoid estimate of the real time elapsed over the Phi-step
         # (the rate 1/q varies exponentially within a step, so the
         # left-endpoint rule is systematically biased)
-        dtau = 0.5 * h * (rq + rq_new)
+        dtau = np.multiply(0.5 * h, np.add(rq, rq_new, out=rq), out=rq)
         # final step: credit clock only for the fraction inside the horizon
         last = dtau > t_rem
         if np.count_nonzero(last):
@@ -506,8 +519,12 @@ def _cp_half_flow(v: np.ndarray, n: int, s: np.ndarray) -> tuple:
     once sinh^2 v overflows)."""
     w = np.sinh(v)
     _drift_flow(np.square(w, out=w), n, 0.0, s)
-    u = np.arcsinh(np.sqrt(w))
-    return np.where(v > _V_FLAT, v, u), w
+    u = np.sqrt(w)
+    np.arcsinh(u, out=u)
+    flat = v > _V_FLAT
+    if np.count_nonzero(flat):
+        u[flat] = v[flat]
+    return u, w
 
 
 def _cp_area_phi(n: int, cfg: SimConfig, rngs: list):
@@ -528,17 +545,19 @@ def _cp_area_phi(n: int, cfg: SimConfig, rngs: list):
     def step(z, tau, v, clock, q, rq):
         # q is each lane's dS/dt = cosh^2 v, and rq its reciprocal
         t_rem = horizon - tau  # > 0, since a live lane has tau < horizon
-        h = np.minimum(np.minimum(t_rem, dt) * q,
-                       np.maximum(_H_FLOOR, v * v / _DIVE_STEPS))
-        s = 0.5 * h
-        v, _ = _cp_half_flow(v, n, s)
-        v += np.sqrt(h) * z
-        np.minimum(np.abs(v, out=v), _M_CAP, out=v)
-        v, w = _cp_half_flow(v, n, s)
+        kick = np.multiply(v, v)
+        kick /= _DIVE_STEPS
+        h = np.minimum(np.multiply(np.minimum(t_rem, dt), q, out=q),
+                       np.maximum(_H_FLOOR, kick, out=kick), out=q)
+        s = np.multiply(0.5, h, out=kick)
+        u, _ = _cp_half_flow(v, n, s)
+        u += np.multiply(np.sqrt(h, out=v), z, out=v)
+        np.minimum(np.abs(u, out=u), _M_CAP, out=u)
+        v, w = _cp_half_flow(u, n, s)
         q_new = np.add(w, 1.0, out=w)
-        rq_new = 1.0 / q_new
-        dtau = s * (rq + rq_new)
-        area = h - dtau
+        rq_new = np.divide(1.0, q_new, out=z)
+        dtau = np.multiply(s, np.add(rq, rq_new, out=rq), out=rq)
+        area = np.subtract(h, dtau, out=h)
         # final step: credit clock only for the fraction inside the horizon
         last = dtau > t_rem
         if np.count_nonzero(last):

@@ -582,6 +582,35 @@ class TestClockKernelsMatchReference:
                 lambda cfg, rngs: _reference_winding_phi(kind, r0, cfg, rngs),
                 SimConfig(1.37, 0.05, 48, seed))
 
+    # A full block and a small one in one sweep loop: the small block's
+    # lanes finish first, so its segment leaves the draws mid-loop while
+    # the full block's lanes keep drawing.
+    MULTI_BLOCK = [
+        ("area", lambda cfg, rngs: simulate._cp_area_phi(1, cfg, rngs),
+         lambda cfg, rngs: _reference_cp_area_phi(1, cfg, rngs)),
+        ("winding-cp1",
+         lambda cfg, rngs: simulate._winding_phi("cp", 0.7, cfg, rngs),
+         lambda cfg, rngs: _reference_winding_phi("cp", 0.7, cfg, rngs)),
+        ("winding-ch1",
+         lambda cfg, rngs: simulate._winding_phi("ch", 0.5, cfg, rngs),
+         lambda cfg, rngs: _reference_winding_phi("ch", 0.5, cfg, rngs)),
+    ]
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    @pytest.mark.parametrize("name,run,ref", MULTI_BLOCK,
+                             ids=[case[0] for case in MULTI_BLOCK])
+    def test_small_block_leaves_mid_loop(self, name, run, ref, seed):
+        cfg = SimConfig(0.537, 0.02, simulate.BLOCK_SIZE + 5, seed)
+        rngs = [_CountingStream(r) for r in simulate._block_rngs(cfg)]
+        got = run(cfg, rngs)
+        want = ref(cfg, simulate._block_rngs(cfg))
+        for g, w in zip(np.atleast_2d(got), np.atleast_2d(want),
+                        strict=True):
+            np.testing.assert_array_equal(g, w)
+        full, small = rngs
+        assert small.sizes[0] == 5
+        assert len(small.sizes) < len(full.sizes)
+
 
 class _CountingStream:
     """A stand-in for a block's stream that draws from a real one and
@@ -633,6 +662,63 @@ class TestLiveDraws:
             row[:len(rng.sizes)] = rng.sizes
         np.testing.assert_array_equal(per_sweep.sum(axis=0), stepped)
         assert min(len(rng.sizes) for rng in rngs) < len(stepped)
+
+
+class TestSegments:
+    """_segments: the draw segment of each block with a listed lane."""
+
+    @given(picks=st.lists(st.integers(0, 3 * simulate.BLOCK_SIZE - 1),
+                          max_size=40, unique=True))
+    @settings(max_examples=60, deadline=None)
+    def test_segments_tile_the_lanes_in_block_order(self, picks):
+        lanes = np.sort(np.asarray(picks, dtype=np.int64))
+        streams = ["block 0", "block 1", "block 2"]
+        segments = simulate._segments(streams, lanes)
+        # the segments tile [0, lanes.size) in block order, each holding
+        # the lanes of its block
+        end = 0
+        for rng, lo, hi in segments:
+            assert lo == end < hi
+            assert np.all(lanes[lo:hi] // simulate.BLOCK_SIZE
+                          == streams.index(rng))
+            end = hi
+        assert end == lanes.size
+        # a block with no listed lane has no segment
+        blocks = np.unique(lanes // simulate.BLOCK_SIZE).tolist()
+        assert [streams.index(rng) for rng, _, _ in segments] == blocks
+
+
+class TestSegmentsOncePerCompaction:
+    """A clock-time call finds the draw segments (_segments) once at its
+    start and once after each sweep that drops lanes and leaves some live,
+    not once per sweep."""
+
+    @pytest.mark.parametrize("kernel", [
+        lambda cfg, rngs: simulate._cp_area_phi(2, cfg, rngs),
+        lambda cfg, rngs: simulate._winding_phi("cp", 0.7, cfg, rngs),
+        lambda cfg, rngs: simulate._winding_phi("ch", 0.5, cfg, rngs),
+    ], ids=["area-cp2", "winding-cp1", "winding-ch1"])
+    def test_segments_calls(self, monkeypatch, kernel):
+        cfg = SimConfig(0.3, 1e-2, simulate.BLOCK_SIZE + 300, 13)
+        calls, stepped = [], []
+        segments = simulate._segments
+        monkeypatch.setattr(simulate, "_segments",
+                            lambda *a: calls.append(1) or segments(*a))
+        sweeps = simulate._clock_sweeps
+
+        def counted(cfg, rngs, step, state, n_out):
+            def each(z, *state):
+                stepped.append(z.size)
+                return step(z, *state)
+            return sweeps(cfg, rngs, each, state, n_out)
+
+        monkeypatch.setattr(simulate, "_clock_sweeps", counted)
+        kernel(cfg, simulate._block_rngs(cfg))
+        sizes = [cfg.paths] + stepped
+        compacting = sum(b < a for a, b in zip(sizes, sizes[1:]))
+        assert len(calls) == 1 + compacting
+        # most sweeps drop no lane, so a per-sweep search would show
+        assert 0 < compacting < len(stepped) / 2
 
 
 class _Normals:
