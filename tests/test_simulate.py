@@ -582,24 +582,25 @@ class TestClockKernelsMatchReference:
                 lambda cfg, rngs: _reference_winding_phi(kind, r0, cfg, rngs),
                 SimConfig(1.37, 0.05, 48, seed))
 
-    # A full block and a small one in one sweep loop: the small block's
-    # lanes finish first, so its segment leaves the draws mid-loop while
-    # the full block's lanes keep drawing.
-    MULTI_BLOCK = [
-        ("area", lambda cfg, rngs: simulate._cp_area_phi(1, cfg, rngs),
-         lambda cfg, rngs: _reference_cp_area_phi(1, cfg, rngs)),
-        ("winding-cp1",
-         lambda cfg, rngs: simulate._winding_phi("cp", 0.7, cfg, rngs),
-         lambda cfg, rngs: _reference_winding_phi("cp", 0.7, cfg, rngs)),
-        ("winding-ch1",
-         lambda cfg, rngs: simulate._winding_phi("ch", 0.5, cfg, rngs),
-         lambda cfg, rngs: _reference_winding_phi("ch", 0.5, cfg, rngs)),
-    ]
-
     @pytest.mark.parametrize("seed", [3, 4])
-    @pytest.mark.parametrize("name,run,ref", MULTI_BLOCK,
-                             ids=[case[0] for case in MULTI_BLOCK])
-    def test_small_block_leaves_mid_loop(self, name, run, ref, seed):
+    @pytest.mark.parametrize("run,ref", [
+        pytest.param(
+            lambda cfg, rngs: simulate._cp_area_phi(1, cfg, rngs),
+            lambda cfg, rngs: _reference_cp_area_phi(1, cfg, rngs),
+            id="area"),
+        pytest.param(
+            lambda cfg, rngs: simulate._winding_phi("cp", 0.7, cfg, rngs),
+            lambda cfg, rngs: _reference_winding_phi("cp", 0.7, cfg, rngs),
+            id="winding-cp1"),
+        pytest.param(
+            lambda cfg, rngs: simulate._winding_phi("ch", 0.5, cfg, rngs),
+            lambda cfg, rngs: _reference_winding_phi("ch", 0.5, cfg, rngs),
+            id="winding-ch1"),
+    ])
+    def test_small_block_leaves_mid_loop(self, run, ref, seed):
+        # a full block and a small one in one sweep loop: the small block's
+        # lanes finish first, so its segment leaves the draws mid-loop
+        # while the full block's lanes keep drawing
         cfg = SimConfig(0.537, 0.02, simulate.BLOCK_SIZE + 5, seed)
         rngs = [_CountingStream(r) for r in simulate._block_rngs(cfg)]
         got = run(cfg, rngs)
